@@ -29,6 +29,7 @@ use super::view::View;
 use super::AdpOptions;
 use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
+use adp_engine::delta::DeltaProvenance;
 use adp_engine::join::EvalResult;
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
 use adp_runtime::ThreadPool;
@@ -158,12 +159,15 @@ fn deadline_expired(deadline: Option<std::time::Instant>, rounds_done: usize) ->
 }
 
 /// Incremental greedy rounds: scores are maintained by the
-/// [`DeltaProvenance`](adp_engine::delta::DeltaProvenance) across
-/// deletions, so each round costs `O(Δ)` in the affected witnesses plus
-/// a logarithmic argmax — instead of a full pass over every live
-/// witness. The candidate order is the same `(score, Reverse((atom,
-/// idx)))` total order as the rescan path, so the deletion sequence is
-/// byte-identical.
+/// [`DeltaProvenance`] across deletions, so each round costs `O(Δ)` in
+/// the affected witnesses plus a logarithmic argmax — instead of a full
+/// pass over every live witness. The candidate order is the same
+/// `(score, Reverse((atom, idx)))` total order as the rescan path, so the
+/// deletion sequence is byte-identical.
+///
+/// Root views of a prepared query run on a state checked out of the
+/// plan's pool ([`View::greedy_state`]); the picks are handed back with
+/// it so the state can be rolled back and reused.
 fn delta_rounds(
     view: &View,
     eval: &EvalResult,
@@ -172,32 +176,55 @@ fn delta_rounds(
     parallel: bool,
     deadline: Option<std::time::Instant>,
 ) -> Result<(Vec<Step>, bool), SolveError> {
-    let mut prov = view.delta_provenance(eval, parallel)?;
-    prov.enable_selection(endo.to_vec());
-    let mut steps: Vec<Step> = Vec::new();
-    let (mut removed, mut cost) = (0u64, 0u64);
-    while removed < cap && prov.live_outputs() > 0 {
-        if deadline_expired(deadline, steps.len()) {
-            return Ok((steps, true));
+    let mut lease = view.greedy_state(eval, endo, parallel)?;
+    let (picks, truncated) = greedy_round_loop(lease.delta(), cap, deadline);
+    let steps = picks
+        .iter()
+        .zip(1..)
+        .map(|(&(t, removed_cum), cost_cum)| Step {
+            tuples: vec![view.to_original(t.atom, t.index)],
+            removed_cum,
+            cost_cum,
+        })
+        .collect();
+    let tuples: Vec<TupleRef> = picks.into_iter().map(|(t, _)| t).collect();
+    lease.release(&tuples);
+    Ok((steps, truncated))
+}
+
+/// The greedy round loop (Algorithm 6) on a scored state whose
+/// selection is enabled: delete the best sole killer — or, when none
+/// exists, the tuple on the most live witnesses — until `cap` outputs
+/// are gone, the state is empty, no candidate remains, or `deadline`
+/// passes. The picks stay deleted on `delta`. Returns each pick with the
+/// cumulative outputs removed through it, and whether the deadline cut
+/// the loop short.
+///
+/// Pull solves ([`delta_rounds`]) and push re-solves
+/// ([`IncrementalGreedy::solve`](super::IncrementalGreedy::solve)) both
+/// run this loop, so the two cannot pick differently.
+pub(super) fn greedy_round_loop(
+    delta: &mut DeltaProvenance,
+    cap: u64,
+    deadline: Option<std::time::Instant>,
+) -> (Vec<(TupleRef, u64)>, bool) {
+    let mut picks: Vec<(TupleRef, u64)> = Vec::new();
+    let mut removed = 0u64;
+    while removed < cap && delta.live_outputs() > 0 {
+        if deadline_expired(deadline, picks.len()) {
+            return (picks, true);
         }
-        // Best sole killer; when none exists, the tuple on the most live
-        // witnesses — exactly the rescan path's picks.
-        let picked = prov
+        let best = delta
             .best_profit_candidate()
-            .or_else(|| prov.best_count_candidate());
-        let Some((_, atom, idx)) = picked else {
+            .or_else(|| delta.best_count_candidate());
+        let Some((_, atom, idx)) = best else {
             break; // no deletable candidate remains
         };
-        let died = prov.delete(TupleRef::new(atom, idx));
-        removed += died;
-        cost += 1;
-        steps.push(Step {
-            tuples: vec![view.to_original(atom, idx)],
-            removed_cum: removed,
-            cost_cum: cost,
-        });
+        let t = TupleRef::new(atom, idx);
+        removed += delta.delete(t);
+        picks.push((t, removed));
     }
-    Ok((steps, false))
+    (picks, false)
 }
 
 /// The pre-delta greedy rounds: one full scoring pass over every live

@@ -1,13 +1,15 @@
 //! Incremental re-solve of a prepared statement's greedy state.
 //!
 //! Every pull-style solve — [`PreparedQuery::solve`], the service text
-//! path, the fluent builder — starts from a *pristine* scored
-//! [`DeltaProvenance`] template: after an epoch bump the template is
-//! rebuilt from a fresh join of the new snapshot, and each greedy run
-//! clones it before deleting anything. That is the right contract for
-//! one-shot requests, but a subscriber watching a statement across a
-//! stream of delete/restore batches pays a full re-join + re-score per
-//! epoch for state the delta layer could have maintained in `O(Δ)`.
+//! path, the fluent builder — runs its greedy rounds on a *pristine*
+//! scored [`DeltaProvenance`] for one epoch: a state checked out of the
+//! prepared plan's pool (or, when the pool is empty, cloned from the
+//! plan's template), rolled back and returned afterwards. After an epoch
+//! bump the template and pool are rebuilt from a fresh join of the new
+//! snapshot. That is the right contract for one-shot requests, but a
+//! subscriber watching a statement across a stream of delete/restore
+//! batches would pay a full re-join + re-score per epoch for state the
+//! delta layer could have maintained in `O(Δ)`.
 //!
 //! [`IncrementalGreedy`] is the push-side counterpart: one **long-lived**
 //! scored delta state, advanced across epochs by
@@ -19,7 +21,8 @@
 //! maintained state and are rolled back afterwards through the delta
 //! layer's reversible deletions, so no template clone and no re-join
 //! ever happens. Each re-solve costs `O(cost · Δ_round)` — proportional
-//! to the picks it makes, not to the instance.
+//! to the picks it makes, not to the instance. Pull and push run the
+//! same round loop, so they cannot drift apart.
 //!
 //! ## Equivalence contract
 //!
@@ -42,6 +45,7 @@
 //! [`PreparedQuery::solve`]: super::PreparedQuery::solve
 //! [`DeltaProvenance`]: adp_engine::delta::DeltaProvenance
 
+use super::greedy::greedy_round_loop;
 use super::prepared::build_delta_provenance;
 use crate::analysis::roles::endogenous_atoms;
 use crate::query::Query;
@@ -125,29 +129,15 @@ impl IncrementalGreedy {
     /// dead view) answers trivially with the empty set.
     pub fn solve(&mut self, k: u64) -> IncrementalSolve {
         let cap = k.min(self.delta.live_outputs());
-        let mut picked: Vec<TupleRef> = Vec::new();
-        let mut removed = 0u64;
-        while removed < cap && self.delta.live_outputs() > 0 {
-            // Best sole killer, else the tuple on the most live
-            // witnesses — the same candidate order as `delta_rounds`.
-            let pick = self
-                .delta
-                .best_profit_candidate()
-                .or_else(|| self.delta.best_count_candidate());
-            let Some((_, atom, idx)) = pick else {
-                break; // no deletable candidate remains
-            };
-            let t = TupleRef::new(atom, idx);
-            removed += self.delta.delete(t);
-            picked.push(t);
-        }
-        let cost = picked.len() as u64;
-        self.delta.restore_batch(&picked);
-        picked.sort_unstable();
+        let (picks, _) = greedy_round_loop(&mut self.delta, cap, None);
+        let achieved = picks.last().map_or(0, |&(_, removed)| removed);
+        let mut deletions: Vec<TupleRef> = picks.into_iter().map(|(t, _)| t).collect();
+        self.delta.restore_batch(&deletions);
+        deletions.sort_unstable();
         IncrementalSolve {
-            cost,
-            achieved: removed,
-            deletions: picked,
+            cost: deletions.len() as u64,
+            achieved,
+            deletions,
         }
     }
 }

@@ -38,7 +38,7 @@ use adp_engine::error::AdpError;
 use adp_engine::join::EvalResult;
 use adp_engine::plan::{AliveMask, JoinIndexes, QueryPlan};
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Builds a scored [`DeltaProvenance`] for an evaluation, fanning the
 /// initial scoring pass out over the global [`adp_runtime`] pool (the
@@ -83,9 +83,13 @@ pub struct PlannedEval {
     /// O(Δ) set verification (`killed_by_set`) and participating-tuple
     /// lookups without rebuilding the postings per solve.
     prov: OnceLock<Result<Arc<ProvenanceIndex>, AdpError>>,
-    /// Pristine scored delta index; greedy solves clone it (an O(n)
-    /// memcpy) instead of re-deriving postings + scores per solve.
+    /// Pristine scored delta index, built once. Greedy solves never
+    /// mutate it: they run on states from `idle`, and only a checkout
+    /// that finds the pool empty clones it.
     delta: OnceLock<Result<Arc<DeltaProvenance>, AdpError>>,
+    /// Idle greedy states: pristine clones of `delta` with selection
+    /// enabled, keyed by their selectable mask. See [`GreedyLease`].
+    idle: Mutex<Vec<(Vec<bool>, DeltaProvenance)>>,
 }
 
 impl PlannedEval {
@@ -100,6 +104,7 @@ impl PlannedEval {
             eval: OnceLock::new(),
             prov: OnceLock::new(),
             delta: OnceLock::new(),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -154,21 +159,118 @@ impl PlannedEval {
             .clone()
     }
 
-    /// The pristine scored [`DeltaProvenance`] template, computed once
-    /// and cloned by each incremental solve. The first builder decides
-    /// whether the one-time scoring pass may fan out over the global
-    /// pool (`parallel`); either way the installed scores are equal, so
-    /// later callers share the cached template regardless of their own
-    /// flag.
+    /// The pristine scored [`DeltaProvenance`] template, computed once;
+    /// greedy solves clone it when the state pool is empty. The first
+    /// builder decides whether the one-time scoring pass may fan out
+    /// over the global pool (`parallel`); either way the installed
+    /// scores are equal, so later callers share the cached template
+    /// regardless of their own flag.
     pub fn delta_template(&self, parallel: bool) -> Result<Arc<DeltaProvenance>, AdpError> {
         self.delta
             .get_or_init(|| build_delta_provenance(&self.eval(), parallel).map(Arc::new))
             .clone()
     }
 
+    /// Checks a pristine greedy state with selection enabled on
+    /// `selectable` out of the pool, or clones the template when no idle
+    /// state has that mask. The state returns to the pool only through
+    /// [`GreedyLease::release`].
+    pub(crate) fn checkout(
+        &self,
+        selectable: &[bool],
+        parallel: bool,
+    ) -> Result<GreedyLease<'_>, AdpError> {
+        let pooled = {
+            let mut idle = self.idle_states();
+            let at = idle
+                .iter()
+                .rposition(|(mask, _)| mask.as_slice() == selectable);
+            at.map(|i| idle.swap_remove(i).1)
+        };
+        let delta = match pooled {
+            Some(delta) => delta,
+            None => {
+                let mut delta = DeltaProvenance::clone(&*self.delta_template(parallel)?);
+                delta.enable_selection(selectable.to_vec());
+                delta
+            }
+        };
+        Ok(GreedyLease {
+            delta,
+            home: Some((self, selectable.to_vec())),
+        })
+    }
+
+    /// Idle greedy states currently pooled, over every mask.
+    pub(crate) fn pooled_states(&self) -> usize {
+        self.idle_states().len()
+    }
+
+    fn idle_states(&self) -> MutexGuard<'_, Vec<(Vec<bool>, DeltaProvenance)>> {
+        // A panic elsewhere cannot leave the list half-updated (it only
+        // ever pushes or removes whole entries), so a poisoned lock is
+        // safe to reuse.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// An all-alive mask shaped for this plan's atoms.
     pub fn fresh_mask(&self, query: &Query) -> AliveMask {
         AliveMask::all_alive(&self.db, query.atoms())
+    }
+}
+
+/// Rounds may kill at most `1 / ROLLBACK_DIVISOR` of the witnesses for
+/// their state to be rolled back and pooled. Past that, restoring the
+/// picks costs about as much as the next checkout's template clone, and
+/// the state is dropped instead.
+const ROLLBACK_DIVISOR: usize = 4;
+
+/// One greedy solve's scored [`DeltaProvenance`], selection enabled.
+///
+/// Root views of a prepared query check it out of the plan's pool
+/// ([`PlannedEval::checkout`]); derived views build a private one. The
+/// lease is also the pool's drop guard: the state left the pool at
+/// checkout and goes back only through [`release`](Self::release), so a
+/// solve that returns early or unwinds drops its state instead of
+/// returning it half-deleted.
+pub(crate) struct GreedyLease<'a> {
+    delta: DeltaProvenance,
+    /// The pool to return to, and the mask the state was built for.
+    home: Option<(&'a PlannedEval, Vec<bool>)>,
+}
+
+impl<'a> GreedyLease<'a> {
+    /// A lease with no pool behind it: `release` just drops it.
+    pub(crate) fn private(delta: DeltaProvenance) -> Self {
+        GreedyLease { delta, home: None }
+    }
+
+    /// The state the rounds run on.
+    pub(crate) fn delta(&mut self) -> &mut DeltaProvenance {
+        &mut self.delta
+    }
+
+    /// Ends the solve. `picks` must be exactly the tuples the rounds
+    /// deleted. If they killed at most a `1 / ROLLBACK_DIVISOR` share of
+    /// the witnesses, they are restored and the — again pristine — state
+    /// returns to its pool; otherwise it is dropped and a later checkout
+    /// clones the template.
+    pub(crate) fn release(self, picks: &[TupleRef]) {
+        let GreedyLease { mut delta, home } = self;
+        let Some((planned, mask)) = home else {
+            return;
+        };
+        let slots = delta.witness_slots();
+        let killed = slots - delta.live_witnesses() as usize;
+        if killed > slots / ROLLBACK_DIVISOR {
+            return;
+        }
+        delta.restore_batch(picks);
+        let pristine = delta.live_witnesses() as usize == slots && delta.removed_outputs() == 0;
+        debug_assert!(pristine, "picks do not cover the rounds' deletions");
+        if pristine {
+            planned.idle_states().push((mask, delta));
+        }
     }
 }
 
@@ -251,6 +353,13 @@ impl PreparedQuery {
         before - self.planned.eval_masked(&mask).output_count()
     }
 
+    /// Greedy states idle in this plan's pool, over every selectable
+    /// mask. Never more than the peak number of concurrent greedy solves
+    /// on this plan.
+    pub fn pooled_states(&self) -> usize {
+        self.planned.pooled_states()
+    }
+
     /// Re-binds the already-parsed query to a fresh database snapshot,
     /// compiling a new plan (and new lazy caches) against `db` while the
     /// original `PreparedQuery` stays fully usable against its own
@@ -279,6 +388,7 @@ impl PreparedQuery {
 #[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::analysis::roles::endogenous_atoms;
     use crate::query::parse_query;
     use crate::solver::{removed_outputs, AdpOptions};
     use adp_engine::schema::attrs;
@@ -410,6 +520,125 @@ mod tests {
         assert_eq!(rebound.eval().outputs, fresh.eval().outputs);
         // The original binding still answers over its own epoch.
         assert_eq!(prep.output_count(), 4);
+    }
+
+    /// `Q(A,B) :- R1(A), R2(A,B), R3(B)` over the full `dom × dom` grid
+    /// on `R2`: `dom²` witnesses, and each `R1`/`R3` tuple kills `dom` of
+    /// them — few enough for a small solve to roll back.
+    fn grid(dom: u64) -> (Query, Arc<Database>) {
+        fn rows(v: &[Vec<u64>]) -> Vec<&[u64]> {
+            v.iter().map(|t| t.as_slice()).collect()
+        }
+        let r1: Vec<Vec<u64>> = (0..dom).map(|a| vec![a]).collect();
+        let r2: Vec<Vec<u64>> = (0..dom * dom).map(|i| vec![i % dom, i / dom]).collect();
+        let mut db = Database::new();
+        db.add_relation("R1", attrs(&["A"]), &rows(&r1));
+        db.add_relation("R2", attrs(&["A", "B"]), &rows(&r2));
+        db.add_relation("R3", attrs(&["B"]), &rows(&r1));
+        let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
+        (q, Arc::new(db))
+    }
+
+    fn greedy() -> AdpOptions {
+        AdpOptions {
+            force_greedy: true,
+            ..Default::default()
+        }
+    }
+
+    /// A state that rolled back and checked in is indistinguishable from
+    /// a fresh clone of the template with selection enabled; a solve
+    /// that kills every witness drops its state instead.
+    #[test]
+    fn checked_in_state_equals_the_template() {
+        let (q, db) = grid(8);
+        let prep = PreparedQuery::new(q, db);
+        let first = prep.solve(1, &greedy()).unwrap();
+        assert_eq!(prep.pooled_states(), 1, "a small solve checks its state in");
+
+        let endo = endogenous_atoms(prep.query());
+        let mut fresh = DeltaProvenance::clone(&prep.planned.delta_template(false).unwrap());
+        fresh.enable_selection(endo.clone());
+        let mut lease = prep.planned.checkout(&endo, false).unwrap();
+        assert_eq!(prep.pooled_states(), 0, "checkout takes the pooled state");
+        let pooled = lease.delta();
+        assert_eq!(pooled.profits(), fresh.profits());
+        assert_eq!(pooled.live_counts(), fresh.live_counts());
+        assert_eq!(pooled.live_outputs(), fresh.live_outputs());
+        assert_eq!(pooled.live_witnesses(), fresh.live_witnesses());
+        assert_eq!(
+            pooled.best_profit_candidate(),
+            fresh.best_profit_candidate()
+        );
+        assert_eq!(pooled.best_count_candidate(), fresh.best_count_candidate());
+        lease.release(&[]);
+        assert_eq!(prep.pooled_states(), 1);
+        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+
+        let total = prep.output_count();
+        prep.solve(total, &greedy()).unwrap();
+        assert_eq!(prep.pooled_states(), 0, "a full solve drops its state");
+        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+    }
+
+    /// The lease is the pool's drop guard: a state whose solve unwound
+    /// mid-round never returns to the pool.
+    #[test]
+    fn a_state_whose_solve_panicked_is_not_returned() {
+        let (q, db) = grid(8);
+        let prep = PreparedQuery::new(q, db);
+        let first = prep.solve(1, &greedy()).unwrap();
+        assert_eq!(prep.pooled_states(), 1);
+        let endo = endogenous_atoms(prep.query());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut lease = prep.planned.checkout(&endo, false).unwrap();
+            let (_, atom, idx) = lease.delta().best_profit_candidate().unwrap();
+            lease.delta().delete(TupleRef::new(atom, idx));
+            panic!("solve unwound with a pick applied");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(prep.pooled_states(), 0, "the dirty state must not return");
+        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+        assert_eq!(prep.pooled_states(), 1);
+    }
+
+    /// Four threads solving one plan concurrently get exactly the
+    /// answers of fresh sequential solves, and the pool never holds more
+    /// states than there were concurrent solves.
+    #[test]
+    fn four_threads_on_one_plan_match_sequential_answers() {
+        let (q, db) = grid(8);
+        let ks: Vec<u64> = (1..=64).collect();
+        let expected: Vec<AdpOutcome> = ks
+            .iter()
+            .map(|&k| {
+                PreparedQuery::new(q.clone(), Arc::clone(&db))
+                    .solve(k, &greedy())
+                    .unwrap()
+            })
+            .collect();
+        let shared = PreparedQuery::new(q, db);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (shared, ks, expected, start) = (&shared, &ks, &expected, &start);
+                s.spawn(move || {
+                    // All four check out their first state together, so
+                    // the pool starts empty under four concurrent solves.
+                    start.wait();
+                    for round in 0..3 {
+                        for i in 0..ks.len() {
+                            // Each thread walks the ks from its own offset,
+                            // so small and large solves overlap.
+                            let j = (i * 7 + t * 16 + round) % ks.len();
+                            let got = shared.solve(ks[j], &greedy()).unwrap();
+                            assert_eq!(got, expected[j], "thread {t} k={}", ks[j]);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(shared.pooled_states() <= 4);
     }
 
     #[test]

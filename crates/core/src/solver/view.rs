@@ -14,11 +14,10 @@
 //! groups share a universal-attribute value before projection; selections
 //! fix the selected attributes), so the maps stay simple vectors.
 
-use super::prepared::{build_delta_provenance, PlannedEval};
+use super::prepared::{build_delta_provenance, GreedyLease, PlannedEval};
 use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::database::Database;
-use adp_engine::delta::DeltaProvenance;
 use adp_engine::join::{evaluate, EvalResult};
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
 use std::sync::Arc;
@@ -80,22 +79,28 @@ impl View {
         }
     }
 
-    /// A mutable, scored [`DeltaProvenance`] over `eval` (this view's
-    /// already-computed evaluation) for one incremental solve. Root
-    /// views built from a
-    /// [`PreparedQuery`](super::prepared::PreparedQuery) clone the
-    /// planned template (postings and scores are derived at most once
-    /// per prepared query); derived views build one from the passed
-    /// evaluation — never re-joining — fanning the scoring pass over
-    /// the pool when `parallel` allows.
-    pub(crate) fn delta_provenance(
+    /// A pristine scored
+    /// [`DeltaProvenance`](adp_engine::delta::DeltaProvenance) over
+    /// `eval` (this view's already-computed evaluation) with selection
+    /// enabled on `selectable`, for one greedy solve. Root views built
+    /// from a [`PreparedQuery`](super::prepared::PreparedQuery) check a
+    /// state out of the plan's pool (postings and scores are derived at
+    /// most once per prepared query); derived views build one from the
+    /// passed evaluation — never re-joining — fanning the scoring pass
+    /// over the pool when `parallel` allows.
+    pub(crate) fn greedy_state(
         &self,
         eval: &EvalResult,
+        selectable: &[bool],
         parallel: bool,
-    ) -> Result<DeltaProvenance, SolveError> {
+    ) -> Result<GreedyLease<'_>, SolveError> {
         match &self.planned {
-            Some(p) => Ok(p.delta_template(parallel)?.as_ref().clone()),
-            None => Ok(build_delta_provenance(eval, parallel)?),
+            Some(p) => Ok(p.checkout(selectable, parallel)?),
+            None => {
+                let mut delta = build_delta_provenance(eval, parallel)?;
+                delta.enable_selection(selectable.to_vec());
+                Ok(GreedyLease::private(delta))
+            }
         }
     }
 

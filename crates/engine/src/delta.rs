@@ -26,6 +26,13 @@
 //! touched} |witnesses(o)| · p)` plus logarithmic selector updates:
 //! `O(Δ)` in the affected incidence, independent of `|Q(D)|`.
 //!
+//! The state splits in two. The *incidence* — which tuples each witness
+//! joins, which output it supports, and the inverse postings — never
+//! changes after construction and is shared by `Arc`: cloning a
+//! [`DeltaProvenance`] copies only the per-state scores and liveness
+//! (flat vectors and hash maps, no per-witness allocation), so a solver
+//! can keep several independent states over one evaluation cheaply.
+//!
 //! The initial scoring pass is the one full-scan the structure ever
 //! pays. It is exposed range-wise ([`score_range`](DeltaProvenance::score_range) /
 //! [`install_scores`](DeltaProvenance::install_scores)) so callers with
@@ -43,6 +50,7 @@ use crate::join::EvalResult;
 use crate::provenance::TupleRef;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Candidate key ordered like the greedy pick: highest score first,
 /// then smallest `(atom, idx)`. The set's maximum element is the round
@@ -64,34 +72,80 @@ struct Selector {
 /// across any partition of `0..output_slots()`.
 #[derive(Clone, Debug, Default)]
 pub struct RangeScores {
+    /// First output of the range.
+    lo: usize,
     profits: Vec<HashMap<u32, u64>>,
     counts: Vec<HashMap<u32, u64>>,
-    /// (output id, agreement vector) for live outputs in the range.
-    agreed: Vec<(u32, Box<[Option<u32>]>)>,
+    /// Agreement vectors of the range's outputs, `atom_count()` slots
+    /// each (all `None` for dead outputs).
+    agreed: Vec<Option<u32>>,
+}
+
+/// The immutable incidence of one evaluation, shared by every state
+/// cloned from the same build.
+#[derive(Debug)]
+struct Incidence {
+    /// witness → tuple index per atom (query-atom order), `n_atoms`
+    /// slots per witness.
+    witness_tuples: Vec<u32>,
+    witness_output: Vec<u32>,
+    output_witnesses: Vec<Vec<u32>>,
+    /// per atom: tuple index → witnesses containing it.
+    tuple_witnesses: Vec<HashMap<u32, Vec<u32>>>,
+    n_atoms: usize,
+}
+
+impl Incidence {
+    fn tuples(&self, w: usize) -> &[u32] {
+        &self.witness_tuples[w * self.n_atoms..(w + 1) * self.n_atoms]
+    }
+
+    /// Writes the per-atom sole killers of `out` — the tuple all its
+    /// live witnesses agree on, if any — into `dst`. All `None` when no
+    /// witness is alive.
+    fn agreement_into(&self, witness_dead: &[u32], out: usize, dst: &mut [Option<u32>]) {
+        let mut any = false;
+        for &w in &self.output_witnesses[out] {
+            let w = w as usize;
+            if witness_dead[w] != 0 {
+                continue;
+            }
+            let tuples = self.tuples(w);
+            if any {
+                for (slot, &t) in dst.iter_mut().zip(tuples) {
+                    if *slot != Some(t) {
+                        *slot = None;
+                    }
+                }
+            } else {
+                for (slot, &t) in dst.iter_mut().zip(tuples) {
+                    *slot = Some(t);
+                }
+                any = true;
+            }
+        }
+        if !any {
+            dst.fill(None);
+        }
+    }
 }
 
 /// Incidence structure over an [`EvalResult`] with **incremental**
-/// deletion/re-insertion semantics and live-maintained scores.
+/// deletion/re-insertion semantics and live-maintained scores. Clones
+/// share the immutable incidence and copy only the mutable state.
 #[derive(Clone, Debug)]
 pub struct DeltaProvenance {
-    /// witness → tuple index per atom (query-atom order).
-    witness_tuples: Vec<Box<[u32]>>,
-    witness_output: Vec<u32>,
+    inc: Arc<Incidence>,
     /// witness → number of its input tuples currently deleted. Alive
     /// iff 0; the refcount is what makes deletion reversible.
     witness_dead: Vec<u32>,
     /// output → live witness count.
     output_live: Vec<u32>,
-    output_witnesses: Vec<Vec<u32>>,
-    /// per atom: tuple index → witnesses containing it.
-    tuple_witnesses: Vec<HashMap<u32, Vec<u32>>>,
     /// per atom: currently deleted tuple indices (including tuples on
     /// no witness, so delete/restore stay symmetric).
     deleted: Vec<HashSet<u32>>,
     live_outputs: u64,
     live_witnesses: u64,
-    total_outputs: u64,
-    n_atoms: usize,
     /// Maintained profit map (sole killers), no zero entries — equal to
     /// `ProvenanceIndex::profits()` at every deletion state.
     profits: Vec<HashMap<u32, u64>>,
@@ -99,8 +153,9 @@ pub struct DeltaProvenance {
     /// `ProvenanceIndex::live_counts()` at every deletion state.
     counts: Vec<HashMap<u32, u64>>,
     /// output → cached agreement vector (its current profit
-    /// contribution); `None` for dead outputs.
-    agreed: Vec<Option<Box<[Option<u32>]>>>,
+    /// contribution), `n_atoms` slots per output; all `None` for dead
+    /// outputs.
+    agreed: Vec<Option<u32>>,
     scored: bool,
     selector: Option<Selector>,
 }
@@ -139,16 +194,24 @@ impl DeltaProvenance {
         }
         let n_atoms = result.atom_names.len();
         let mut tuple_witnesses: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
+        let mut witness_tuples = Vec::with_capacity(result.witnesses.len() * n_atoms);
         for (wid, w) in result.witnesses.iter().enumerate() {
             for (atom, &t) in w.tuples.iter().enumerate() {
                 // adp-lint: allow(truncating-cast) -- wid enumerates
                 // result.witnesses, cap-checked by try_new_with_cap above.
                 tuple_witnesses[atom].entry(t).or_default().push(wid as u32);
             }
+            witness_tuples.extend_from_slice(&w.tuples);
         }
+        let outputs = result.outputs.len();
         Ok(DeltaProvenance {
-            witness_tuples: result.witnesses.iter().map(|w| w.tuples.clone()).collect(),
-            witness_output: result.witness_output.clone(),
+            inc: Arc::new(Incidence {
+                witness_tuples,
+                witness_output: result.witness_output.clone(),
+                output_witnesses: result.output_witnesses.clone(),
+                tuple_witnesses,
+                n_atoms,
+            }),
             witness_dead: vec![0; result.witnesses.len()],
             output_live: result
                 .output_witnesses
@@ -157,16 +220,12 @@ impl DeltaProvenance {
                 // lists are subsets of the cap-checked witness set.
                 .map(|ws| ws.len() as u32)
                 .collect(),
-            output_witnesses: result.output_witnesses.clone(),
-            tuple_witnesses,
             deleted: vec![HashSet::new(); n_atoms],
-            live_outputs: result.outputs.len() as u64,
-            live_witnesses: result.witnesses.len() as u64,
-            total_outputs: result.outputs.len() as u64,
-            n_atoms,
+            live_outputs: outputs as u64,
+            live_witnesses: witnesses,
             profits: vec![HashMap::new(); n_atoms],
             counts: vec![HashMap::new(); n_atoms],
-            agreed: vec![None; result.outputs.len()],
+            agreed: vec![None; outputs * n_atoms],
             scored: false,
             selector: None,
         })
@@ -174,18 +233,18 @@ impl DeltaProvenance {
 
     /// Number of atoms in the underlying query.
     pub fn atom_count(&self) -> usize {
-        self.n_atoms
+        self.inc.n_atoms
     }
 
     /// Output slots (live or dead); [`score_range`](Self::score_range)
     /// ranges partition `0..output_slots()`.
     pub fn output_slots(&self) -> usize {
-        self.output_witnesses.len()
+        self.inc.output_witnesses.len()
     }
 
     /// Witness slots (live or dead).
     pub fn witness_slots(&self) -> usize {
-        self.witness_tuples.len()
+        self.inc.witness_output.len()
     }
 
     /// Outputs still alive: `|Q(D − S)|` for the current deletion set.
@@ -200,12 +259,12 @@ impl DeltaProvenance {
 
     /// `|Q(D)|` before any deletion.
     pub fn total_outputs(&self) -> u64 {
-        self.total_outputs
+        self.output_slots() as u64
     }
 
     /// Outputs removed by the current deletion set.
     pub fn removed_outputs(&self) -> u64 {
-        self.total_outputs - self.live_outputs
+        self.total_outputs() - self.live_outputs
     }
 
     /// Is the tuple currently deleted?
@@ -216,7 +275,8 @@ impl DeltaProvenance {
     /// The input tuples participating in at least one witness (dead or
     /// alive), per atom, sorted.
     pub fn participating_tuples(&self) -> Vec<Vec<u32>> {
-        self.tuple_witnesses
+        self.inc
+            .tuple_witnesses
             .iter()
             .map(|m| {
                 let mut v: Vec<u32> = m.keys().copied().collect();
@@ -231,10 +291,12 @@ impl DeltaProvenance {
     /// ranges may be scored from multiple threads and merged with
     /// [`install_scores`](Self::install_scores).
     pub fn score_range(&self, lo: usize, hi: usize) -> RangeScores {
+        let n = self.inc.n_atoms;
         let mut scores = RangeScores {
-            profits: vec![HashMap::new(); self.n_atoms],
-            counts: vec![HashMap::new(); self.n_atoms],
-            agreed: Vec::new(),
+            lo,
+            profits: vec![HashMap::new(); n],
+            counts: vec![HashMap::new(); n],
+            agreed: vec![None; (hi - lo) * n],
         };
         for out in lo..hi {
             if self.output_live[out] == 0 {
@@ -242,24 +304,20 @@ impl DeltaProvenance {
             }
             // Every witness belongs to exactly one output, so per-output
             // iteration partitions the witness set too.
-            for &w in &self.output_witnesses[out] {
+            for &w in &self.inc.output_witnesses[out] {
                 if self.witness_dead[w as usize] != 0 {
                     continue;
                 }
-                for (atom, &t) in self.witness_tuples[w as usize].iter().enumerate() {
+                for (atom, &t) in self.inc.tuples(w as usize).iter().enumerate() {
                     *scores.counts[atom].entry(t).or_insert(0) += 1;
                 }
             }
-            if let Some(a) = self.compute_agreement(out) {
-                for (atom, slot) in a.iter().enumerate() {
-                    if let Some(t) = slot {
-                        *scores.profits[atom].entry(*t).or_insert(0) += 1;
-                    }
+            let slot = &mut scores.agreed[(out - lo) * n..(out - lo + 1) * n];
+            self.inc.agreement_into(&self.witness_dead, out, slot);
+            for (atom, t) in slot.iter().enumerate() {
+                if let Some(t) = t {
+                    *scores.profits[atom].entry(*t).or_insert(0) += 1;
                 }
-                // adp-lint: allow(truncating-cast) -- out indexes
-                // result.outputs; outputs never outnumber the cap-checked
-                // witnesses (every output has at least one witness).
-                scores.agreed.push((out as u32, a));
             }
         }
         scores
@@ -271,6 +329,7 @@ impl DeltaProvenance {
     pub fn install_scores(&mut self, parts: Vec<RangeScores>) {
         assert!(!self.scored, "scores already installed");
         assert!(self.selector.is_none());
+        let n = self.inc.n_atoms;
         for part in parts {
             for (atom, map) in part.profits.into_iter().enumerate() {
                 // adp-lint: allow(unordered-iter) -- merging partial sums
@@ -286,10 +345,8 @@ impl DeltaProvenance {
                     *self.counts[atom].entry(t).or_insert(0) += c;
                 }
             }
-            for (out, a) in part.agreed {
-                debug_assert!(self.agreed[out as usize].is_none());
-                self.agreed[out as usize] = Some(a);
-            }
+            let at = part.lo * n;
+            self.agreed[at..at + part.agreed.len()].copy_from_slice(&part.agreed);
         }
         self.scored = true;
     }
@@ -314,29 +371,25 @@ impl DeltaProvenance {
     /// `O(log n)` lookups that stay current across batches.
     pub fn enable_selection(&mut self, selectable: Vec<bool>) {
         assert!(self.scored, "scores not installed");
-        assert_eq!(selectable.len(), self.n_atoms);
-        let mut sel = Selector {
-            selectable,
-            by_profit: BTreeSet::new(),
-            by_count: BTreeSet::new(),
+        assert_eq!(selectable.len(), self.inc.n_atoms);
+        // Collected rather than inserted one by one: the set is
+        // bulk-built from the sorted candidates.
+        let candidates = |maps: &[HashMap<u32, u64>]| -> BTreeSet<Candidate> {
+            maps.iter()
+                .enumerate()
+                .filter(|&(atom, _)| selectable[atom])
+                // adp-lint: allow(unordered-iter) -- feeds a BTreeSet;
+                // the selector's order is the set's total order.
+                .flat_map(|(atom, map)| map.iter().map(move |(&i, &s)| (s, Reverse((atom, i)))))
+                .collect()
         };
-        for (atom, map) in self.profits.iter().enumerate() {
-            if sel.selectable[atom] {
-                sel.by_profit
-                    // adp-lint: allow(unordered-iter) -- feeds a BTreeSet;
-                    // the selector's order is the set's total order.
-                    .extend(map.iter().map(|(&i, &p)| (p, Reverse((atom, i)))));
-            }
-        }
-        for (atom, map) in self.counts.iter().enumerate() {
-            if sel.selectable[atom] {
-                sel.by_count
-                    // adp-lint: allow(unordered-iter) -- feeds a BTreeSet;
-                    // the selector's order is the set's total order.
-                    .extend(map.iter().map(|(&i, &c)| (c, Reverse((atom, i)))));
-            }
-        }
-        self.selector = Some(sel);
+        let by_profit = candidates(&self.profits);
+        let by_count = candidates(&self.counts);
+        self.selector = Some(Selector {
+            selectable,
+            by_profit,
+            by_count,
+        });
     }
 
     /// The selectable tuple with the highest profit, ties broken toward
@@ -395,27 +448,27 @@ impl DeltaProvenance {
 
     fn delete_batch_sink(&mut self, batch: &[TupleRef], mut sink: Option<&mut Vec<u32>>) -> u64 {
         assert!(self.scored, "scores not installed");
+        let inc = Arc::clone(&self.inc);
         let mut touched: Vec<u32> = Vec::new();
         let mut died = 0u64;
         for &t in batch {
             if !self.deleted[t.atom].insert(t.index) {
                 continue;
             }
-            let Some(ws) = self.tuple_witnesses[t.atom].get(&t.index).cloned() else {
+            let Some(ws) = inc.tuple_witnesses[t.atom].get(&t.index) else {
                 continue;
             };
-            for w in ws {
+            for &w in ws {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd += 1;
                 if *wd != 1 {
                     continue; // was already dead through another tuple
                 }
                 self.live_witnesses -= 1;
-                let tuples = self.witness_tuples[w as usize].clone();
-                for (atom, &tt) in tuples.iter().enumerate() {
+                for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
                     self.count_sub(atom, tt);
                 }
-                let out = self.witness_output[w as usize];
+                let out = inc.witness_output[w as usize];
                 let live = &mut self.output_live[out as usize];
                 *live -= 1;
                 if *live == 0 {
@@ -428,7 +481,7 @@ impl DeltaProvenance {
                 touched.push(out);
             }
         }
-        self.rescore_touched(touched);
+        self.rescore_touched(&inc, touched);
         died
     }
 
@@ -451,27 +504,27 @@ impl DeltaProvenance {
 
     fn restore_batch_sink(&mut self, batch: &[TupleRef], mut sink: Option<&mut Vec<u32>>) -> u64 {
         assert!(self.scored, "scores not installed");
+        let inc = Arc::clone(&self.inc);
         let mut touched: Vec<u32> = Vec::new();
         let mut revived = 0u64;
         for &t in batch {
             if !self.deleted[t.atom].remove(&t.index) {
                 continue;
             }
-            let Some(ws) = self.tuple_witnesses[t.atom].get(&t.index).cloned() else {
+            let Some(ws) = inc.tuple_witnesses[t.atom].get(&t.index) else {
                 continue;
             };
-            for w in ws {
+            for &w in ws {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd -= 1;
                 if *wd != 0 {
                     continue; // still dead through another tuple
                 }
                 self.live_witnesses += 1;
-                let tuples = self.witness_tuples[w as usize].clone();
-                for (atom, &tt) in tuples.iter().enumerate() {
+                for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
                     self.count_add(atom, tt);
                 }
-                let out = self.witness_output[w as usize];
+                let out = inc.witness_output[w as usize];
                 let live = &mut self.output_live[out as usize];
                 *live += 1;
                 if *live == 1 {
@@ -484,67 +537,34 @@ impl DeltaProvenance {
                 touched.push(out);
             }
         }
-        self.rescore_touched(touched);
+        self.rescore_touched(&inc, touched);
         revived
     }
 
     /// Re-derives the profit contribution of every output whose witness
     /// set changed in this batch.
-    fn rescore_touched(&mut self, mut touched: Vec<u32>) {
+    fn rescore_touched(&mut self, inc: &Incidence, mut touched: Vec<u32>) {
         touched.sort_unstable();
         touched.dedup();
+        let n = inc.n_atoms;
         for out in touched {
-            self.rescore_output(out as usize);
-        }
-    }
-
-    fn rescore_output(&mut self, out: usize) {
-        if let Some(old) = self.agreed[out].take() {
-            for (atom, slot) in old.iter().enumerate() {
-                if let Some(t) = slot {
-                    self.profit_sub(atom, *t);
+            let out = out as usize;
+            let slot = out * n..(out + 1) * n;
+            for atom in 0..n {
+                if let Some(t) = self.agreed[slot.start + atom].take() {
+                    self.profit_sub(atom, t);
                 }
             }
-        }
-        let fresh = if self.output_live[out] == 0 {
-            None
-        } else {
-            self.compute_agreement(out)
-        };
-        if let Some(a) = &fresh {
-            for (atom, slot) in a.iter().enumerate() {
-                if let Some(t) = slot {
-                    self.profit_add(atom, *t);
-                }
-            }
-        }
-        self.agreed[out] = fresh;
-    }
-
-    /// Per-atom sole killers of one output: the tuple all its live
-    /// witnesses agree on, if any. `None` when no witness is alive.
-    fn compute_agreement(&self, out: usize) -> Option<Box<[Option<u32>]>> {
-        let mut agreed: Option<Box<[Option<u32>]>> = None;
-        for &w in &self.output_witnesses[out] {
-            let w = w as usize;
-            if self.witness_dead[w] != 0 {
+            if self.output_live[out] == 0 {
                 continue;
             }
-            let tuples = &self.witness_tuples[w];
-            match agreed.as_mut() {
-                None => agreed = Some(tuples.iter().map(|&t| Some(t)).collect()),
-                Some(a) => {
-                    for (atom, slot) in a.iter_mut().enumerate() {
-                        if let Some(t) = *slot {
-                            if t != tuples[atom] {
-                                *slot = None;
-                            }
-                        }
-                    }
+            inc.agreement_into(&self.witness_dead, out, &mut self.agreed[slot.clone()]);
+            for atom in 0..n {
+                if let Some(t) = self.agreed[slot.start + atom] {
+                    self.profit_add(atom, t);
                 }
             }
         }
-        agreed
     }
 
     fn profit_add(&mut self, atom: usize, idx: u32) {
@@ -710,6 +730,20 @@ mod tests {
         assert_eq!(d.live_outputs(), pristine.live_outputs());
         assert_eq!(d.live_witnesses(), pristine.live_witnesses());
         assert_eq!(d.removed_outputs(), 0);
+    }
+
+    /// Clones share the immutable incidence and copy only the mutable
+    /// state: deleting on a clone leaves the original untouched.
+    #[test]
+    fn clones_share_incidence_but_not_scores() {
+        let (_, eval) = q2_eval();
+        let pristine = DeltaProvenance::try_new(&eval).unwrap();
+        let mut d = pristine.clone();
+        assert!(Arc::ptr_eq(&d.inc, &pristine.inc));
+        assert!(d.delete(TupleRef::new(1, 1)) + d.delete(TupleRef::new(0, 0)) > 0);
+        let p = ProvenanceIndex::new(&eval);
+        assert_scores_match(&pristine, &p);
+        assert!(!pristine.is_deleted(TupleRef::new(0, 0)));
     }
 
     #[test]

@@ -93,21 +93,26 @@ impl RuleId {
     /// the rule applies to. Empty means every walked file.
     pub fn scope(self) -> &'static [&'static str] {
         match self {
-            RuleId::UnorderedIter => {
-                &["crates/engine/src/", "crates/core/src/", "crates/flow/src/"]
-            }
+            RuleId::UnorderedIter => &[
+                "crates/engine/src/",
+                "crates/core/src/",
+                "crates/flow/src/",
+                "crates/server/src/",
+            ],
             RuleId::TruncatingCast => &[
                 "crates/engine/src/",
                 "crates/core/src/",
                 "crates/flow/src/",
                 "crates/service/src/",
                 "crates/runtime/src/",
+                "crates/server/src/",
             ],
             RuleId::PanicPath => &[
                 "crates/engine/src/",
                 "crates/core/src/",
                 "crates/flow/src/",
                 "crates/service/src/",
+                "crates/server/src/",
             ],
             RuleId::MissingSafety => &[],
             RuleId::WallClock => &["crates/core/src/solver/", "crates/engine/src/delta.rs"],

@@ -93,6 +93,14 @@ fn vec_iteration_is_not_hash_iteration() {
 fn rule_scopes_route_by_path() {
     assert!(RuleId::PanicPath.applies_to("crates/engine/src/plan.rs"));
     assert!(RuleId::PanicPath.applies_to("crates/service/src/lib.rs"));
+    // The network front door is held to the library crates' rules.
+    for rule in [
+        RuleId::PanicPath,
+        RuleId::TruncatingCast,
+        RuleId::UnorderedIter,
+    ] {
+        assert!(rule.applies_to("crates/server/src/server.rs"), "{rule:?}");
+    }
     assert!(
         !RuleId::PanicPath.applies_to("crates/bench/src/lib.rs"),
         "the bench harness may panic freely"

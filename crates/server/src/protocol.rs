@@ -113,6 +113,18 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// The code's wire tag; [`from_u8`](Self::from_u8) is its inverse.
+    fn tag(self) -> u8 {
+        match self {
+            ErrorCode::BadRequest => 1,
+            ErrorCode::Query => 2,
+            ErrorCode::Solve => 3,
+            ErrorCode::Overloaded => 4,
+            ErrorCode::Lagged => 5,
+            ErrorCode::Internal => 6,
+        }
+    }
+
     fn from_u8(tag: u8) -> Result<Self, WireError> {
         Ok(match tag {
             1 => ErrorCode::BadRequest,
@@ -767,7 +779,7 @@ impl Response {
             }
             Response::ShutdownAck => resp::SHUTDOWN,
             Response::Error { code, message } => {
-                put_u8(&mut buf, *code as u8);
+                put_u8(&mut buf, code.tag());
                 put_str(&mut buf, message)?;
                 resp::ERROR
             }

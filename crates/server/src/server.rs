@@ -33,8 +33,9 @@ use crate::persist::Store;
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, ProtoError, Request, Response, WireSolve, MAX_PAYLOAD,
 };
+use adp_engine::ids::dense_id;
 use adp_service::{Service, ServiceError, SolveRequest, SubscribeOptions, SubscriptionId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -172,7 +173,7 @@ fn ingest_loop(svc: &Service, mut store: Option<Store>, jobs: &Receiver<MutJob>)
         .relations()
         .iter()
         .enumerate()
-        .map(|(slot, rel)| (rel.name().to_string(), slot as u32))
+        .map(|(slot, rel)| (rel.name().to_string(), dense_id(slot, "relation slots")))
         .collect();
     drop(db);
     while let Ok(job) = jobs.recv() {
@@ -338,7 +339,7 @@ fn serve_connection(
     // can never collide with an in-flight request's.
     let mut statements: HashMap<u64, adp_service::Statement<'_>> = HashMap::new();
     let mut next_handle: u64 = 1;
-    let mut subs: HashMap<u64, LiveSub> = HashMap::new();
+    let mut subs: BTreeMap<u64, LiveSub> = BTreeMap::new();
     let mut next_sub: u64 = 2;
 
     loop {
@@ -533,8 +534,8 @@ fn serve_connection(
     }
 
     // Session teardown: deregister subscriptions (closing each channel)
-    // and join the forwarders.
-    for (_, live) in subs.drain() {
+    // and join the forwarders, in subscription-id order.
+    for live in std::mem::take(&mut subs).into_values() {
         svc.unsubscribe(live.id);
         let _ = live.forwarder.join();
     }

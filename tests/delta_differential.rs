@@ -9,8 +9,10 @@
 //! reports **after every batch**, for the sequentially scored index and
 //! for one scored through a 4-worker range fan-out. On top of that, the
 //! delta-driven greedy solver must be byte-identical to the
-//! `full_reeval` rescan path, and delta-based deletion-set verification
-//! must equal masked verification.
+//! `full_reeval` rescan path, delta-based deletion-set verification
+//! must equal masked verification, and a prepared query serving solves
+//! from its pool of rolled-back greedy states must answer exactly like a
+//! fresh one.
 
 use adp::core::solver::{AdpOptions, PreparedQuery};
 use adp::engine::delta::{DeltaProvenance, RangeScores};
@@ -18,7 +20,9 @@ use adp::engine::plan::{AliveMask, QueryPlan};
 use adp::engine::provenance::ProvenanceIndex;
 use adp::{parse_query, Database, Query, TupleRef};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Pins the global pool to 4 workers so the parallel scoring paths run
 /// even on a single-core box.
@@ -245,6 +249,65 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Cases of `pooled_states_answer_like_fresh_solves`; the last one checks
+/// that the run as a whole reached both sides of the pool's rule.
+const POOL_CASES: u32 = 40;
+static POOL_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static POOL_ROLLBACKS: AtomicU32 = AtomicU32::new(0);
+static POOL_DROPS: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(POOL_CASES))]
+
+    /// One `PreparedQuery` serves a random interleaving of greedy solves
+    /// — small ones whose state rolls back into the plan's pool, large
+    /// ones that drop it, and deadline-truncated ones — and every answer
+    /// is byte-identical to the same solve on a fresh `PreparedQuery`.
+    #[test]
+    fn pooled_states_answer_like_fresh_solves(
+        (q, db, ops) in arb_query().prop_flat_map(|q| {
+            let db = arb_db(&q, 10, 4);
+            // (k selector, truncate?) per solve.
+            let ops = proptest::collection::vec((0u64..1024, 0u8..4), 1..=12);
+            (Just(q), db, ops)
+        })
+    ) {
+        let db = Arc::new(db);
+        let shared = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        let total = shared.output_count();
+        if total > 0 {
+            // Always reach the drop side too: k = total kills every witness.
+            let solves = ops.iter().map(|&(sel, trunc)| (1 + sel % total, trunc == 0));
+            for (k, truncate) in solves.chain([(total, false), (1, false)]) {
+                let opts = AdpOptions {
+                    force_greedy: true,
+                    // Already expired: the first round runs, the second
+                    // never does, on both sides alike.
+                    deadline: truncate.then(Instant::now),
+                    ..Default::default()
+                };
+                let got = shared.solve(k, &opts).unwrap();
+                let fresh = PreparedQuery::new(q.clone(), Arc::clone(&db))
+                    .solve(k, &opts)
+                    .unwrap();
+                prop_assert_eq!(&got, &fresh, "{} k={} truncate={}", q, k, truncate);
+                // One thread, one mask: the pool holds the state iff the
+                // solve rolled back.
+                prop_assert!(shared.pooled_states() <= 1);
+                if shared.pooled_states() == 1 {
+                    POOL_ROLLBACKS.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    POOL_DROPS.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        if POOL_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == POOL_CASES {
+            prop_assert!(POOL_ROLLBACKS.load(Ordering::Relaxed) > 0, "no solve rolled back");
+            prop_assert!(POOL_DROPS.load(Ordering::Relaxed) > 0, "no solve dropped its state");
         }
     }
 }
