@@ -23,6 +23,7 @@
 //! [`PAR_SCORING_MIN_WITNESSES`] live witnesses) stay on the sequential
 //! path; the fan-out would cost more than the scan.
 
+use super::prepared::GreedyLease;
 use super::profile::CostProfile;
 use super::solved::{Extractor, Solved, Step};
 use super::view::View;
@@ -102,6 +103,40 @@ where
     }
 }
 
+/// The greedy leaf of the dispatcher (Algorithm 2 line 5, and the
+/// `force_greedy` hook): `DrasticGreedyForFullCQ` when asked for on a
+/// full CQ, `GreedyForCQ` otherwise.
+///
+/// An anchored root view
+/// ([`PreparedQuery::anchored`](super::PreparedQuery::anchored)) runs
+/// `GreedyForCQ` on a base state advanced to its epoch and never
+/// evaluates the epoch; the rescan oracle (`full_reeval`), the drastic
+/// variant, and views without a usable anchor evaluate it lazily.
+pub(crate) fn solve_leaf(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, SolveError> {
+    let drastic = opts.use_drastic && view.query.is_full();
+    if view.is_anchored() && !drastic && !opts.full_reeval {
+        let endo = endogenous_atoms(&view.query);
+        if let Some(lease) = view.anchored_state(&endo, !opts.sequential) {
+            let total = lease.live_outputs();
+            if total == 0 {
+                lease.release(&[]);
+                return Ok(Solved::empty());
+            }
+            let (steps, truncated) = delta_rounds(view, lease, cap.min(total), opts.deadline);
+            return Ok(greedy_solved(steps, truncated, total));
+        }
+    }
+    let eval = view.eval();
+    if eval.output_count() == 0 {
+        return Ok(Solved::empty());
+    }
+    if drastic {
+        solve_drastic(view, &eval, cap)
+    } else {
+        solve_greedy(view, &eval, cap, opts)
+    }
+}
+
 /// `GreedyForCQ` (Algorithm 6). The view's query must be connected and
 /// non-boolean... in fact any query works; it is simply not optimal.
 /// Unless `opts.sequential`, candidate scoring uses the global pool;
@@ -142,10 +177,16 @@ pub(crate) fn solve_greedy_filtered(
     let (steps, truncated) = if opts.full_reeval {
         rescan_rounds(view, eval, cap, &endo, !opts.sequential, opts.deadline)?
     } else {
-        delta_rounds(view, eval, cap, &endo, !opts.sequential, opts.deadline)?
+        let lease = view.greedy_state(eval, &endo, !opts.sequential)?;
+        delta_rounds(view, lease, cap, opts.deadline)
     };
+    Ok(greedy_solved(steps, truncated, total))
+}
+
+/// The inexact [`Solved`] of a greedy run over `total` outputs.
+fn greedy_solved(steps: Vec<Step>, truncated: bool, total: u64) -> Solved {
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Ok(Solved::eager(profile, Extractor::Steps(steps), false, total).with_truncated(truncated))
+    Solved::eager(profile, Extractor::Steps(steps), false, total).with_truncated(truncated)
 }
 
 /// True if `deadline` has passed and at least one round already ran.
@@ -165,31 +206,32 @@ fn deadline_expired(deadline: Option<std::time::Instant>, rounds_done: usize) ->
 /// `(score, Reverse((atom, idx)))` total order as the rescan path, so the
 /// deletion sequence is byte-identical.
 ///
-/// Root views of a prepared query run on a state checked out of the
-/// plan's pool ([`View::greedy_state`]); the picks are handed back with
-/// it so the state can be rolled back and reused.
+/// The rounds run on `lease` — for root views of a prepared query a
+/// state checked out of a plan's pool ([`View::greedy_state`],
+/// [`View::anchored_state`]) — and the picks are handed back with it so
+/// the state can be rolled back and reused.
 fn delta_rounds(
     view: &View,
-    eval: &EvalResult,
+    mut lease: GreedyLease<'_>,
     cap: u64,
-    endo: &[bool],
-    parallel: bool,
     deadline: Option<std::time::Instant>,
-) -> Result<(Vec<Step>, bool), SolveError> {
-    let mut lease = view.greedy_state(eval, endo, parallel)?;
+) -> (Vec<Step>, bool) {
     let (picks, truncated) = greedy_round_loop(lease.delta(), cap, deadline);
     let steps = picks
         .iter()
         .zip(1..)
-        .map(|(&(t, removed_cum), cost_cum)| Step {
-            tuples: vec![view.to_original(t.atom, t.index)],
-            removed_cum,
-            cost_cum,
+        .map(|(&(t, removed_cum), cost_cum)| {
+            let t = lease.local(t);
+            Step {
+                tuples: vec![view.to_original(t.atom, t.index)],
+                removed_cum,
+                cost_cum,
+            }
         })
         .collect();
     let tuples: Vec<TupleRef> = picks.into_iter().map(|(t, _)| t).collect();
     lease.release(&tuples);
-    Ok((steps, truncated))
+    (steps, truncated)
 }
 
 /// The greedy round loop (Algorithm 6) on a scored state whose

@@ -4,12 +4,13 @@
 //! path, the fluent builder — runs its greedy rounds on a *pristine*
 //! scored [`DeltaProvenance`] for one epoch: a state checked out of the
 //! prepared plan's pool (or, when the pool is empty, cloned from the
-//! plan's template), rolled back and returned afterwards. After an epoch
-//! bump the template and pool are rebuilt from a fresh join of the new
-//! snapshot. That is the right contract for one-shot requests, but a
-//! subscriber watching a statement across a stream of delete/restore
-//! batches would pay a full re-join + re-score per epoch for state the
-//! delta layer could have maintained in `O(Δ)`.
+//! plan's template), rolled back and returned afterwards. Plans for
+//! later epochs [anchored](super::PreparedQuery::anchored) on the base
+//! plan borrow its pooled states and advance them to their epoch's dead
+//! set by the difference. Either way a solve is one-shot: it leaves its
+//! state as it found it and reports only an answer, where a subscriber
+//! watching a statement across a stream of delete/restore batches also
+//! needs to know which outputs each batch killed or revived.
 //!
 //! [`IncrementalGreedy`] is the push-side counterpart: one **long-lived**
 //! scored delta state, advanced across epochs by
@@ -46,12 +47,10 @@
 //! [`DeltaProvenance`]: adp_engine::delta::DeltaProvenance
 
 use super::greedy::greedy_round_loop;
-use super::prepared::build_delta_provenance;
+use super::prepared::PreparedQuery;
 use crate::analysis::roles::endogenous_atoms;
-use crate::query::Query;
 use adp_engine::delta::DeltaProvenance;
 use adp_engine::error::AdpError;
-use adp_engine::join::EvalResult;
 use adp_engine::provenance::TupleRef;
 
 /// One greedy solve answered from the maintained state: the same
@@ -79,15 +78,18 @@ pub struct IncrementalGreedy {
 }
 
 impl IncrementalGreedy {
-    /// Builds the maintained state over `eval` (the query's root
-    /// evaluation): one scored [`DeltaProvenance`] with candidate
-    /// selection enabled on the query's endogenous atoms — exactly the
-    /// state a fresh greedy solve would derive, kept alive. `parallel`
-    /// lets the one-time scoring pass fan out over the global
-    /// [`adp_runtime`] pool; the installed scores are equal either way.
-    pub fn new(query: &Query, eval: &EvalResult, parallel: bool) -> Result<Self, AdpError> {
-        let mut delta = build_delta_provenance(eval, parallel)?;
-        delta.enable_selection(endogenous_atoms(query));
+    /// Builds the maintained state over a prepared query's root
+    /// evaluation: a clone of the plan's scored delta template (sharing
+    /// its incidence by `Arc`) with candidate selection enabled on the
+    /// query's endogenous atoms — exactly the state a fresh greedy solve
+    /// would derive, kept alive. Pull solves of the same plan and this
+    /// state pay one join and one scoring pass between them. `parallel`
+    /// lets that scoring pass, if it has not run yet, fan out over the
+    /// global [`adp_runtime`] pool; the installed scores are equal
+    /// either way.
+    pub fn from_prepared(prep: &PreparedQuery, parallel: bool) -> Result<Self, AdpError> {
+        let mut delta = DeltaProvenance::clone(&*prep.delta_template(parallel)?);
+        delta.enable_selection(endogenous_atoms(prep.query()));
         Ok(IncrementalGreedy { delta })
     }
 
@@ -214,7 +216,7 @@ mod tests {
         let base = chain_db();
         let q = parse_query(Q).unwrap();
         let prep = PreparedQuery::new(q.clone(), Arc::new(base.clone()));
-        let mut inc = IncrementalGreedy::new(&q, &prep.eval(), false).unwrap();
+        let mut inc = IncrementalGreedy::from_prepared(&prep, false).unwrap();
 
         // A little stream: delete two tuples, then restore one.
         let stream: &[(&[TupleRef], bool)] = &[
@@ -246,7 +248,7 @@ mod tests {
         let base = chain_db();
         let q = parse_query(Q).unwrap();
         let prep = PreparedQuery::new(q.clone(), Arc::new(base));
-        let mut inc = IncrementalGreedy::new(&q, &prep.eval(), false).unwrap();
+        let mut inc = IncrementalGreedy::from_prepared(&prep, false).unwrap();
         inc.apply_deletes(&[TupleRef::new(1, 1)]);
         let live_before = inc.live_outputs();
         let first = inc.solve(3);
@@ -262,7 +264,7 @@ mod tests {
         let base = chain_db();
         let q = parse_query(Q).unwrap();
         let prep = PreparedQuery::new(q.clone(), Arc::new(base));
-        let mut inc = IncrementalGreedy::new(&q, &prep.eval(), false).unwrap();
+        let mut inc = IncrementalGreedy::from_prepared(&prep, false).unwrap();
         let total = inc.total_outputs();
         assert_eq!(inc.live_outputs(), total);
         // Full CQ: every witness is an output, so killing one S tuple

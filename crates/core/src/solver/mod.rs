@@ -43,7 +43,7 @@ pub use incremental::{IncrementalGreedy, IncrementalSolve};
 #[allow(deprecated)]
 pub use policy::compute_adp_with_policy;
 pub use policy::DeletionPolicy;
-pub use prepared::{PlannedEval, PreparedQuery};
+pub use prepared::{DeadSet, PlannedEval, PreparedQuery};
 pub use profile::{CostProfile, ProfilePoint};
 pub use solved::Solved;
 pub use verify::{apply_deletions, removed_outputs};
@@ -346,7 +346,12 @@ fn best_achieved(solved: &Solved, k: u64, _cost: u64) -> Result<u64, SolveError>
 pub(crate) fn count_outputs(view: &View) -> u64 {
     let comps = view.query.connected_components();
     if comps.len() == 1 {
-        return view.eval().output_count();
+        // An anchored root whose solve runs the greedy leaf reads the
+        // count off the state that solve will use, and never joins.
+        let anchored = (view.is_anchored() && reaches_greedy_leaf(&view.query))
+            .then(|| view.anchored_output_count())
+            .flatten();
+        return anchored.unwrap_or_else(|| view.eval().output_count());
     }
     let mut total: u128 = 1;
     for comp in comps {
@@ -395,15 +400,7 @@ pub(crate) fn solve(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, 
 
     // Benchmark hook (§8.2): measure the heuristics on easy queries.
     if opts.force_greedy {
-        let eval = view.eval();
-        if eval.output_count() == 0 {
-            return Ok(Solved::empty());
-        }
-        return if opts.use_drastic && q.is_full() {
-            greedy::solve_drastic(view, &eval, cap)
-        } else {
-            greedy::solve_greedy(view, &eval, cap, opts)
-        };
+        return greedy::solve_leaf(view, cap, opts);
     }
 
     // Line 2: singleton base case.
@@ -424,15 +421,13 @@ pub(crate) fn solve(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, 
     }
 
     // Line 5: NP-hard leaf — greedy heuristics over the materialized join.
-    let eval = view.eval();
-    if eval.output_count() == 0 {
-        return Ok(Solved::empty());
-    }
-    if opts.use_drastic && q.is_full() {
-        greedy::solve_drastic(view, &eval, cap)
-    } else {
-        greedy::solve_greedy(view, &eval, cap, opts)
-    }
+    greedy::solve_leaf(view, cap, opts)
+}
+
+/// True if the dispatcher, under default options, sends this connected
+/// query straight to the greedy leaf (Algorithm 2 line 5).
+fn reaches_greedy_leaf(q: &Query) -> bool {
+    !q.is_boolean() && singleton_atom(q).is_none() && q.universal_attrs().is_empty()
 }
 
 #[cfg(test)]

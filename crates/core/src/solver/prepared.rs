@@ -20,6 +20,13 @@
 //! [`PreparedQuery::removed_outputs`] verifies deletion sets by masked
 //! re-execution ([`AliveMask`]) instead of rebuilding the database.
 //!
+//! Greedy solves run on scored delta states pooled per plan. A plan for
+//! a later epoch of the same data can be
+//! [`anchored`](PreparedQuery::anchored) on the epoch-0 plan: its greedy
+//! solves then borrow the base plan's pooled states, advanced by the
+//! difference of dead sets, and never join the epoch (the paper's
+//! `Q(D − S)`, Definition 1, with `S` the epoch's deletions).
+//!
 //! Everything is **`Send + Sync`** (shared ownership via `Arc`, lazy
 //! caches via [`OnceLock`]), so one compiled plan can be shared
 //! read-only by every worker of an [`adp_runtime::ThreadPool`]: the
@@ -38,6 +45,7 @@ use adp_engine::error::AdpError;
 use adp_engine::join::EvalResult;
 use adp_engine::plan::{AliveMask, JoinIndexes, QueryPlan};
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Builds a scored [`DeltaProvenance`] for an evaluation, fanning the
@@ -70,6 +78,29 @@ pub(crate) fn build_delta_provenance(
     Ok(delta)
 }
 
+/// Base tuples absent from one epoch of a database, per base relation
+/// slot (the [`RelId`](adp_engine::catalog::RelId) index), as base
+/// dense indices. The base must have been sealed with nothing deleted,
+/// so those indices are the engine's stable ids and name the same
+/// tuples in every later epoch.
+pub type DeadSet = Vec<BTreeSet<u32>>;
+
+/// The base plan an epoch plan runs its greedy solves on, and the
+/// epoch's dead set relative to it.
+struct Anchor {
+    base: Arc<PreparedQuery>,
+    dead: Arc<DeadSet>,
+}
+
+/// An idle greedy state: a clone of the template with selection
+/// enabled on `mask`, advanced to the dead set `dead` (`None` =
+/// nothing deleted).
+struct Idle {
+    mask: Vec<bool>,
+    dead: Option<Arc<DeadSet>>,
+    delta: DeltaProvenance,
+}
+
 /// A compiled query plan plus lazily built, cached indexes and
 /// evaluation result, all against one shared database. `Send + Sync`:
 /// the caches are [`OnceLock`]s, so concurrent workers race benignly on
@@ -85,11 +116,18 @@ pub struct PlannedEval {
     prov: OnceLock<Result<Arc<ProvenanceIndex>, AdpError>>,
     /// Pristine scored delta index, built once. Greedy solves never
     /// mutate it: they run on states from `idle`, and only a checkout
-    /// that finds the pool empty clones it.
+    /// that finds no state it can advance clones it.
     delta: OnceLock<Result<Arc<DeltaProvenance>, AdpError>>,
-    /// Idle greedy states: pristine clones of `delta` with selection
-    /// enabled, keyed by their selectable mask. See [`GreedyLease`].
-    idle: Mutex<Vec<(Vec<bool>, DeltaProvenance)>>,
+    /// Idle greedy states, each tagged with its selectable mask and the
+    /// dead set it is advanced to. See [`GreedyLease`].
+    idle: Mutex<Vec<Idle>>,
+    /// Set on epoch plans ([`PreparedQuery::anchored`]): greedy solves
+    /// check a state out of the base plan's pool instead of joining this
+    /// epoch.
+    anchor: Option<Anchor>,
+    /// `|Q(D − S)|` read from an anchored state, computed once; `None`
+    /// when the base state could not be built.
+    anchored_outputs: OnceLock<Option<u64>>,
 }
 
 impl PlannedEval {
@@ -105,6 +143,8 @@ impl PlannedEval {
             prov: OnceLock::new(),
             delta: OnceLock::new(),
             idle: Mutex::new(Vec::new()),
+            anchor: None,
+            anchored_outputs: OnceLock::new(),
         }
     }
 
@@ -160,44 +200,138 @@ impl PlannedEval {
     }
 
     /// The pristine scored [`DeltaProvenance`] template, computed once;
-    /// greedy solves clone it when the state pool is empty. The first
-    /// builder decides whether the one-time scoring pass may fan out
-    /// over the global pool (`parallel`); either way the installed
-    /// scores are equal, so later callers share the cached template
-    /// regardless of their own flag.
+    /// greedy solves clone it when the state pool has nothing to reuse.
+    /// The first builder decides whether the one-time scoring pass may
+    /// fan out over the global pool (`parallel`); either way the
+    /// installed scores are equal, so later callers share the cached
+    /// template regardless of their own flag.
     pub fn delta_template(&self, parallel: bool) -> Result<Arc<DeltaProvenance>, AdpError> {
         self.delta
             .get_or_init(|| build_delta_provenance(&self.eval(), parallel).map(Arc::new))
             .clone()
     }
 
-    /// Checks a pristine greedy state with selection enabled on
-    /// `selectable` out of the pool, or clones the template when no idle
-    /// state has that mask. The state returns to the pool only through
+    /// Checks a greedy state with selection enabled on `selectable` out
+    /// of the pool, advanced to the dead set `dead` (`None` = nothing
+    /// deleted; dead sets index this plan's database, see [`DeadSet`]).
+    ///
+    /// An idle state already tagged with `dead` (the same `Arc`) is
+    /// taken as is. Otherwise an idle state with the same mask is
+    /// brought to `dead` by the set difference, unless that would touch
+    /// more than `1 / ROLLBACK_DIVISOR` of the witnesses; then, or when
+    /// no state has the mask, the template is cloned and the whole dead
+    /// set deleted. The state returns to the pool only through
     /// [`GreedyLease::release`].
     pub(crate) fn checkout(
         &self,
         selectable: &[bool],
+        dead: Option<&Arc<DeadSet>>,
         parallel: bool,
     ) -> Result<GreedyLease<'_>, AdpError> {
         let pooled = {
             let mut idle = self.idle_states();
+            let same_mask = |s: &Idle| s.mask.as_slice() == selectable;
             let at = idle
                 .iter()
-                .rposition(|(mask, _)| mask.as_slice() == selectable);
-            at.map(|i| idle.swap_remove(i).1)
+                .rposition(|s| same_mask(s) && same_dead(s.dead.as_ref(), dead))
+                .or_else(|| idle.iter().rposition(same_mask));
+            at.map(|i| idle.swap_remove(i))
         };
-        let delta = match pooled {
+        let advanced = pooled.and_then(|mut s| {
+            if same_dead(s.dead.as_ref(), dead) {
+                return Some(s.delta);
+            }
+            let (deletes, restores) = self.dead_diff(s.dead.as_deref(), dead.map(|d| &**d));
+            let work: usize = deletes
+                .iter()
+                .chain(&restores)
+                .map(|&t| s.delta.witness_degree(t))
+                .sum();
+            if work > s.delta.witness_slots() / ROLLBACK_DIVISOR {
+                return None;
+            }
+            s.delta.restore_batch(&restores);
+            s.delta.delete_batch(&deletes);
+            Some(s.delta)
+        });
+        let delta = match advanced {
             Some(delta) => delta,
             None => {
                 let mut delta = DeltaProvenance::clone(&*self.delta_template(parallel)?);
+                let (deletes, _) = self.dead_diff(None, dead.map(|d| &**d));
+                delta.delete_batch(&deletes);
                 delta.enable_selection(selectable.to_vec());
                 delta
             }
         };
         Ok(GreedyLease {
+            home: Some(Home {
+                pool: self,
+                mask: selectable.to_vec(),
+                dead: dead.cloned(),
+                live_witnesses: delta.live_witnesses(),
+                live_outputs: delta.live_outputs(),
+                epoch: None,
+            }),
             delta,
-            home: Some((self, selectable.to_vec())),
+        })
+    }
+
+    /// The tuples to delete and to restore to move a state from the dead
+    /// set `from` to `to`, over every atom on each relation slot.
+    fn dead_diff(
+        &self,
+        from: Option<&DeadSet>,
+        to: Option<&DeadSet>,
+    ) -> (Vec<TupleRef>, Vec<TupleRef>) {
+        let none = BTreeSet::new();
+        let (mut deletes, mut restores) = (Vec::new(), Vec::new());
+        for (atom, rel) in self.plan.rels().iter().enumerate() {
+            let old = from.and_then(|d| d.get(rel.index())).unwrap_or(&none);
+            let new = to.and_then(|d| d.get(rel.index())).unwrap_or(&none);
+            deletes.extend(new.difference(old).map(|&i| TupleRef::new(atom, i)));
+            restores.extend(old.difference(new).map(|&i| TupleRef::new(atom, i)));
+        }
+        (deletes, restores)
+    }
+
+    /// True for an epoch plan anchored on a base plan.
+    pub(crate) fn is_anchored(&self) -> bool {
+        self.anchor.is_some()
+    }
+
+    /// An anchored plan's greedy state: checked out of the base plan's
+    /// pool at this epoch's dead set, with picks reported in this
+    /// epoch's dense coordinates. `None` on a plan without an anchor,
+    /// or when the base cannot build its state (e.g. too many witnesses
+    /// to index); the caller then evaluates the epoch itself.
+    pub(crate) fn anchored_checkout(
+        &self,
+        selectable: &[bool],
+        parallel: bool,
+    ) -> Option<GreedyLease<'_>> {
+        let anchor = self.anchor.as_ref()?;
+        let mut lease = anchor
+            .base
+            .planned
+            .checkout(selectable, Some(&anchor.dead), parallel)
+            .ok()?;
+        if let Some(home) = &mut lease.home {
+            home.epoch = Some(&*self.db);
+        }
+        Some(lease)
+    }
+
+    /// `|Q(D − S)|` of an anchored plan, read once from a base state
+    /// advanced to this epoch (which the next greedy solve then takes
+    /// from the pool as is). `None` without an anchor, or when the base
+    /// state cannot be built: the caller evaluates the epoch instead.
+    pub(crate) fn anchored_output_count(&self, selectable: &[bool]) -> Option<u64> {
+        *self.anchored_outputs.get_or_init(|| {
+            let lease = self.anchored_checkout(selectable, true)?;
+            let live = lease.live_outputs();
+            lease.release(&[]);
+            Some(live)
         })
     }
 
@@ -206,7 +340,7 @@ impl PlannedEval {
         self.idle_states().len()
     }
 
-    fn idle_states(&self) -> MutexGuard<'_, Vec<(Vec<bool>, DeltaProvenance)>> {
+    fn idle_states(&self) -> MutexGuard<'_, Vec<Idle>> {
         // A panic elsewhere cannot leave the list half-updated (it only
         // ever pushes or removes whole entries), so a poisoned lock is
         // safe to reuse.
@@ -219,24 +353,50 @@ impl PlannedEval {
     }
 }
 
+/// Whether two dead-set tags name the same set without looking inside:
+/// both absent, or the same `Arc`. O(1), so solves at an unchanged
+/// epoch never pay a set comparison.
+fn same_dead(a: Option<&Arc<DeadSet>>, b: Option<&Arc<DeadSet>>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
 /// Rounds may kill at most `1 / ROLLBACK_DIVISOR` of the witnesses for
-/// their state to be rolled back and pooled. Past that, restoring the
-/// picks costs about as much as the next checkout's template clone, and
-/// the state is dropped instead.
+/// their state to be rolled back and pooled, and a pooled state is
+/// advanced to another dead set only when the difference touches at
+/// most that share. Past it, undoing or redoing the deletions costs
+/// about as much as a template clone, and the state is dropped instead.
 const ROLLBACK_DIVISOR: usize = 4;
+
+/// Where a pooled lease returns to, and what it must look like then.
+struct Home<'a> {
+    pool: &'a PlannedEval,
+    mask: Vec<bool>,
+    dead: Option<Arc<DeadSet>>,
+    /// Live witnesses and outputs at checkout: the rollback must
+    /// restore exactly these.
+    live_witnesses: u64,
+    live_outputs: u64,
+    /// The epoch snapshot of an anchored lease: picks are stable ids,
+    /// reported in this database's dense coordinates.
+    epoch: Option<&'a Database>,
+}
 
 /// One greedy solve's scored [`DeltaProvenance`], selection enabled.
 ///
 /// Root views of a prepared query check it out of the plan's pool
-/// ([`PlannedEval::checkout`]); derived views build a private one. The
-/// lease is also the pool's drop guard: the state left the pool at
-/// checkout and goes back only through [`release`](Self::release), so a
-/// solve that returns early or unwinds drops its state instead of
-/// returning it half-deleted.
+/// ([`PlannedEval::checkout`]), epoch plans out of their base plan's
+/// pool; derived views build a private one. The lease is also the
+/// pool's drop guard: the state left the pool at checkout and goes back
+/// only through [`release`](Self::release), so a solve that returns
+/// early or unwinds drops its state instead of returning it
+/// half-deleted.
 pub(crate) struct GreedyLease<'a> {
     delta: DeltaProvenance,
-    /// The pool to return to, and the mask the state was built for.
-    home: Option<(&'a PlannedEval, Vec<bool>)>,
+    home: Option<Home<'a>>,
 }
 
 impl<'a> GreedyLease<'a> {
@@ -250,26 +410,56 @@ impl<'a> GreedyLease<'a> {
         &mut self.delta
     }
 
+    /// `|Q(D − S)|` at the state's dead set.
+    pub(crate) fn live_outputs(&self) -> u64 {
+        self.delta.live_outputs()
+    }
+
+    /// A tuple of the state in the solved database's coordinates: the
+    /// identity, except on an anchored lease, whose stable ids map to
+    /// the epoch's dense indices. The map is monotone, so the greedy
+    /// tie-break by `(atom, idx)` is the same in both.
+    pub(crate) fn local(&self, t: TupleRef) -> TupleRef {
+        let Some(Home {
+            pool,
+            epoch: Some(db),
+            ..
+        }) = &self.home
+        else {
+            return t;
+        };
+        let index = db
+            .relation_by_id(pool.plan.rels()[t.atom])
+            .dense_of_stable(t.index);
+        // adp-lint: allow(panic-path) -- a pick has live witnesses, so
+        // its tuple is alive in the epoch the state is advanced to.
+        TupleRef::new(t.atom, index.expect("picked tuples are live"))
+    }
+
     /// Ends the solve. `picks` must be exactly the tuples the rounds
     /// deleted. If they killed at most a `1 / ROLLBACK_DIVISOR` share of
-    /// the witnesses, they are restored and the — again pristine — state
-    /// returns to its pool; otherwise it is dropped and a later checkout
-    /// clones the template.
+    /// the witnesses, they are restored and the state — again as it was
+    /// checked out — returns to its pool under the same tag; otherwise
+    /// it is dropped and a later checkout clones the template.
     pub(crate) fn release(self, picks: &[TupleRef]) {
         let GreedyLease { mut delta, home } = self;
-        let Some((planned, mask)) = home else {
+        let Some(home) = home else {
             return;
         };
-        let slots = delta.witness_slots();
-        let killed = slots - delta.live_witnesses() as usize;
-        if killed > slots / ROLLBACK_DIVISOR {
+        let killed = home.live_witnesses - delta.live_witnesses();
+        if killed as usize > delta.witness_slots() / ROLLBACK_DIVISOR {
             return;
         }
         delta.restore_batch(picks);
-        let pristine = delta.live_witnesses() as usize == slots && delta.removed_outputs() == 0;
-        debug_assert!(pristine, "picks do not cover the rounds' deletions");
-        if pristine {
-            planned.idle_states().push((mask, delta));
+        let restored = delta.live_witnesses() == home.live_witnesses
+            && delta.live_outputs() == home.live_outputs;
+        debug_assert!(restored, "picks do not cover the rounds' deletions");
+        if restored {
+            home.pool.idle_states().push(Idle {
+                mask: home.mask,
+                dead: home.dead,
+                delta,
+            });
         }
     }
 }
@@ -353,6 +543,12 @@ impl PreparedQuery {
         before - self.planned.eval_masked(&mask).output_count()
     }
 
+    /// The plan's scored delta template (see
+    /// [`PlannedEval::delta_template`]).
+    pub(crate) fn delta_template(&self, parallel: bool) -> Result<Arc<DeltaProvenance>, AdpError> {
+        self.planned.delta_template(parallel)
+    }
+
     /// Greedy states idle in this plan's pool, over every selectable
     /// mask. Never more than the peak number of concurrent greedy solves
     /// on this plan.
@@ -363,13 +559,52 @@ impl PreparedQuery {
     /// Re-binds the already-parsed query to a fresh database snapshot,
     /// compiling a new plan (and new lazy caches) against `db` while the
     /// original `PreparedQuery` stays fully usable against its own
-    /// snapshot. This is the epoch-advance path for services and
-    /// statements: parsing is skipped, and because each epoch snapshot
+    /// snapshot. Parsing is skipped, and because each epoch snapshot
     /// shares its sealed segments by `Arc`, the per-segment join indexes
     /// cached inside those segments are reused by the new binding's
-    /// `JoinIndexes` — only overlay-dependent state is rebuilt.
+    /// `JoinIndexes` — only overlay-dependent state is rebuilt. The new
+    /// plan is unanchored: its first greedy solve joins and scores `db`.
+    /// [`anchored`](Self::anchored) is the epoch-advance path that
+    /// does neither.
     pub fn rebind(&self, db: Arc<Database>) -> PreparedQuery {
         PreparedQuery::new(self.query.clone(), db)
+    }
+
+    /// Binds the query to the epoch snapshot `db` — this plan's database
+    /// minus the base tuples in `dead` — **anchored** on this plan, the
+    /// base: a greedy solve of the returned plan (and its
+    /// [`output_count`](Self::output_count), for queries whose dispatch
+    /// reaches the greedy leaf) never joins `db`. It checks a state out
+    /// of the base plan's pool, brings it to `dead` by the difference
+    /// to the dead set the state was last advanced to, runs its rounds
+    /// on it and returns it tagged with `dead`. Consecutive epochs cost
+    /// `O(batch)` in the affected witnesses; solves that share the
+    /// `dead` `Arc` find the state already there. Every other solver
+    /// path evaluates `db` lazily, as an unanchored plan would. Answers
+    /// are identical to `PreparedQuery::new(query, db)`'s.
+    ///
+    /// The base's database must index tuples by stable id (sealed, or
+    /// built, with nothing deleted), and `db` must derive from it by
+    /// deleting and restoring stable ids so that exactly `dead` is
+    /// absent. Anchoring an epoch plan anchors on its base.
+    pub fn anchored(self: &Arc<Self>, db: Arc<Database>, dead: Arc<DeadSet>) -> PreparedQuery {
+        let base = self.anchor().unwrap_or(self);
+        let mut planned = PlannedEval::new(&self.query, Arc::clone(&db));
+        planned.anchor = Some(Anchor {
+            base: Arc::clone(base),
+            dead,
+        });
+        PreparedQuery {
+            query: self.query.clone(),
+            db,
+            planned: Arc::new(planned),
+        }
+    }
+
+    /// The base plan an [`anchored`](Self::anchored) plan solves on;
+    /// `None` for an unanchored plan.
+    pub fn anchor(&self) -> Option<&Arc<PreparedQuery>> {
+        self.planned.anchor.as_ref().map(|a| &a.base)
     }
 
     /// The root solver view, carrying the shared evaluation cache.
@@ -559,7 +794,7 @@ mod tests {
         let endo = endogenous_atoms(prep.query());
         let mut fresh = DeltaProvenance::clone(&prep.planned.delta_template(false).unwrap());
         fresh.enable_selection(endo.clone());
-        let mut lease = prep.planned.checkout(&endo, false).unwrap();
+        let mut lease = prep.planned.checkout(&endo, None, false).unwrap();
         assert_eq!(prep.pooled_states(), 0, "checkout takes the pooled state");
         let pooled = lease.delta();
         assert_eq!(pooled.profits(), fresh.profits());
@@ -591,7 +826,7 @@ mod tests {
         assert_eq!(prep.pooled_states(), 1);
         let endo = endogenous_atoms(prep.query());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut lease = prep.planned.checkout(&endo, false).unwrap();
+            let mut lease = prep.planned.checkout(&endo, None, false).unwrap();
             let (_, atom, idx) = lease.delta().best_profit_candidate().unwrap();
             lease.delta().delete(TupleRef::new(atom, idx));
             panic!("solve unwound with a pick applied");
@@ -639,6 +874,159 @@ mod tests {
             }
         });
         assert!(shared.pooled_states() <= 4);
+    }
+
+    /// `db` without the tuples named in `dead` (stable ids per relation
+    /// slot): an epoch of a base sealed with nothing deleted.
+    fn epoch_of(base: &Arc<Database>, dead: &DeadSet) -> Arc<Database> {
+        let mut db = (**base).clone();
+        for (slot, ids) in dead.iter().enumerate() {
+            let rel = adp_engine::catalog::RelId(slot as u32);
+            for &id in ids {
+                assert!(db.relation_mut_by_id(rel).delete_stable(id));
+            }
+        }
+        Arc::new(db)
+    }
+
+    /// A sealed `grid(dom)` base, its prepared plan, and a dead set with
+    /// the given `R2` tuples.
+    fn sealed_grid(dom: u64) -> (Query, Arc<Database>, Arc<PreparedQuery>) {
+        let (q, db) = grid(dom);
+        let mut db = (*db).clone();
+        db.seal_all(16);
+        let db = Arc::new(db);
+        let base = Arc::new(PreparedQuery::new(q.clone(), Arc::clone(&db)));
+        (q, db, base)
+    }
+
+    fn dead_r2(ids: &[u32]) -> Arc<DeadSet> {
+        let mut dead = vec![BTreeSet::new(); 3];
+        dead[1].extend(ids.iter().copied());
+        Arc::new(dead)
+    }
+
+    /// Anchored and fresh plans over the same epoch give equal outcomes
+    /// on every field, in both modes.
+    fn assert_anchored_matches_fresh(q: &Query, epoch: &PreparedQuery, ks: &[u64]) {
+        let fresh = PreparedQuery::new(q.clone(), Arc::clone(epoch.database()));
+        assert_eq!(epoch.output_count(), fresh.output_count());
+        for &k in ks.iter().filter(|&&k| k <= fresh.output_count()) {
+            for opts in [greedy(), AdpOptions::counting(), AdpOptions::default()] {
+                assert_eq!(
+                    epoch.solve(k, &opts).unwrap(),
+                    fresh.solve(k, &opts).unwrap(),
+                    "k={k}"
+                );
+            }
+        }
+    }
+
+    /// One pooled base state walks forward through growing dead sets
+    /// and back again; at every epoch the anchored answers equal a
+    /// fresh plan's, the epoch is never joined, and the state returns
+    /// to the pool tagged with the epoch's dead set.
+    #[test]
+    fn anchored_state_advances_forward_and_backward() {
+        let (q, db, base) = sealed_grid(8);
+        let at_base = base.solve(9, &greedy()).unwrap();
+        assert_eq!(base.pooled_states(), 1);
+        let epochs: [&[u32]; 5] = [&[3], &[3, 10, 17], &[3, 10, 17, 40, 41], &[10], &[]];
+        for ids in epochs {
+            let dead = dead_r2(ids);
+            let epoch = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
+            assert!(Arc::ptr_eq(epoch.anchor().unwrap(), &base));
+            assert_anchored_matches_fresh(&q, &epoch, &[1, 4, 9]);
+            assert!(
+                epoch.planned.eval.get().is_none(),
+                "{ids:?}: an anchored greedy solve must not join its epoch"
+            );
+            assert_eq!(base.pooled_states(), 1, "{ids:?}: one state, advanced");
+            let idle = base.planned.idle_states();
+            assert!(same_dead(idle[0].dead.as_ref(), Some(&dead)), "{ids:?}");
+        }
+        // Anchoring an epoch plan anchors on its base.
+        let dead = dead_r2(&[5]);
+        let first = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
+        let second = Arc::new(first).anchored(epoch_of(&db, &dead), dead);
+        assert!(Arc::ptr_eq(second.anchor().unwrap(), &base));
+        // Back at epoch 0 the base itself advances the state home.
+        assert_eq!(base.solve(9, &greedy()).unwrap(), at_base);
+        assert!(same_dead(base.planned.idle_states()[0].dead.as_ref(), None));
+    }
+
+    /// A pooled state is advanced only when the difference touches at
+    /// most a quarter of the witnesses; past that the state is dropped
+    /// and the template cloned, with the same answers.
+    #[test]
+    fn a_large_dead_set_difference_falls_back_to_the_template() {
+        let (q, db, base) = sealed_grid(8);
+        base.solve(1, &greedy()).unwrap();
+        let template = base.planned.delta_template(false).unwrap();
+        let endo = endogenous_atoms(&q);
+        let (small, large) = (dead_r2(&[0, 1, 2]), dead_r2(&(0..20).collect::<Vec<_>>()));
+        let (deletes, restores) = base.planned.dead_diff(None, Some(&small));
+        assert_eq!((deletes.len(), restores.len()), (3, 0));
+        let witnesses = template.witness_slots();
+        assert!(3 <= witnesses / ROLLBACK_DIVISOR && 20 > witnesses / ROLLBACK_DIVISOR);
+
+        for dead in [small, large] {
+            let epoch = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
+            assert_anchored_matches_fresh(&q, &epoch, &[1, 5]);
+            assert_eq!(base.pooled_states(), 1);
+        }
+        // Either way the pooled state equals a template clone with the
+        // dead set deleted.
+        let dead = dead_r2(&(0..20).collect::<Vec<_>>());
+        let mut lease = base.planned.checkout(&endo, Some(&dead), false).unwrap();
+        let mut fresh = DeltaProvenance::clone(&template);
+        fresh.delete_batch(&base.planned.dead_diff(None, Some(&dead)).0);
+        fresh.enable_selection(endo.clone());
+        assert_eq!(lease.delta().profits(), fresh.profits());
+        assert_eq!(lease.delta().live_counts(), fresh.live_counts());
+        assert_eq!(lease.delta().live_outputs(), fresh.live_outputs());
+        lease.release(&[]);
+    }
+
+    /// An anchored lease whose solve unwound is dropped, not pooled, and
+    /// the next anchored solve rebuilds a correct state.
+    #[test]
+    fn an_anchored_state_whose_solve_panicked_is_not_returned() {
+        let (q, db, base) = sealed_grid(8);
+        let dead = dead_r2(&[7, 8]);
+        let epoch = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
+        let first = epoch.solve(3, &greedy()).unwrap();
+        assert_eq!(base.pooled_states(), 1);
+        let endo = endogenous_atoms(&q);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut lease = epoch.planned.anchored_checkout(&endo, false).unwrap();
+            let (_, atom, idx) = lease.delta().best_profit_candidate().unwrap();
+            lease.delta().delete(TupleRef::new(atom, idx));
+            panic!("solve unwound with a pick applied");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(base.pooled_states(), 0, "the dirty state must not return");
+        assert_eq!(epoch.solve(3, &greedy()).unwrap(), first);
+        assert_eq!(base.pooled_states(), 1);
+    }
+
+    /// When the base cannot build its greedy state (here: an injected
+    /// witness-cap error), an anchored plan evaluates its own epoch and
+    /// answers exactly as a fresh plan does.
+    #[test]
+    fn a_witness_cap_error_falls_back_to_the_epochs_own_evaluation() {
+        let (q, db, base) = sealed_grid(8);
+        let cap = Err(AdpError::TooManyWitnesses {
+            witnesses: 64,
+            cap: 8,
+        });
+        assert!(base.planned.delta.set(cap).is_ok());
+        let dead = dead_r2(&[1, 2, 3]);
+        let epoch = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
+        assert_anchored_matches_fresh(&q, &epoch, &[1, 6]);
+        assert!(epoch.planned.eval.get().is_some(), "the epoch was joined");
+        assert_eq!(base.pooled_states(), 0);
+        assert_eq!(epoch.pooled_states(), 1, "the epoch pooled its own state");
     }
 
     #[test]

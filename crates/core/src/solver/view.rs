@@ -15,6 +15,7 @@
 //! fix the selected attributes), so the maps stay simple vectors.
 
 use super::prepared::{build_delta_provenance, GreedyLease, PlannedEval};
+use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::database::Database;
@@ -95,13 +96,44 @@ impl View {
         parallel: bool,
     ) -> Result<GreedyLease<'_>, SolveError> {
         match &self.planned {
-            Some(p) => Ok(p.checkout(selectable, parallel)?),
+            Some(p) => Ok(p.checkout(selectable, None, parallel)?),
             None => {
                 let mut delta = build_delta_provenance(eval, parallel)?;
                 delta.enable_selection(selectable.to_vec());
                 Ok(GreedyLease::private(delta))
             }
         }
+    }
+
+    /// True for the root view of an
+    /// [anchored](super::prepared::PreparedQuery::anchored) plan.
+    pub(crate) fn is_anchored(&self) -> bool {
+        self.planned.as_ref().is_some_and(|p| p.is_anchored())
+    }
+
+    /// The greedy state of an anchored root view
+    /// ([`PreparedQuery::anchored`](super::prepared::PreparedQuery::anchored)):
+    /// a base state advanced to this epoch, without evaluating the
+    /// epoch. `None` when the view has no anchor, or when the base state
+    /// cannot be built (e.g. the base has too many witnesses to index) —
+    /// the caller then evaluates the epoch itself.
+    pub(crate) fn anchored_state(
+        &self,
+        selectable: &[bool],
+        parallel: bool,
+    ) -> Option<GreedyLease<'_>> {
+        self.planned
+            .as_ref()?
+            .anchored_checkout(selectable, parallel)
+    }
+
+    /// `|Q(D − S)|` of an anchored root view, read from the base state
+    /// (see [`anchored_state`](Self::anchored_state)); `None` when the
+    /// caller must evaluate the epoch.
+    pub(crate) fn anchored_output_count(&self) -> Option<u64> {
+        self.planned
+            .as_ref()?
+            .anchored_output_count(&endogenous_atoms(&self.query))
     }
 
     /// The pristine (all-alive) provenance index over `eval` (this

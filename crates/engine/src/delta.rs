@@ -272,6 +272,15 @@ impl DeltaProvenance {
         self.deleted[t.atom].contains(&t.index)
     }
 
+    /// Witnesses (dead or alive) the tuple joins: the work a
+    /// [`delete`](Self::delete) or [`restore`](Self::restore) of it
+    /// costs.
+    pub fn witness_degree(&self, t: TupleRef) -> usize {
+        self.inc.tuple_witnesses[t.atom]
+            .get(&t.index)
+            .map_or(0, Vec::len)
+    }
+
     /// The input tuples participating in at least one witness (dead or
     /// alive), per atom, sorted.
     pub fn participating_tuples(&self) -> Vec<Vec<u32>> {

@@ -14,7 +14,11 @@
 //! evaluation, one provenance index, and one scored delta template —
 //! the lazily built pieces live behind `OnceLock`s inside
 //! [`PlannedEval`](adp_core::solver::PlannedEval), so racing first
-//! users initialize them once and everyone else reuses them.
+//! users initialize them once and everyone else reuses them. An entry
+//! for an epoch after 0 is [anchored](PreparedQuery::anchored) on the
+//! query's epoch-0 base plan: its greedy solves run on the base plan's
+//! pooled states, so evicting or invalidating the entry drops only the
+//! epoch's lazily built pieces, never the base plan's join or scores.
 //!
 //! Sharding: the query fingerprint picks the shard, so distinct hot
 //! queries contend on distinct mutexes. Insertion happens under the
@@ -73,9 +77,9 @@ impl PlanCache {
     }
 
     /// Looks `key` up in the fingerprint's shard, building and caching
-    /// the plan on a miss. Returns `(plan, cache_hit, evicted)` where
-    /// `evicted` counts entries dropped by LRU pressure during the
-    /// insert.
+    /// the plan on a miss (`build` gets the key's normalized text).
+    /// Returns `(plan, cache_hit, evicted)` where `evicted` counts
+    /// entries dropped by LRU pressure during the insert.
     pub fn get_or_insert<F>(
         &self,
         fingerprint: u64,
@@ -83,7 +87,7 @@ impl PlanCache {
         build: F,
     ) -> (Arc<PreparedQuery>, bool, u64)
     where
-        F: FnOnce() -> PreparedQuery,
+        F: FnOnce(&str) -> Arc<PreparedQuery>,
     {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
@@ -95,7 +99,7 @@ impl PlanCache {
             e.last_used = now;
             return (Arc::clone(&e.prep), true, 0);
         }
-        let prep = Arc::new(build());
+        let prep = build(&key.0);
         if key.1 < self.floor.load(Ordering::SeqCst) {
             // The epoch was superseded while this request was in
             // flight: serve the plan (the answer is still consistent
@@ -169,10 +173,13 @@ mod tests {
     use adp_engine::database::Database;
     use adp_engine::schema::attrs;
 
-    fn prep() -> PreparedQuery {
+    fn prep(_: &str) -> Arc<PreparedQuery> {
         let mut db = Database::new();
         db.add_relation("R", attrs(&["A"]), &[&[1]]);
-        PreparedQuery::new(parse_query("Q(A) :- R(A)").unwrap(), Arc::new(db))
+        Arc::new(PreparedQuery::new(
+            parse_query("Q(A) :- R(A)").unwrap(),
+            Arc::new(db),
+        ))
     }
 
     /// Regression (insert/invalidation race): a request that snapshotted

@@ -14,7 +14,12 @@
 //!   db epoch)` holding `Arc<PreparedQuery>`. Concurrent requests for
 //!   the same query share one plan, one root evaluation, one provenance
 //!   index, and one scored delta template (all lazily built behind
-//!   `OnceLock`s), so a hot query pays its join exactly once per epoch.
+//!   `OnceLock`s). Plans for epochs after 0 are
+//!   [anchored](PreparedQuery::anchored) on the query's epoch-0 *base
+//!   plan*: their greedy solves advance one of the base plan's pooled
+//!   states by the difference between dead sets instead of joining the
+//!   epoch, so a greedy query pays its join and its scoring pass once
+//!   per service lifetime, and each epoch after that costs `O(batch)`.
 //! * **Request API** — [`SolveRequest`] (`k` or ρ target, solver
 //!   policy, wall-clock budget) → [`SolveResponse`] (deletion set,
 //!   cost, and stats: cache hit, plan/solve microseconds, solver
@@ -72,8 +77,8 @@ pub use subscribe::{
     DeletionChurn, Lagged, OutputRow, SubscribeOptions, SubscriptionId, ViewUpdate,
 };
 
-use adp_core::query::parse_query;
-use adp_core::solver::{AdpOptions, AdpOutcome, Mode, PreparedQuery};
+use adp_core::query::{parse_query, Query};
+use adp_core::solver::{AdpOptions, AdpOutcome, DeadSet, Mode, PreparedQuery};
 use adp_engine::catalog::RelId;
 use adp_engine::database::Database;
 use adp_engine::error::AdpError;
@@ -81,9 +86,9 @@ use adp_engine::ids::dense_id;
 use adp_engine::provenance::TupleRef;
 use cache::PlanCache;
 use stats::StatsInner;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Tuning knobs for a [`Service`].
@@ -134,6 +139,7 @@ impl Default for ServiceConfig {
 /// write lock. `(epoch, db)` pairs are always consistent, old epochs
 /// stay alive for whoever still holds their `Arc<Database>`, and
 /// solves never wait behind snapshot construction.
+#[derive(Clone)]
 struct EpochState {
     epoch: u64,
     /// The snapshot requests solve against.
@@ -145,7 +151,10 @@ struct EpochState {
     /// that compaction physically dropped.
     base: Arc<Database>,
     /// Per base-relation slot: base tuple indices currently deleted.
-    deleted: Vec<BTreeSet<u32>>,
+    /// Replaced (never mutated) by each effective batch, so epoch plans
+    /// anchored on the base share it by `Arc`, and pooled greedy states
+    /// tagged with it are recognized by pointer.
+    deleted: Arc<DeadSet>,
 }
 
 /// A reserved slot in the bounded admission queue. Dropping it releases
@@ -175,6 +184,12 @@ pub struct Service {
     in_flight: AtomicUsize,
     stats: StatsInner,
     subscriptions: subscribe::Registry,
+    /// Base (epoch-0) plans by normalized query text, held weakly:
+    /// statements, subscription groups and the cached epoch plans
+    /// anchored on a base keep it alive; this map only lets later
+    /// epochs find it. Not part of the plan cache, so it changes none of
+    /// the cache's counts.
+    bases: Mutex<HashMap<String, Weak<PreparedQuery>>>,
 }
 
 impl Service {
@@ -197,13 +212,14 @@ impl Service {
                 epoch: 0,
                 db: Arc::clone(&base),
                 base,
-                deleted: vec![BTreeSet::new(); slots],
+                deleted: Arc::new(vec![Default::default(); slots]),
             }),
             mutation: Mutex::new(()),
             cache,
             in_flight: AtomicUsize::new(0),
             stats: StatsInner::default(),
             subscriptions: subscribe::Registry::default(),
+            bases: Mutex::new(HashMap::new()),
             config,
         }
     }
@@ -219,11 +235,61 @@ impl Service {
     /// A consistent `(epoch, database)` snapshot — the same pair a
     /// concurrently admitted request would solve against.
     pub fn snapshot(&self) -> (u64, Arc<Database>) {
+        let s = self.current();
+        (s.epoch, s.db)
+    }
+
+    /// The whole current epoch state (a few `Arc` bumps).
+    fn current(&self) -> EpochState {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
         // propagating the original crash beats serving torn state.
-        let s = self.state.read().unwrap();
-        (s.epoch, Arc::clone(&s.db))
+        self.state.read().unwrap().clone()
+    }
+
+    /// The plan for `query` (normalized to `normalized`) at the epoch of
+    /// `at`, through the shared cache: the cached one, or on a miss the
+    /// base plan itself at epoch 0 and a plan anchored on it later.
+    /// Returns `(plan, cache_hit, evicted)` as
+    /// [`PlanCache::get_or_insert`] does.
+    pub(crate) fn plan_for(
+        &self,
+        fingerprint: u64,
+        normalized: String,
+        query: &Query,
+        at: &EpochState,
+    ) -> (Arc<PreparedQuery>, bool, u64) {
+        self.cache
+            .get_or_insert(fingerprint, (normalized, at.epoch), |normalized| {
+                let base = self.base_plan(normalized, query, &at.base);
+                if Arc::ptr_eq(&at.db, &at.base) {
+                    base
+                } else {
+                    Arc::new(base.anchored(Arc::clone(&at.db), Arc::clone(&at.deleted)))
+                }
+            })
+    }
+
+    /// The query's base plan over the sealed epoch-0 database `base`:
+    /// the live one if anything still holds it, else a new one (which
+    /// then pays the join and the scoring pass again).
+    pub(crate) fn base_plan(
+        &self,
+        normalized: &str,
+        query: &Query,
+        base: &Arc<Database>,
+    ) -> Arc<PreparedQuery> {
+        // adp-lint: allow(panic-path) -- lock poisoning requires a prior
+        // panic while holding the lock; holders run no user code, and
+        // propagating the original crash beats serving torn state.
+        let mut bases = self.bases.lock().unwrap();
+        if let Some(plan) = bases.get(normalized).and_then(Weak::upgrade) {
+            return plan;
+        }
+        let plan = Arc::new(PreparedQuery::new(query.clone(), Arc::clone(base)));
+        bases.retain(|_, held| held.strong_count() > 0);
+        bases.insert(normalized.to_owned(), Arc::downgrade(&plan));
+        plan
     }
 
     /// Counter snapshot (see [`ServiceStats`] for the invariants).
@@ -290,7 +356,7 @@ impl Service {
         // must not compile (and cache) a plan, pollute the LRU, or
         // count as cache traffic.
         Self::validate_target(req.target)?;
-        let (epoch, db) = self.snapshot();
+        let current = self.current();
 
         let plan_start = Instant::now();
         let query = parse_query(&req.query).map_err(ServiceError::Query)?;
@@ -298,10 +364,7 @@ impl Service {
         // shard fingerprint.
         let normalized = query.normalized_text();
         let fingerprint = adp_core::query::fingerprint_of_normalized(&normalized);
-        let key = (normalized, epoch);
-        let (prep, cache_hit, evicted) = self
-            .cache
-            .get_or_insert(fingerprint, key, || PreparedQuery::new(query, db));
+        let (prep, cache_hit, evicted) = self.plan_for(fingerprint, normalized, &query, &current);
         StatsInner::bump(&self.stats.requests);
         StatsInner::bump(if cache_hit {
             &self.stats.cache_hits
@@ -313,7 +376,7 @@ impl Service {
 
         self.execute(
             &prep,
-            epoch,
+            current.epoch,
             cache_hit,
             plan_micros,
             req.target,
@@ -446,15 +509,12 @@ impl Service {
         // panic while holding the lock; holders run no user code, and
         // propagating the original crash beats serving torn state.
         let _writer = self.mutation.lock().unwrap();
-        let (base, cur, mut deleted) = {
-            // adp-lint: allow(panic-path) -- same poisoning rationale.
-            let state = self.state.read().unwrap();
-            (
-                Arc::clone(&state.base),
-                Arc::clone(&state.db),
-                state.deleted.clone(),
-            )
-        };
+        let EpochState {
+            base,
+            db: cur,
+            deleted,
+            ..
+        } = self.current();
         // Validate before mutating: a bad batch must not half-apply.
         let mut resolved = Vec::with_capacity(batch.len());
         for &(name, index) in batch {
@@ -475,24 +535,29 @@ impl Service {
         // deleting a dead tuple / restoring a live one is a no-op, and a
         // batch of nothing but no-ops must not bump the epoch — a bump
         // would invalidate every cached plan and wake every subscriber
-        // for a byte-identical snapshot.
+        // for a byte-identical snapshot. The next epoch's dead set is
+        // copied from the current one only once something changes.
+        let mut next_deleted: Option<DeadSet> = None;
         let mut effective = Vec::with_capacity(resolved.len());
         for (slot, index) in resolved {
-            let changed = if delete {
-                deleted[slot].insert(index)
-            } else {
-                deleted[slot].remove(&index)
-            };
-            if changed {
-                effective.push((slot, index));
+            let now = next_deleted.as_ref().unwrap_or(&deleted);
+            if now[slot].contains(&index) == delete {
+                continue;
             }
+            let next = next_deleted.get_or_insert_with(|| (*deleted).clone());
+            if delete {
+                next[slot].insert(index);
+            } else {
+                next[slot].remove(&index);
+            }
+            effective.push((slot, index));
         }
-        if effective.is_empty() {
+        let Some(next_deleted) = next_deleted else {
             // adp-lint: allow(panic-path) -- lock poisoning requires a prior
             // panic while holding the lock; holders run no user code, and
             // propagating the original crash beats serving torn state.
             return Ok(self.state.read().unwrap().epoch);
-        }
+        };
         // O(Δ) snapshot derivation: cloning the current snapshot is an
         // `Arc` bump per sealed segment (the tail is empty — everything
         // was sealed at construction or compacted since), and each
@@ -524,7 +589,7 @@ impl Service {
             // propagating the original crash beats serving torn state.
             let mut state = self.state.write().unwrap();
             state.db = db;
-            state.deleted = deleted;
+            state.deleted = Arc::new(next_deleted);
             state.epoch += 1;
             state.epoch
         };

@@ -21,7 +21,10 @@
 //! * after an epoch bump transparently re-binds through the shared plan
 //!   cache under the *stored* normalized key — still no text work — so
 //!   statements survive streaming updates and keep sharing plans with
-//!   the text front door;
+//!   the text front door. The new epoch's plan is anchored on the
+//!   statement's epoch-0 base plan, which the binding keeps alive, so a
+//!   greedy statement's re-bind joins nothing: its next solve advances
+//!   a pooled base state by the batch;
 //! * goes through the same admission control, target validation, and
 //!   execution path as [`Service::solve`], so responses are
 //!   **byte-identical** to the text path on the same snapshot (pinned
@@ -33,10 +36,9 @@
 use crate::error::ServiceError;
 use crate::request::{SolveResponse, Target};
 use crate::stats::StatsInner;
-use crate::Service;
+use crate::{EpochState, Service};
 use adp_core::query::{parse_query, Query};
 use adp_core::solver::{AdpOptions, PreparedQuery};
-use adp_engine::database::Database;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -82,8 +84,7 @@ impl Service {
         };
         // Warm the binding for the current epoch so the first solve is
         // already on the hot path.
-        let (epoch, db) = self.snapshot();
-        stmt.bind(epoch, db);
+        stmt.bind(&self.current());
         stmt
     }
 }
@@ -155,8 +156,8 @@ impl Statement<'_> {
         Service::validate_target(target)?;
 
         let plan_start = Instant::now();
-        let (epoch, db) = self.svc.snapshot();
-        let (prep, cache_hit) = self.bind(epoch, db);
+        let current = self.svc.current();
+        let (prep, cache_hit) = self.bind(&current);
         StatsInner::bump(&self.svc.stats.requests);
         StatsInner::bump(if cache_hit {
             &self.svc.stats.cache_hits
@@ -165,32 +166,45 @@ impl Statement<'_> {
         });
         let plan_micros = plan_start.elapsed().as_micros() as u64;
 
-        self.svc
-            .execute(&prep, epoch, cache_hit, plan_micros, target, opts, budget)
+        self.svc.execute(
+            &prep,
+            current.epoch,
+            cache_hit,
+            plan_micros,
+            target,
+            opts,
+            budget,
+        )
     }
 
-    /// Resolves the plan for `epoch`: the bound plan when the epoch
-    /// still matches (the zero-text-work hot path), otherwise a re-bind
-    /// through the shared plan cache under the stored normalized key.
-    /// Returns `(plan, hit)` where `hit` mirrors the text path's
-    /// cache-hit notion: `true` unless a plan had to be compiled.
-    fn bind(&self, epoch: u64, db: Arc<Database>) -> (Arc<PreparedQuery>, bool) {
+    /// Resolves the plan for the epoch of `current`: the bound plan
+    /// when the epoch still matches (the zero-text-work hot path),
+    /// otherwise a re-bind through the shared plan cache under the
+    /// stored normalized key. Returns `(plan, hit)` where `hit` mirrors
+    /// the text path's cache-hit notion: `true` unless a plan had to be
+    /// compiled.
+    fn bind(&self, current: &EpochState) -> (Arc<PreparedQuery>, bool) {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
         // propagating the original crash beats serving torn state.
         let mut bound = self.bound.lock().unwrap();
         if let Some((e, prep)) = bound.as_ref() {
-            if *e == epoch {
+            if *e == current.epoch {
                 return (Arc::clone(prep), true);
             }
         }
-        let (prep, hit, evicted) = self.svc.cache.get_or_insert(
+        let (prep, hit, evicted) = self.svc.plan_for(
             self.fingerprint,
-            (self.normalized.clone(), epoch),
-            || PreparedQuery::new((*self.query).clone(), Arc::clone(&db)),
+            self.normalized.clone(),
+            &self.query,
+            current,
         );
         StatsInner::add(&self.svc.stats.evicted, evicted);
-        *bound = Some((epoch, Arc::clone(&prep)));
+        let superseded = bound.replace((current.epoch, Arc::clone(&prep)));
+        // Concurrent solves wait on `bound`; the superseded plan (and
+        // whatever it evaluated) is freed after they are let go.
+        drop(bound);
+        drop(superseded);
         (prep, hit)
     }
 }
@@ -199,6 +213,7 @@ impl Statement<'_> {
 mod tests {
     use super::*;
     use crate::{ServiceConfig, SolveRequest};
+    use adp_engine::database::Database;
     use adp_engine::schema::attrs;
 
     fn chain_db() -> Database {
@@ -280,6 +295,40 @@ mod tests {
         let restored = stmt.solve(Target::Outputs(1)).unwrap();
         assert_eq!(restored.stats.epoch, 2);
         assert_eq!(restored.outcome.solution, before.outcome.solution);
+    }
+
+    fn bound_plan(stmt: &Statement<'_>) -> Arc<PreparedQuery> {
+        Arc::clone(&stmt.bound.lock().unwrap().as_ref().unwrap().1)
+    }
+
+    /// The epoch-0 plan is the base plan; every later epoch's plan is
+    /// anchored on that same base, which outlives the invalidation of
+    /// epoch 0 without being counted as a cached plan.
+    #[test]
+    fn epoch_plans_anchor_on_the_statements_base_plan() {
+        let svc = Service::new(chain_db());
+        let stmt = svc.prepare(Q).unwrap();
+        let base = bound_plan(&stmt);
+        assert!(base.anchor().is_none());
+        let at_base = stmt.solve(Target::Outputs(2)).unwrap();
+        for (epoch, index) in [(1, 0), (2, 2)] {
+            assert_eq!(svc.delete_tuples(&[("R2", index)]).unwrap(), epoch);
+            let r = stmt.solve(Target::Outputs(1)).unwrap();
+            assert!(!r.stats.cache_hit);
+            assert!(Arc::ptr_eq(bound_plan(&stmt).anchor().unwrap(), &base));
+            assert_eq!(svc.cached_plans(), 1, "the base is not a cache entry");
+        }
+        // The text path and a statement prepared later share the plan.
+        let text = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
+        assert!(text.stats.cache_hit);
+        let late = svc.prepare(Q).unwrap();
+        assert!(Arc::ptr_eq(bound_plan(&late).anchor().unwrap(), &base));
+        // Restoring everything answers like epoch 0 again.
+        svc.restore_tuples(&[("R2", 0), ("R2", 2)]).unwrap();
+        assert_eq!(
+            stmt.solve(Target::Outputs(2)).unwrap().outcome,
+            at_base.outcome
+        );
     }
 
     #[test]

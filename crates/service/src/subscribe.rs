@@ -418,10 +418,7 @@ impl Service {
             } else {
                 // Boolean: fresh min-cut at the settled current epoch
                 // (the mutation lock above pins it).
-                // adp-lint: allow(panic-path) -- same poisoning
-                // rationale as every state-lock read in this crate.
-                let epoch = self.state.read().unwrap().epoch;
-                let (live, cost, deletions) = self.boolean_answer(group, epoch)?;
+                let (live, cost, deletions) = self.boolean_answer(group)?;
                 group.state = Maintained::Boolean { live };
                 if resolve_k(target, u64::from(live)) == 0 {
                     TargetState {
@@ -491,18 +488,8 @@ impl Service {
     /// satisfied (re-solve-on-push maintains it from there). Caller
     /// holds the mutation lock.
     fn build_group(&self, stmt: &Statement<'_>) -> Result<Group, ServiceError> {
-        let (epoch, db, base, deleted) = {
-            // adp-lint: allow(panic-path) -- lock poisoning requires a
-            // prior panic while holding the lock; propagating beats
-            // serving torn state.
-            let state = self.state.read().unwrap();
-            (
-                state.epoch,
-                Arc::clone(&state.db),
-                Arc::clone(&state.base),
-                state.deleted.clone(),
-            )
-        };
+        let current = self.current();
+        let (base, deleted) = (&current.base, &current.deleted);
         let query = Arc::clone(stmt.query_arc());
         let mut atoms_by_slot: Vec<Vec<usize>> = vec![Vec::new(); base.relations().len()];
         for (i, atom) in query.atoms().iter().enumerate() {
@@ -517,11 +504,11 @@ impl Service {
         if query.is_boolean() {
             // No delta state to maintain: bind the current epoch's plan
             // (shared with the solve path) just to record liveness.
-            let build_query = Arc::clone(&query);
-            let (prep, _hit, evicted) = self.cache.get_or_insert(
+            let (prep, _hit, evicted) = self.plan_for(
                 stmt.fingerprint(),
-                (stmt.normalized_text().to_string(), epoch),
-                move || adp_core::solver::PreparedQuery::new((*build_query).clone(), db),
+                stmt.normalized_text().to_string(),
+                &query,
+                &current,
             );
             StatsInner::add(&self.stats.evicted, evicted);
             return Ok(Group {
@@ -537,16 +524,15 @@ impl Service {
                 subs: Vec::new(),
             });
         }
-        let build_query = Arc::clone(&query);
-        let build_db = Arc::clone(&base);
         let (prep, _hit, evicted) = self.cache.get_or_insert(
             stmt.fingerprint(),
             (stmt.normalized_text().to_string(), BASE_PLAN_EPOCH),
-            move || adp_core::solver::PreparedQuery::new((*build_query).clone(), build_db),
+            |normalized| self.base_plan(normalized, &query, base),
         );
         StatsInner::add(&self.stats.evicted, evicted);
-        let eval = prep.eval();
-        let mut greedy = IncrementalGreedy::new(&query, &eval, true)
+        // The statement's own base plan: its join and scoring pass serve
+        // pull solves and this group alike.
+        let mut greedy = IncrementalGreedy::from_prepared(&prep, true)
             .map_err(|e| ServiceError::Solve(e.into()))?;
         // Catch up from the base (epoch 0) state to the current epoch.
         let catch_up: Vec<TupleRef> = deleted
@@ -571,27 +557,19 @@ impl Service {
         })
     }
 
-    /// Fresh boolean answer for `group` at `epoch`, through the shared
-    /// plan cache: whether the query is satisfied, and (when it is) the
-    /// min-cut cost plus its deletion set mapped to **base** tuple
-    /// coordinates so churn stays comparable across epochs. Caller
-    /// holds the mutation lock, so `epoch` is the settled current epoch.
-    fn boolean_answer(
-        &self,
-        group: &Group,
-        epoch: u64,
-    ) -> Result<(bool, u64, Vec<TupleRef>), ServiceError> {
-        let db = {
-            // adp-lint: allow(panic-path) -- same poisoning rationale as
-            // every state-lock read in this crate.
-            Arc::clone(&self.state.read().unwrap().db)
-        };
-        let build_query = Arc::clone(&group.query);
-        let build_db = Arc::clone(&db);
-        let (prep, _hit, evicted) = self.cache.get_or_insert(
+    /// Fresh boolean answer for `group` at the current epoch, through
+    /// the shared plan cache: whether the query is satisfied, and (when
+    /// it is) the min-cut cost plus its deletion set mapped to **base**
+    /// tuple coordinates so churn stays comparable across epochs. Caller
+    /// holds the mutation lock, so the current epoch is settled.
+    fn boolean_answer(&self, group: &Group) -> Result<(bool, u64, Vec<TupleRef>), ServiceError> {
+        let current = self.current();
+        let db = Arc::clone(&current.db);
+        let (prep, _hit, evicted) = self.plan_for(
             group.fingerprint,
-            (group.normalized.clone(), epoch),
-            move || adp_core::solver::PreparedQuery::new((*build_query).clone(), build_db),
+            group.normalized.clone(),
+            &group.query,
+            &current,
         );
         StatsInner::add(&self.stats.evicted, evicted);
         if prep.output_count() == 0 {
@@ -644,7 +622,7 @@ impl Service {
                 // carry the previous one": the update still delivers
                 // its gapless seq with zero drift, and the next
                 // successful solve reports the accumulated movement.
-                let answer = self.boolean_answer(group, epoch).ok();
+                let answer = self.boolean_answer(group).ok();
                 let prev_live = matches!(group.state, Maintained::Boolean { live: true });
                 let live_now = answer.as_ref().map_or(prev_live, |&(live, _, _)| live);
                 group.state = Maintained::Boolean { live: live_now };
@@ -788,14 +766,11 @@ impl Service {
         if let Some(prep) = group.plan.upgrade() {
             return prep.eval();
         }
-        // adp-lint: allow(panic-path) -- same poisoning rationale as
-        // every state-lock read in this crate.
-        let base = Arc::clone(&self.state.read().unwrap().base);
-        let build_query = Arc::clone(&group.query);
+        let base = self.current().base;
         let (prep, _hit, evicted) = self.cache.get_or_insert(
             group.fingerprint,
             (group.normalized.clone(), BASE_PLAN_EPOCH),
-            move || adp_core::solver::PreparedQuery::new((*build_query).clone(), base),
+            |normalized| self.base_plan(normalized, &group.query, &base),
         );
         StatsInner::add(&self.stats.evicted, evicted);
         group.plan = Arc::downgrade(&prep);
@@ -897,6 +872,40 @@ mod tests {
         replay.extend(u.deletion_set_churn.added.iter().copied());
         replay.sort_unstable();
         assert_eq!(replay, ts.prev_deletions);
+    }
+
+    /// A subscription group maintains a clone of the statement's own
+    /// base-plan template: no second base plan, and the cache holds the
+    /// same entries as it would with two.
+    #[test]
+    fn subscription_groups_share_the_statements_base_plan() {
+        let svc = Service::new(chain_db());
+        let stmt = svc.prepare(Q).unwrap();
+        let (_id, rx) = svc
+            .subscribe(&stmt, Target::Outputs(1), SubscribeOptions::default())
+            .unwrap();
+        assert_eq!(
+            svc.cached_plans(),
+            2,
+            "the epoch-0 key and the reserved key"
+        );
+        let group_plan = {
+            let groups = svc.subscriptions.inner.lock().unwrap();
+            groups[stmt.normalized_text()].plan.upgrade().unwrap()
+        };
+        let solved = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
+        assert!(solved.stats.cache_hit);
+        svc.delete_tuples(&[("R2", 0)]).unwrap();
+        assert_eq!(rx.try_recv().unwrap().outputs_lost.len(), 1);
+        stmt.solve(Target::Outputs(1)).unwrap();
+        assert_eq!(svc.cached_plans(), 2, "epoch 0 invalidated, epoch 1 added");
+        let (prep, hit, _) = svc.cache.get_or_insert(
+            stmt.fingerprint(),
+            (stmt.normalized_text().to_string(), 1),
+            |_| unreachable!("epoch 1 is cached"),
+        );
+        assert!(hit);
+        assert!(Arc::ptr_eq(prep.anchor().unwrap(), &group_plan));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 #![allow(deprecated)]
 
 use adp::core::solver::{compute_adp_arc, AdpOptions, AdpOutcome, PreparedQuery};
-use adp::service::{Service, ServiceConfig, SolveRequest};
+use adp::service::{Service, ServiceConfig, SolveRequest, SolveResponse, Statement, Target};
 use adp::{parse_query, Database, Query};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Pins the global pool to 4 workers so `solve_batch` genuinely runs
@@ -259,5 +260,278 @@ fn ratio_targets_resolve_like_explicit_k() {
         let k = ((total as f64) * rho).ceil() as u64;
         let by_k = svc.solve(&SolveRequest::outputs(text, k)).unwrap();
         assert_outcomes_identical(&by_ratio.outcome, &by_k.outcome, &format!("rho={rho}"));
+    }
+}
+
+/// The solver options the epoch-stream suites run every target under:
+/// the default dispatch, and the greedy leaf on every query shape.
+fn stream_opts() -> [AdpOptions; 2] {
+    [
+        AdpOptions::default(),
+        AdpOptions {
+            force_greedy: true,
+            ..Default::default()
+        },
+    ]
+}
+
+/// Large targets first: a solve that kills more than a quarter of the
+/// witnesses drops its pooled state, so ending each epoch on small
+/// targets leaves a state for the next epoch to advance by its batch.
+const STREAM_TARGETS: [Target; 4] = [
+    Target::Ratio(1.0),
+    Target::Ratio(0.5),
+    Target::Outputs(3),
+    Target::Outputs(1),
+];
+
+/// Strategy: the NP-hard path query `R0(A), R1(A,B), R2(B)` over a
+/// random dense `R1 ⊆ dom × dom`, large enough that small batches
+/// move a pooled state by the difference rather than rebuilding it.
+fn arb_path_instance() -> impl Strategy<Value = (Query, Database)> {
+    (6u64..10).prop_flat_map(|dom| {
+        proptest::collection::btree_set(0..dom * dom, 16..=(dom * dom) as usize).prop_map(
+            move |pairs| {
+                let q = parse_query("Q(A,B) :- R0(A), R1(A,B), R2(B)").unwrap();
+                let ends: Vec<Vec<u64>> = (0..dom).map(|v| vec![v]).collect();
+                let r1: Vec<Vec<u64>> = pairs.iter().map(|&p| vec![p / dom, p % dom]).collect();
+                let mut db = Database::new();
+                for (name, attrs, tuples) in [
+                    ("R0", &["A"][..], &ends),
+                    ("R1", &["A", "B"][..], &r1),
+                    ("R2", &["B"][..], &ends),
+                ] {
+                    let borrowed: Vec<&[u64]> = tuples.iter().map(Vec::as_slice).collect();
+                    db.add_relation(name, adp::attrs(attrs), &borrowed);
+                }
+                (q, db)
+            },
+        )
+    })
+}
+
+/// Strategy: the path instance above (whose epoch plans solve on the
+/// anchored base state) or a random query over a small database.
+fn arb_stream_instance() -> impl Strategy<Value = (Query, Database)> {
+    (0usize..2, arb_path_instance(), arb_query()).prop_flat_map(|(pick, path, random)| {
+        let random_db = arb_db(&random, 8, 3);
+        (Just(pick), Just(path), Just(random), random_db).prop_map(
+            |(pick, path, random, random_db)| {
+                if pick == 0 {
+                    path
+                } else {
+                    (random, random_db)
+                }
+            },
+        )
+    })
+}
+
+/// Strategy: a stream of mutation batches, each `(kind, picks)`. Kinds
+/// 0–1 delete the picked tuples; kinds 2–3 restore picks from the
+/// tuples deleted so far (so restores of compacted rows happen).
+fn arb_stream() -> impl Strategy<Value = Vec<(u8, Vec<u64>)>> {
+    proptest::collection::vec(
+        (0u8..4, proptest::collection::vec(0u64..1000, 1..=3)),
+        1..=12,
+    )
+}
+
+/// Applies one batch of [`arb_stream`] and mirrors its effect on
+/// `deleted` (base `(relation, index)` pairs). Returns the epoch the
+/// batch is visible at.
+fn apply_stream_batch(
+    svc: &Service,
+    q: &Query,
+    base: &Database,
+    deleted: &mut BTreeSet<(String, u32)>,
+    (kind, picks): &(u8, Vec<u64>),
+) -> u64 {
+    let restore = *kind >= 2;
+    let batch: Vec<(String, u32)> = if restore {
+        let dead: Vec<&(String, u32)> = deleted.iter().collect();
+        if dead.is_empty() {
+            return svc.epoch();
+        }
+        picks
+            .iter()
+            .map(|&p| dead[p as usize % dead.len()].clone())
+            .collect()
+    } else {
+        picks
+            .iter()
+            .filter_map(|&p| {
+                let name = q.atoms()[p as usize % q.atom_count()].name();
+                let len = base.expect(name).len() as u64;
+                (len > 0).then(|| (name.to_owned(), ((p / 7) % len) as u32))
+            })
+            .collect()
+    };
+    let borrowed: Vec<(&str, u32)> = batch.iter().map(|(n, i)| (n.as_str(), *i)).collect();
+    let epoch = if restore {
+        svc.restore_tuples(&borrowed).unwrap()
+    } else {
+        svc.delete_tuples(&borrowed).unwrap()
+    };
+    for entry in batch {
+        if restore {
+            deleted.remove(&entry);
+        } else {
+            deleted.insert(entry);
+        }
+    }
+    epoch
+}
+
+/// A served response must equal a fresh `PreparedQuery` over the
+/// snapshot of the epoch it answered at, with the target resolved the
+/// way the service resolves it.
+fn assert_matches_fresh_at_epoch(
+    q: &Query,
+    snapshots: &BTreeMap<u64, Arc<Database>>,
+    target: Target,
+    opts: &AdpOptions,
+    resp: &SolveResponse,
+    ctx: &str,
+) {
+    let snap = &snapshots[&resp.stats.epoch];
+    let fresh = PreparedQuery::new(q.clone(), Arc::clone(snap));
+    let total = fresh.output_count();
+    let k = match target {
+        Target::Outputs(k) => k,
+        Target::Ratio(rho) => (total as f64 * rho).ceil() as u64,
+    }
+    .min(total);
+    let expected = if k == 0 {
+        AdpOutcome {
+            cost: 0,
+            achieved: 0,
+            exact: true,
+            truncated: false,
+            output_count: total,
+            solution: Some(Vec::new()),
+        }
+    } else {
+        fresh
+            .solve(k, opts)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+    };
+    let ctx = format!("{ctx} epoch={} {target:?}", resp.stats.epoch);
+    assert_outcomes_identical(&resp.outcome, &expected, &ctx);
+}
+
+/// Every target and option set through both front doors — the
+/// prepared statement and the query text — at the current epoch.
+fn solve_all_targets(
+    svc: &Service,
+    stmt: &Statement<'_>,
+    text: &str,
+) -> Vec<(Target, AdpOptions, SolveResponse)> {
+    let mut out = Vec::new();
+    for opts in stream_opts() {
+        for target in STREAM_TARGETS {
+            let by_stmt = stmt.solve_with(target, Some(&opts), None).unwrap();
+            let req = SolveRequest {
+                target,
+                ..SolveRequest::outputs(text, 1).with_opts(opts.clone())
+            };
+            let by_text = svc.solve(&req).unwrap();
+            out.push((target, opts.clone(), by_stmt));
+            out.push((target, opts.clone(), by_text));
+        }
+    }
+    out
+}
+
+fn stream_service(db: Database, compact: usize) -> Service {
+    Service::with_config(
+        db,
+        ServiceConfig {
+            segment_target_rows: 4,
+            compact_tombstone_pct: [0, 50, 100][compact],
+            ..Default::default()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random delete/restore streams: after every batch, statement and
+    /// text-path solves (k and ρ targets, Report mode) equal a fresh
+    /// plan over that epoch's snapshot on every outcome field — whether
+    /// the epoch's plan answered from the anchored base state or from
+    /// its own evaluation, and whether compaction dropped the rows a
+    /// restore brings back.
+    #[test]
+    fn epoch_streams_match_fresh_plans(
+        ((q, db), stream, compact) in (arb_stream_instance(), arb_stream(), 0usize..3)
+    ) {
+        four_workers();
+        let svc = stream_service(db, compact);
+        let (_, base) = svc.snapshot();
+        let text = format!("{q}");
+        let stmt = svc.prepare(&text).unwrap();
+        let mut snapshots = BTreeMap::from([(0, Arc::clone(&base))]);
+        let mut deleted = BTreeSet::new();
+        let check = |svc: &Service, snapshots: &BTreeMap<u64, Arc<Database>>| {
+            for (target, opts, resp) in solve_all_targets(svc, &stmt, &text) {
+                prop_assert_eq!(resp.stats.epoch, svc.epoch());
+                assert_matches_fresh_at_epoch(&q, snapshots, target, &opts, &resp, &text);
+            }
+            Ok(())
+        };
+        check(&svc, &snapshots)?;
+        for batch in &stream {
+            let epoch = apply_stream_batch(&svc, &q, &base, &mut deleted, batch);
+            snapshots.insert(epoch, svc.snapshot().1);
+            check(&svc, &snapshots)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same stream with a reader thread solving while the writer
+    /// applies it: every response, at whichever epoch it answered,
+    /// equals a fresh plan over that epoch's snapshot.
+    #[test]
+    fn epoch_streams_match_fresh_plans_under_a_racing_writer(
+        ((q, db), stream, compact) in (arb_stream_instance(), arb_stream(), 0usize..3)
+    ) {
+        four_workers();
+        let svc = stream_service(db, compact);
+        let (_, base) = svc.snapshot();
+        let text = format!("{q}");
+        let stmt = svc.prepare(&text).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (snapshots, responses) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut responses = Vec::new();
+                loop {
+                    let finished = done.load(std::sync::atomic::Ordering::Acquire);
+                    responses.extend(solve_all_targets(&svc, &stmt, &text));
+                    if finished {
+                        return responses;
+                    }
+                }
+            });
+            let mut snapshots = BTreeMap::from([(0, Arc::clone(&base))]);
+            let mut deleted = BTreeSet::new();
+            for batch in &stream {
+                let epoch = apply_stream_batch(&svc, &q, &base, &mut deleted, batch);
+                snapshots.insert(epoch, svc.snapshot().1);
+                // Let the reader land solves on most epochs, not just
+                // the first and the last.
+                std::thread::sleep(std::time::Duration::from_micros(300));
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+            (snapshots, reader.join().unwrap())
+        });
+        prop_assert!(!responses.is_empty());
+        for (target, opts, resp) in &responses {
+            assert_matches_fresh_at_epoch(&q, &snapshots, *target, opts, resp, &text);
+        }
     }
 }
