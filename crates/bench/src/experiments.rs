@@ -572,9 +572,7 @@ pub fn fig_stream() {
     fig.finish();
 
     let json = stream_json(batches, batch_size, &records);
-    let path = "BENCH_stream.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", json.len());
+    crate::write_record("BENCH_stream.json", &json);
 }
 
 /// One input size's record for `BENCH_stream.json`.
@@ -950,32 +948,34 @@ fn report_latencies(fig: &mut Figure, series: &str, clients: usize, throughput: 
 /// N ∈ {1, 8, 64}:
 ///
 /// * **Push** — N subscribers registered once up front; each batch pays
-///   one shared delta application, one incremental greedy re-solve for
-///   the shared target, and N bounded-channel sends. The timed span is
-///   the *aggregate update latency*: mutation call through all N
+///   one advance of the statement's pooled greedy state, one solve for
+///   the shared target on it, and N bounded-channel sends. The timed span
+///   is the *aggregate update latency*: mutation call through all N
 ///   deliveries drained.
 /// * **Pull** — the pre-subscription world: after the same batch each
-///   of N clients re-solves the prepared statement at the new epoch.
-///   The first re-solve rebuilds the plan/eval/delta for that epoch and
-///   the other N−1 share it from the plan cache, so this is the
-///   *favorable* pull baseline, not a strawman.
+///   of N clients re-solves the prepared statement at the new epoch. The
+///   re-solves share the epoch's plan and its advanced pooled state, so
+///   this is the *favorable* pull baseline, not a strawman. It is
+///   reported, not gated: push and pull run on the same state, and the
+///   gap is N − 1 solves.
 ///
 /// Every pushed diff is equality-checked in-harness: subscriber 0's
 /// replica (live rows + target cost + deletion set, advanced only by
 /// the pushed diffs) must byte-identically equal a fresh evaluation +
 /// sequential greedy solve at every single epoch (soft check;
-/// divergence fails the process at exit). At N = 8 the push arm must
-/// beat pull by ≥5× aggregate update latency (≥1.5× in quick mode,
-/// where a small instance and short stream flatten the gap). The whole
+/// divergence fails the process at exit).
+///
+/// The gate is what push saves: the work per batch must not grow with
+/// the number of subscribers. Every fan-out must count exactly one
+/// shared advance per batch (`shared_delta_applications == batches`),
+/// and push ms/batch at N = 64 may be at most
+/// [`SUBSCRIBE_FLATNESS_BOUND`] times push ms/batch at N = 1. The whole
 /// record is written as `BENCH_subscribe.json`.
 ///
 /// The mutation span is additionally split: a third, subscriber-free
 /// service absorbs the same batches so the O(Δ) **snapshot install**
 /// is timed alone, and the record separates it from the shared
-/// **delta application** (provenance maintenance + incremental
-/// re-solve) the subscription group adds on top. Earlier revisions
-/// timed the O(n) snapshot rebuild inside the mutation span, burying
-/// the write path's actual cost.
+/// **advance and solve** the subscription group adds on top.
 pub fn fig_subscribe() {
     use adp_core::solver::PreparedQuery;
     use adp_engine::provenance::TupleRef;
@@ -1098,7 +1098,7 @@ pub fn fig_subscribe() {
 
         // --- Bare arm: no statements, no subscribers — each batch is
         // a pure O(Δ) snapshot install, isolating the write path's
-        // floor from the delta application the group adds on top.
+        // floor from the advance and solve the group adds on top.
         let bare_svc = Service::new(db.clone());
 
         let (mut push_ms, mut pull_ms) = (0.0f64, 0.0f64);
@@ -1109,7 +1109,7 @@ pub fn fig_subscribe() {
                 .map(|&(a, i)| (rel_names[a].as_str(), i))
                 .collect();
 
-            // Timed: mutation (delta + incremental solve + N sends)
+            // Timed: mutation (advance + target solve + N sends)
             // plus draining all N deliveries.
             let t0 = Instant::now();
             if *is_delete {
@@ -1226,7 +1226,7 @@ pub fn fig_subscribe() {
 
         let stats = push_svc.stats();
         crate::checks::check_eq(&stats.shared_delta_applications, &(batches as u64), || {
-            format!("fig_subscribe N={subs_n}: expected one delta application per batch")
+            format!("fig_subscribe N={subs_n}: expected one shared advance per batch")
         });
         crate::checks::check_eq(&stats.updates_pushed, &((batches * subs_n) as u64), || {
             format!("fig_subscribe N={subs_n}: every subscriber gets every batch")
@@ -1241,13 +1241,12 @@ pub fn fig_subscribe() {
         let pull_per = pull_ms / batches as f64;
         let install_per = install_ms / batches as f64;
         // What the subscription group adds to the mutation span beyond
-        // the bare install (shared provenance delta + incremental
-        // re-solve + sends). Clamped: both spans are measured, so
+        // the bare install (shared advance + target solve + sends). Clamped: both spans are measured, so
         // noise on tiny batches could dip the difference below zero.
         let apply_per = ((mutate_ms - install_ms) / batches as f64).max(0.0);
         let speedup = pull_ms / push_ms;
         fig.push(
-            &format!("Push (1 delta + {subs_n} pushes)"),
+            &format!("Push (1 advance + {subs_n} pushes)"),
             subs_n as f64,
             push_per,
             u64::MAX,
@@ -1260,22 +1259,9 @@ pub fn fig_subscribe() {
         );
         println!(
             "      {subs_n} subscribers: push {push_per:.3} ms/batch \
-             (install {install_per:.3} + delta-apply {apply_per:.3} + fan-out), \
-             pull {pull_per:.3} ms/batch, speedup {speedup:.1}x"
+             (install {install_per:.3} + advance/solve {apply_per:.3} + fan-out), \
+             pull {pull_per:.3} ms/batch, pull/push {speedup:.1}x"
         );
-        if subs_n == 8 {
-            // Acceptance floor: pushing diffs to 8 subscribers must be
-            // ≥5× cheaper than 8 pull re-solves per batch (quick mode
-            // runs a small instance where fixed costs weigh more, so
-            // the floor is relaxed to 1.5× there).
-            let floor = if quick_mode() { 1.5 } else { 5.0 };
-            crate::checks::check(speedup >= floor, || {
-                format!(
-                    "fig_subscribe: push only {speedup:.2}x faster than pull at 8 \
-                     subscribers (floor {floor}x)"
-                )
-            });
-        }
         records.push(SubscribeRecord {
             subscribers: subs_n,
             push_ms_per_batch: push_per,
@@ -1290,11 +1276,36 @@ pub fn fig_subscribe() {
     }
     fig.finish();
 
-    let json = subscribe_json(n, batches, batch_size, k, &records);
-    let path = "BENCH_subscribe.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", json.len());
+    // The gate: push cost per batch is flat in the fan-out.
+    let push_at = |subs: usize| {
+        records
+            .iter()
+            .find(|r| r.subscribers == subs)
+            .map_or(f64::NAN, |r| r.push_ms_per_batch)
+    };
+    let flatness = push_at(fan_outs[2]) / push_at(fan_outs[0]);
+    println!(
+        "  push flatness: N={} / N={} = {flatness:.2}x (bound {SUBSCRIBE_FLATNESS_BOUND}x)",
+        fan_outs[2], fan_outs[0]
+    );
+    crate::checks::check(flatness <= SUBSCRIBE_FLATNESS_BOUND, || {
+        format!(
+            "fig_subscribe: push ms/batch grew {flatness:.2}x from {} to {} subscribers \
+             (bound {SUBSCRIBE_FLATNESS_BOUND}x)",
+            fan_outs[0], fan_outs[2]
+        )
+    });
+
+    let json = subscribe_json(n, batches, batch_size, k, flatness, &records);
+    crate::write_record("BENCH_subscribe.json", &json);
 }
+
+/// `fig_subscribe`'s gate: push ms/batch at 64 subscribers over push
+/// ms/batch at 1 subscriber. With one shared advance and one solve per
+/// batch the ratio measured 0.93–1.72 in nine `--quick --threads 2` runs
+/// and 1.09–1.31 in four full runs (2-vCPU container); a service that
+/// advances the state once per subscriber measured 12.6 and 5.8.
+pub const SUBSCRIBE_FLATNESS_BOUND: f64 = 3.0;
 
 /// One fan-out's record for `BENCH_subscribe.json`.
 struct SubscribeRecord {
@@ -1315,6 +1326,7 @@ fn subscribe_json(
     batches: usize,
     batch_size: usize,
     k: u64,
+    flatness: f64,
     records: &[SubscribeRecord],
 ) -> String {
     let mut out = String::new();
@@ -1322,6 +1334,9 @@ fn subscribe_json(
     out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
     out.push_str(&format!(
         "  \"n\": {n},\n  \"batches\": {batches},\n  \"batch_size\": {batch_size},\n  \"k\": {k},\n"
+    ));
+    out.push_str(&format!(
+        "  \"push_flatness_64_over_1\": {flatness:.2},\n  \"push_flatness_bound\": {SUBSCRIBE_FLATNESS_BOUND},\n"
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -1852,9 +1867,7 @@ pub fn fig_htap() {
         rebuild_growth,
         &storm,
     );
-    let path = "BENCH_htap.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", json.len());
+    crate::write_record("BENCH_htap.json", &json);
 }
 
 /// One input size's write-path record for `BENCH_htap.json`.
@@ -2120,9 +2133,7 @@ pub fn fig_scale() {
     fig.finish();
 
     let json = scale_json(&sizes, &threads_sweep, &size_records);
-    let path = "BENCH_scale.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", json.len());
+    crate::write_record("BENCH_scale.json", &json);
 }
 
 /// One input size's record for `BENCH_scale.json`.
@@ -2618,8 +2629,6 @@ pub fn fig_open_loop() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = "BENCH_open_loop.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path} ({} bytes)", json.len());
+    crate::write_record("BENCH_open_loop.json", &json);
     figure.finish();
 }

@@ -19,6 +19,7 @@ pub mod experiments;
 use adp_core::query::Query;
 use adp_core::solver::{AdpOptions, AdpOutcome, PreparedQuery};
 use adp_engine::database::Database;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -171,6 +172,29 @@ pub fn quick_mode() -> bool {
     cli::args().quick
 }
 
+/// Where a figure's JSON record named `name` (e.g. `BENCH_stream.json`)
+/// goes: the working directory (the repo root, where the checked-in
+/// records live) for a full run, `target/bench-quick/` for a `--quick`
+/// run, so a CI-sized smoke run never overwrites a checked-in record.
+pub fn record_path(name: &str, quick: bool) -> PathBuf {
+    if quick {
+        Path::new("target").join("bench-quick").join(name)
+    } else {
+        PathBuf::from(name)
+    }
+}
+
+/// Writes a figure's JSON record to its [`record_path`] for the current
+/// mode, creating the quick-run directory when needed.
+pub fn write_record(name: &str, json: &str) {
+    let path = record_path(name, quick_mode());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    }
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    println!("wrote {} ({} bytes)", path.display(), json.len());
+}
+
 /// Input size ladder: full mode walks further up the paper's 1k..10M
 /// sweep than quick mode does.
 pub fn size_ladder(full: &[usize], quick: &[usize]) -> Vec<usize> {
@@ -198,6 +222,19 @@ mod tests {
         f.push("s", 1.0, 2.0, 3);
         assert_eq!(f.points.len(), 1);
         f.finish();
+    }
+
+    /// A full run writes the checked-in record at the root; a quick run
+    /// writes under `target/`, never over it.
+    #[test]
+    fn quick_records_never_land_on_the_checked_in_path() {
+        assert_eq!(
+            record_path("BENCH_stream.json", false),
+            Path::new("BENCH_stream.json")
+        );
+        let quick = record_path("BENCH_stream.json", true);
+        assert_eq!(quick, Path::new("target/bench-quick/BENCH_stream.json"));
+        assert!(quick.starts_with("target"));
     }
 
     #[test]

@@ -242,9 +242,9 @@ fn delta_rounds(
 /// cumulative outputs removed through it, and whether the deadline cut
 /// the loop short.
 ///
-/// Pull solves ([`delta_rounds`]) and push re-solves
-/// ([`IncrementalGreedy::solve`](super::IncrementalGreedy::solve)) both
-/// run this loop, so the two cannot pick differently.
+/// [`delta_rounds`] is its one caller. Push subscriptions answer their
+/// targets through the same pull solve, so push and pull cannot pick
+/// differently.
 pub(super) fn greedy_round_loop(
     delta: &mut DeltaProvenance,
     cap: u64,

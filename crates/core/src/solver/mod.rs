@@ -19,7 +19,6 @@ pub mod brute;
 pub mod decompose;
 pub mod fluent;
 pub mod greedy;
-pub mod incremental;
 pub mod policy;
 pub mod prepared;
 pub mod profile;
@@ -39,11 +38,10 @@ use std::sync::Arc;
 #[allow(deprecated)]
 pub use self::compute_resilience as resilience;
 pub use fluent::{Branch, Explain, Report, Solve};
-pub use incremental::{IncrementalGreedy, IncrementalSolve};
 #[allow(deprecated)]
 pub use policy::compute_adp_with_policy;
 pub use policy::DeletionPolicy;
-pub use prepared::{DeadSet, PlannedEval, PreparedQuery};
+pub use prepared::{DeadSet, LiveTransitions, PlannedEval, PreparedQuery};
 pub use profile::{CostProfile, ProfilePoint};
 pub use solved::Solved;
 pub use verify::{apply_deletions, removed_outputs};

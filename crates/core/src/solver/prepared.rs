@@ -26,6 +26,9 @@
 //! solves then borrow the base plan's pooled states, advanced by the
 //! difference of dead sets, and never join the epoch (the paper's
 //! `Q(D − S)`, Definition 1, with `S` the epoch's deletions).
+//! [`PreparedQuery::advance`] moves a pooled state between two dead sets
+//! ahead of the next solve and reports which outputs died or revived on
+//! the way: push subscriptions take their row transitions from it.
 //!
 //! Everything is **`Send + Sync`** (shared ownership via `Arc`, lazy
 //! caches via [`OnceLock`]), so one compiled plan can be shared
@@ -37,6 +40,7 @@
 
 use super::view::View;
 use super::{AdpOptions, AdpOutcome};
+use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::database::Database;
@@ -84,6 +88,20 @@ pub(crate) fn build_delta_provenance(
 /// so those indices are the engine's stable ids and name the same
 /// tuples in every later epoch.
 pub type DeadSet = Vec<BTreeSet<u32>>;
+
+/// What moving a pooled greedy state from one dead set to another did
+/// to the view ([`PreparedQuery::advance`]): the outputs whose last live
+/// witness went away, the outputs that came back, and `|Q(D − S)|` at
+/// the new dead set. Output ids index the plan's root evaluation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LiveTransitions {
+    /// Outputs live at the old dead set and dead at the new one, sorted.
+    pub died: Vec<u32>,
+    /// Outputs dead at the old dead set and live at the new one, sorted.
+    pub revived: Vec<u32>,
+    /// Live outputs at the new dead set.
+    pub live_outputs: u64,
+}
 
 /// The base plan an epoch plan runs its greedy solves on, and the
 /// epoch's dead set relative to it.
@@ -415,6 +433,17 @@ impl<'a> GreedyLease<'a> {
         self.delta.live_outputs()
     }
 
+    /// Re-homes a state the caller moved to the dead set `dead`:
+    /// [`release`](Self::release) then checks it in under `dead`, and
+    /// the live counts it must show there are the current ones.
+    fn moved_to(&mut self, dead: &Arc<DeadSet>) {
+        if let Some(home) = &mut self.home {
+            home.dead = Some(Arc::clone(dead));
+            home.live_witnesses = self.delta.live_witnesses();
+            home.live_outputs = self.delta.live_outputs();
+        }
+    }
+
     /// A tuple of the state in the solved database's coordinates: the
     /// identity, except on an anchored lease, whose stable ids map to
     /// the epoch's dense indices. The map is monotone, so the greedy
@@ -543,12 +572,6 @@ impl PreparedQuery {
         before - self.planned.eval_masked(&mask).output_count()
     }
 
-    /// The plan's scored delta template (see
-    /// [`PlannedEval::delta_template`]).
-    pub(crate) fn delta_template(&self, parallel: bool) -> Result<Arc<DeltaProvenance>, AdpError> {
-        self.planned.delta_template(parallel)
-    }
-
     /// Greedy states idle in this plan's pool, over every selectable
     /// mask. Never more than the peak number of concurrent greedy solves
     /// on this plan.
@@ -599,6 +622,51 @@ impl PreparedQuery {
             db,
             planned: Arc::new(planned),
         }
+    }
+
+    /// Moves one of this plan's pooled greedy states from the dead set
+    /// `from` to `to` (both index this plan's database, see [`DeadSet`])
+    /// and reports the outputs that crossed the live line on the way:
+    /// the 1→0 and 0→1 live-witness crossings, so an output whose
+    /// witnesses merely thinned is not reported. The state is checked
+    /// out at `from` as a greedy solve would take it (tagged `from`,
+    /// brought there from another dead set, or cloned from the
+    /// template), moved by the difference in `O(Δ)` of the affected
+    /// witnesses, and checked back in tagged with `to` itself, so the
+    /// next greedy solve of a plan [anchored](Self::anchored) on `to`
+    /// takes it as is.
+    ///
+    /// Fails only when the scored state cannot be built (e.g. too many
+    /// witnesses to index).
+    pub fn advance(
+        &self,
+        from: &Arc<DeadSet>,
+        to: &Arc<DeadSet>,
+    ) -> Result<LiveTransitions, AdpError> {
+        let selectable = endogenous_atoms(&self.query);
+        let mut lease = self.planned.checkout(&selectable, Some(from), true)?;
+        let (deletes, restores) = self.planned.dead_diff(Some(from), Some(to));
+        let mut revived = lease.delta().restore_batch_transitions(&restores);
+        let mut died = lease.delta().delete_batch_transitions(&deletes);
+        if !died.is_empty() && !revived.is_empty() {
+            // Revived by the restores and killed again by the deletes:
+            // dead at both ends, so no transition.
+            let both: Vec<u32> = died
+                .iter()
+                .copied()
+                .filter(|id| revived.binary_search(id).is_ok())
+                .collect();
+            died.retain(|id| both.binary_search(id).is_err());
+            revived.retain(|id| both.binary_search(id).is_err());
+        }
+        let live_outputs = lease.live_outputs();
+        lease.moved_to(to);
+        lease.release(&[]);
+        Ok(LiveTransitions {
+            died,
+            revived,
+            live_outputs,
+        })
     }
 
     /// The base plan an [`anchored`](Self::anchored) plan solves on;
@@ -1027,6 +1095,123 @@ mod tests {
         assert!(epoch.planned.eval.get().is_some(), "the epoch was joined");
         assert_eq!(base.pooled_states(), 0);
         assert_eq!(epoch.pooled_states(), 1, "the epoch pooled its own state");
+    }
+
+    /// The base output ids live in a fresh evaluation of `dead`'s epoch.
+    fn live_ids(q: &Query, db: &Arc<Database>, base: &PreparedQuery, dead: &DeadSet) -> Vec<u32> {
+        let fresh = PreparedQuery::new(q.clone(), epoch_of(db, dead)).eval();
+        let live: BTreeSet<_> = fresh.outputs.iter().collect();
+        (0u32..)
+            .zip(base.eval().outputs.iter())
+            .filter(|(_, row)| live.contains(row))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// `a − b` of two sorted id lists.
+    fn minus(a: &[u32], b: &[u32]) -> Vec<u32> {
+        a.iter().copied().filter(|id| !b.contains(id)).collect()
+    }
+
+    /// On every checkout path (a state tagged `from`, a state tagged
+    /// another dead set, a template clone) `advance` reports exactly the
+    /// outputs whose liveness differs between fresh evaluations at `from`
+    /// and `to`, and leaves the state pooled under `to` itself, where an
+    /// anchored plan at `to` finds it as is. Advancing back reports the
+    /// mirror image.
+    #[test]
+    fn advance_reports_the_live_output_difference_on_every_checkout_path() {
+        let mut seed = 0x5EED_u64;
+        let mut rng = move |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let queries = [
+            "Q(A,B) :- R1(A), R2(A,B), R3(B)",
+            "Q(A) :- R1(A), R2(A,B), R3(B)",
+            "Q(A,B) :- R1(A), R2(A,B)",
+        ];
+        for case in 0..60 {
+            let dom = 2 + rng(4);
+            let pairs: Vec<Vec<u64>> = (0..dom * dom)
+                .filter(|_| rng(3) != 0)
+                .map(|i| vec![i % dom, i / dom])
+                .collect();
+            let singles = |rng: &mut dyn FnMut(u64) -> u64| -> Vec<Vec<u64>> {
+                (0..dom).filter(|_| rng(4) != 0).map(|a| vec![a]).collect()
+            };
+            let (r1, r3) = (singles(&mut rng), singles(&mut rng));
+            fn rows(v: &[Vec<u64>]) -> Vec<&[u64]> {
+                v.iter().map(|t| t.as_slice()).collect()
+            }
+            let mut db = Database::new();
+            db.add_relation("R1", attrs(&["A"]), &rows(&r1));
+            db.add_relation("R2", attrs(&["A", "B"]), &rows(&pairs));
+            db.add_relation("R3", attrs(&["B"]), &rows(&r3));
+            db.seal_all(4);
+            let db = Arc::new(db);
+            let q = parse_query(queries[case % queries.len()]).unwrap();
+            let lens: Vec<u64> = db.relations().iter().map(|r| r.len() as u64).collect();
+            let mut random_dead = || -> Arc<DeadSet> {
+                Arc::new(
+                    lens.iter()
+                        .map(|&len| (0..len as u32).filter(|_| rng(3) == 0).collect())
+                        .collect(),
+                )
+            };
+            let (from, to) = (random_dead(), random_dead());
+            let (live_from, live_to) = {
+                let base = PreparedQuery::new(q.clone(), Arc::clone(&db));
+                (
+                    live_ids(&q, &db, &base, &from),
+                    live_ids(&q, &db, &base, &to),
+                )
+            };
+            for path in ["tagged from", "tagged other", "template"] {
+                let base = Arc::new(PreparedQuery::new(q.clone(), Arc::clone(&db)));
+                match path {
+                    "tagged from" => {
+                        base.advance(&random_dead(), &from).unwrap();
+                    }
+                    // Same content as `from`, another `Arc`: the state
+                    // is brought to `from` by an empty difference.
+                    "tagged other" => {
+                        base.advance(&random_dead(), &Arc::new((*from).clone()))
+                            .unwrap();
+                    }
+                    _ => assert_eq!(base.pooled_states(), 0),
+                }
+                let moved = base.advance(&from, &to).unwrap();
+                let at = format!("case {case} ({path})");
+                assert_eq!(moved.died, minus(&live_from, &live_to), "{at}");
+                assert_eq!(moved.revived, minus(&live_to, &live_from), "{at}");
+                assert_eq!(moved.live_outputs, live_to.len() as u64, "{at}");
+                assert_eq!(base.pooled_states(), 1, "{at}");
+                assert!(same_dead(
+                    base.planned.idle_states()[0].dead.as_ref(),
+                    Some(&to)
+                ));
+
+                let epoch = base.anchored(epoch_of(&db, &to), Arc::clone(&to));
+                assert_eq!(epoch.output_count(), moved.live_outputs, "{at}");
+                assert_eq!(base.pooled_states(), 1, "{at}: the solve took it as is");
+                assert!(same_dead(
+                    base.planned.idle_states()[0].dead.as_ref(),
+                    Some(&to)
+                ));
+                assert_anchored_matches_fresh(&q, &epoch, &[1, 3]);
+
+                let back = base.advance(&to, &from).unwrap();
+                assert_eq!(
+                    (back.died, back.revived),
+                    (moved.revived, moved.died),
+                    "{at}"
+                );
+                assert_eq!(back.live_outputs, live_from.len() as u64, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -45,12 +45,12 @@
 //!   the epoch, so they cannot invalidate plans or wake subscribers.
 //! * **Push subscriptions** — [`Service::subscribe`] registers a
 //!   statement for incremental-view-maintenance updates: each effective
-//!   batch advances one shared O(Δ) delta state per statement and fans
-//!   a minimal [`ViewUpdate`] (live-transition rows, cost drift,
+//!   batch advances the statement's pooled greedy state once, in O(Δ),
+//!   answers each subscribed target through the pull path, and fans a
+//!   minimal [`ViewUpdate`] (live-transition rows, cost drift,
 //!   deletion-set churn) out to every subscriber over bounded channels
 //!   that lag (typed [`Lagged`]) instead of ever blocking the mutation
-//!   path. Subscriptions on the same normalized statement share one
-//!   delta application per batch — the N-clients-for-one-O(Δ) unlock.
+//!   path. Push and pull share one maintained state per statement.
 //!
 //! Every answer is byte-identical to a direct
 //! [`compute_adp_arc`](adp_core::solver::compute_adp_arc) call on the
@@ -583,13 +583,14 @@ impl Service {
             next.maybe_compact_all(self.config.compact_tombstone_pct);
         }
         let db = Arc::new(next);
+        let next_deleted = Arc::new(next_deleted);
         let epoch = {
             // adp-lint: allow(panic-path) -- lock poisoning requires a prior
             // panic while holding the lock; holders run no user code, and
             // propagating the original crash beats serving torn state.
             let mut state = self.state.write().unwrap();
             state.db = db;
-            state.deleted = Arc::new(next_deleted);
+            state.deleted = Arc::clone(&next_deleted);
             state.epoch += 1;
             state.epoch
         };
@@ -598,7 +599,7 @@ impl Service {
         // Fan the batch out to subscribers while still holding the
         // mutation lock: every registered view advances through exactly
         // this batch before the next one can install.
-        self.notify_subscribers(epoch, &effective, delete);
+        self.notify_subscribers(epoch, &deleted, &next_deleted);
         Ok(epoch)
     }
 

@@ -101,8 +101,8 @@ impl Statement<'_> {
         self.svc
     }
 
-    /// The parsed query, shareably (subscription groups hold it so they
-    /// can recompile the base plan after an LRU eviction).
+    /// The parsed query, shareably (subscription groups hold it to plan
+    /// each epoch they answer at).
     pub(crate) fn query_arc(&self) -> &Arc<Query> {
         &self.query
     }

@@ -102,11 +102,12 @@ pub struct ServiceStats {
     /// (the subscriber learns their `seq`s from the next delivered
     /// update's [`Lagged`](crate::Lagged) marker).
     pub lagged_drops: u64,
-    /// Delta-state batch applications across all subscription groups.
-    /// The sharing invariant (asserted in tests): N subscribers on one
-    /// normalized statement advance **one** shared delta state, so this
-    /// grows by the number of *groups*, not subscribers, per effective
-    /// batch.
+    /// Batch advances of pooled greedy states by subscription groups.
+    /// Each row-producing group moves its statement's state (the one
+    /// pull solves also use) to the new dead set once per effective
+    /// batch, however many subscribers it has, so this grows by the
+    /// number of row *groups*, not subscribers, per batch (asserted in
+    /// tests). Boolean groups advance nothing.
     pub shared_delta_applications: u64,
     /// Currently registered subscriptions — a gauge, not a tally: it
     /// falls on [`unsubscribe`](crate::Service::unsubscribe) and when a

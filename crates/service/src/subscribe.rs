@@ -2,37 +2,46 @@
 //! door over the delta layer.
 //!
 //! Every other entry point is pull-based: after an epoch bump a client
-//! must re-issue a solve, so N interested clients cost N fresh solves
-//! per mutation batch even though the delta layer can absorb the batch
-//! in O(Δ). [`Service::subscribe`] inverts the flow — register once,
-//! and every effective [`delete_tuples`](Service::delete_tuples) /
+//! must re-issue a solve, so N interested clients cost N solves per
+//! mutation batch even though the delta layer can absorb the batch in
+//! O(Δ). [`Service::subscribe`] inverts the flow — register once, and
+//! every effective [`delete_tuples`](Service::delete_tuples) /
 //! [`restore_tuples`](Service::restore_tuples) batch pushes a minimal
 //! [`ViewUpdate`] describing what the batch did to the watched view:
 //!
 //! ```text
-//! mutation batch ──→ shared delta state (O(Δ), one per statement)
+//! mutation batch ──→ advance the statement's pooled greedy state
+//!                    from the old dead set to the new one (O(Δ))
 //!                         │
 //!                         ├─→ live-transition rows (the SSP weight
 //!                         │   rule: emit only on 1→0 / 0→1 crossings)
+//!                         ├─→ one pull solve per distinct target at the
+//!                         │   new epoch, on the state just advanced
 //!                         └─→ fan-out: try_send to every subscriber
 //! ```
 //!
 //! The unit of sharing is the **group**: all subscriptions on the same
-//! normalized statement hold one long-lived incremental greedy state
-//! ([`IncrementalGreedy`]) in *base* tuple coordinates, advanced once
-//! per batch no matter how many subscribers listen (the
-//! `shared_delta_applications` counter pins this). Output rows are
-//! emitted only for outputs whose last live witness disappeared (or
-//! first reappeared) — redundant-witness churn inside a still-live
-//! output is silent, exactly the SSP weight-transition rule.
+//! normalized statement. A group keeps no solver state of its own. It
+//! holds the statement's base (epoch-0) plan, whose pool already keeps
+//! the greedy states pull solves run on (the paper's `Q(D − S)`,
+//! Definition 1, one state tagged per dead set `S`). A row group moves
+//! one of those states to the new dead set once per batch, no matter how
+//! many subscribers listen (the `shared_delta_applications` counter
+//! pins this), through [`PreparedQuery::advance`]. That call reports
+//! the outputs whose last live witness disappeared (or first
+//! reappeared), so redundant-witness churn inside a still-live output is
+//! silent, exactly the SSP weight-transition rule. It checks the state
+//! back in tagged with the new dead set, where the next solve at the new
+//! epoch, push or pull, takes it as is.
 //!
-//! Boolean (min-cut) statements have no delta state to maintain, so
-//! their groups fall back to **re-solve-on-push**: each effective batch
-//! runs a fresh flow solve through the plan cache at the new epoch, and
-//! a satisfied↔unsatisfied flip emits a single pseudo output row (id 0,
-//! empty values). Per-subscriber **projections**
-//! ([`SubscribeOptions::with_projection`]) thin delivered rows to the
-//! requested head columns before enqueue.
+//! Every group answers its targets through the pull path: the epoch's
+//! plan from the shared plan cache, solved in report mode. Row groups
+//! force the greedy leaf (Algorithm 6), so a pushed answer is pick for
+//! pick the fresh `force_greedy` solve. Boolean (min-cut) statements
+//! solve with the service's default options, and a satisfied↔unsatisfied
+//! flip emits a single pseudo output row (id 0, empty values).
+//! Per-subscriber **projections** ([`SubscribeOptions::with_projection`])
+//! thin delivered rows to the requested head columns before enqueue.
 //!
 //! Serving concerns handled here, not left to callers:
 //!
@@ -48,43 +57,35 @@
 //!   not), so `seq`s delivered plus `seq`s named in `Lagged` markers
 //!   reconstruct the full epoch sequence with no gaps — and no-op
 //!   batches never wake anyone because they no longer bump the epoch.
-//! * **Auto re-bind.** The group's base-epoch plan lives in the shared
-//!   plan cache under a reserved key that epoch invalidation skips; if
-//!   LRU pressure evicts it, the next transition re-compiles through
-//!   the cache transparently (base evaluation is deterministic, so the
-//!   maintained output ids stay valid).
+//! * **No cache slot of its own.** The group holds its base plan by a
+//!   strong `Arc`, as a statement does, so plan-cache eviction and epoch
+//!   invalidation never take it away; the per-epoch plans it answers
+//!   through are ordinary cache entries it shares with pull solves.
 //! * **Drop-aware cleanup.** Dropping a [`Receiver`] unsubscribes
 //!   implicitly at the next batch; [`Service::unsubscribe`] does it
-//!   eagerly. Empty groups release their delta state.
+//!   eagerly. An empty group releases its base plan.
 //!
 //! Updates also track the subscription's removal **target**: each
-//! distinct target in a group is re-solved per batch *on the shared
-//! maintained state* (greedy picks are rolled back afterwards — no
-//! clone, no re-join), and the update reports the cost drift and the
-//! deletion-set churn relative to the previous epoch. The
-//! `subscription_differential` suite replays pushed updates from the
-//! subscription point and demands byte-identity with fresh solves at
+//! distinct target in a group is solved once per batch, and the update
+//! reports the cost drift and the deletion-set churn relative to the
+//! previous epoch. The `subscription_differential` suite replays pushed
+//! updates from the subscription point, with pull solves on the same
+//! statement in between, and demands byte-identity with fresh solves at
 //! every epoch.
 
 use crate::error::ServiceError;
 use crate::request::Target;
 use crate::statement::Statement;
 use crate::stats::StatsInner;
-use crate::Service;
+use crate::{EpochState, Service};
 use adp_core::query::Query;
-use adp_core::solver::{IncrementalGreedy, Mode};
+use adp_core::solver::{AdpOptions, DeadSet, Mode, PreparedQuery};
 use adp_engine::provenance::TupleRef;
 use adp_engine::value::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, Weak};
-
-/// The reserved cache-key epoch for subscription base plans. Epoch
-/// invalidation drops keys *below* the current epoch, so `u64::MAX`
-/// entries survive every bump and die only to LRU pressure — which the
-/// notifier heals by re-compiling through the cache (auto re-bind).
-const BASE_PLAN_EPOCH: u64 = u64::MAX;
+use std::sync::{Arc, Mutex};
 
 /// Opaque handle naming one registration, for
 /// [`Service::unsubscribe`]. Unique per service instance, never reused.
@@ -234,40 +235,21 @@ struct Sub {
     projection: Option<Box<[usize]>>,
 }
 
-/// How a group's answer is maintained across batches.
-enum Maintained {
-    /// Row-producing statements: one shared incremental greedy state in
-    /// base coordinates, advanced in O(Δ) per batch. Boxed so the
-    /// cheap boolean variant doesn't inflate every group.
-    Greedy(Box<IncrementalGreedy>),
-    /// Boolean (min-cut) statements, which the incremental greedy
-    /// cannot maintain: re-solve-on-push. Each effective batch runs a
-    /// fresh flow solve through the plan cache at the new epoch and
-    /// diffs against the remembered answer; `live` is whether the query
-    /// was satisfied at the previous epoch, so 0↔1 flips emit a single
-    /// pseudo output-row transition (the empty tuple, id 0).
-    Boolean {
-        /// Whether `Q(D)` was non-empty at the last pushed epoch.
-        live: bool,
-    },
-}
-
-/// All subscriptions on one normalized statement: one shared maintained
-/// answer state, one catalog map, one weak handle to the base plan.
+/// All subscriptions on one normalized statement: the statement's base
+/// plan, the view's size at the last pushed epoch, one remembered answer
+/// per distinct target, and the subscribers.
 struct Group {
     query: Arc<Query>,
     normalized: String,
     fingerprint: u64,
-    /// The base-epoch plan, owned by the plan cache (reserved key); the
-    /// group only borrows it to materialize transition rows, and
-    /// re-binds through the cache when LRU pressure evicts it. Unused
-    /// (dangling) for boolean groups, which bind per-epoch plans.
-    plan: Weak<adp_core::solver::PreparedQuery>,
-    /// The shared maintained answer (delta state or boolean re-solve).
-    state: Maintained,
-    /// Base relation slot → query atom indices over that relation (the
-    /// service's `(relation, index)` batches fan out to tuple refs).
-    atoms_by_slot: Vec<Vec<usize>>,
+    /// The statement's base (epoch-0) plan, held as a statement holds
+    /// it. The epoch plans the group answers through are anchored on it,
+    /// and a row group advances one of its pooled greedy states per
+    /// batch; its root evaluation names the transition rows.
+    base: Arc<PreparedQuery>,
+    /// `|Q(D − S)|` at the last pushed epoch: 0 or 1 for a boolean
+    /// statement, whose flips between them are its only row transitions.
+    live: u64,
     targets: HashMap<TargetKey, TargetState>,
     subs: Vec<Sub>,
 }
@@ -307,6 +289,33 @@ fn project_rows(rows: &[OutputRow], projection: Option<&[usize]>) -> Vec<OutputR
             })
             .collect(),
     }
+}
+
+/// One target's answer through the pull path: `prep` solved for `k`
+/// (already resolved against the live count; 0 is trivially free),
+/// with the deletion set mapped from the epoch's dense indices to
+/// base stable ids, sorted, so churn stays comparable across epochs.
+fn answer(
+    prep: &PreparedQuery,
+    k: u64,
+    opts: &AdpOptions,
+) -> Result<(u64, Vec<TupleRef>), ServiceError> {
+    if k == 0 {
+        return Ok((0, Vec::new()));
+    }
+    let outcome = prep.solve(k, opts).map_err(ServiceError::Solve)?;
+    let (db, rels) = (prep.database(), prep.plan().rels());
+    let mut deletions: Vec<TupleRef> = outcome
+        .solution
+        .unwrap_or_default()
+        .into_iter()
+        .map(|t| {
+            let rel = db.relation_by_id(rels[t.atom]);
+            TupleRef::new(t.atom, rel.stable_id_at(t.index))
+        })
+        .collect();
+    deletions.sort_unstable();
+    Ok((outcome.cost, deletions))
 }
 
 /// Two-pointer diff of sorted deletion sets → (added, removed).
@@ -350,14 +359,14 @@ impl Service {
     /// effective mutation batch from now on delivers one [`ViewUpdate`]
     /// on the returned channel (or counts into a [`Lagged`] marker if
     /// the buffer is full). All subscriptions on the same normalized
-    /// statement share one O(Δ) delta application per batch; the
-    /// subscription itself costs one base-plan bind and one seed solve.
+    /// statement share one O(Δ) advance of the statement's greedy state
+    /// per batch, and one solve per distinct target; a new target costs
+    /// one seed solve at the current epoch.
     ///
-    /// Boolean statements are watchable too: they have no incremental
-    /// delta state, so the group falls back to a fresh min-cut solve
-    /// per effective batch, emitting a single pseudo output row (id 0,
-    /// empty values) when the answer flips between satisfied and
-    /// unsatisfied.
+    /// Boolean statements are watchable too: their targets are answered
+    /// by the min-cut solver at each new epoch, and a flip between
+    /// satisfied and unsatisfied emits a single pseudo output row (id 0,
+    /// empty values).
     ///
     /// Fails with [`ServiceError::BadRequest`] for statements prepared
     /// on a different service, an invalid target, or a projection
@@ -386,18 +395,19 @@ impl Service {
                 }
             }
         }
-        // Hold the mutation lock so the group is built against a settled
-        // epoch: no batch can install (and notify) between the catch-up
-        // below and the registration becoming visible.
+        // Hold the mutation lock so the group is built and seeded at a
+        // settled epoch: no batch can install (and notify) between the
+        // seed below and the registration becoming visible.
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
         // propagating the original crash beats serving torn state.
         let _writer = self.mutation.lock().unwrap();
         // adp-lint: allow(panic-path) -- same poisoning rationale.
         let mut groups = self.subscriptions.inner.lock().unwrap();
+        let current = self.current();
         let key = stmt.normalized_text();
         if !groups.contains_key(key) {
-            let group = self.build_group(stmt)?;
+            let group = self.build_group(stmt, &current)?;
             groups.insert(key.to_string(), group);
         }
         // adp-lint: allow(panic-path) -- the branch above inserted the
@@ -407,34 +417,24 @@ impl Service {
         if !group.targets.contains_key(&tkey) {
             // Seed the target's answer at the current epoch so the
             // first update's drift is relative to subscription time.
-            let seeded = if let Maintained::Greedy(ref mut greedy) = group.state {
-                let k = resolve_k(target, greedy.live_outputs());
-                let seed = greedy.solve(k);
-                TargetState {
-                    target,
-                    prev_cost: seed.cost,
-                    prev_deletions: seed.deletions,
-                }
-            } else {
-                // Boolean: fresh min-cut at the settled current epoch
-                // (the mutation lock above pins it).
-                let (live, cost, deletions) = self.boolean_answer(group)?;
-                group.state = Maintained::Boolean { live };
-                if resolve_k(target, u64::from(live)) == 0 {
-                    TargetState {
+            let prep = self.epoch_plan(group, &current);
+            let k = resolve_k(target, group.live);
+            match answer(&prep, k, &self.push_opts(&group.query)) {
+                Ok((prev_cost, prev_deletions)) => {
+                    let seeded = TargetState {
                         target,
-                        prev_cost: 0,
-                        prev_deletions: Vec::new(),
-                    }
-                } else {
-                    TargetState {
-                        target,
-                        prev_cost: cost,
-                        prev_deletions: deletions,
-                    }
+                        prev_cost,
+                        prev_deletions,
+                    };
+                    group.targets.insert(tkey, seeded);
                 }
-            };
-            group.targets.insert(tkey, seeded);
+                Err(e) => {
+                    if group.subs.is_empty() {
+                        groups.remove(key);
+                    }
+                    return Err(e);
+                }
+            }
         }
         let (tx, rx) = sync_channel(opts.buffer.max(1));
         let id = SubscriptionId(self.subscriptions.next_id.fetch_add(1, Ordering::Relaxed));
@@ -452,8 +452,8 @@ impl Service {
 
     /// Removes a subscription eagerly (dropping the receiver achieves
     /// the same at the next batch). Returns whether the id was live;
-    /// the last subscriber on a statement releases the group's shared
-    /// delta state.
+    /// the last subscriber on a statement releases the group and its
+    /// hold on the base plan.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
@@ -480,129 +480,117 @@ impl Service {
         self.stats.subscriptions_live.load(Ordering::Relaxed)
     }
 
-    /// Builds the shared group state for a statement. Row statements:
-    /// bind the base plan through the cache's reserved key, derive the
-    /// maintained greedy state from the base evaluation, and catch it
-    /// up to the current epoch's deletion set. Boolean statements: bind
-    /// the current epoch's plan and remember whether the query is
-    /// satisfied (re-solve-on-push maintains it from there). Caller
-    /// holds the mutation lock.
-    fn build_group(&self, stmt: &Statement<'_>) -> Result<Group, ServiceError> {
-        let current = self.current();
-        let (base, deleted) = (&current.base, &current.deleted);
+    /// Builds the group for a statement at the epoch of `at`: the
+    /// statement's base plan and the view's current size. A row group
+    /// checks a greedy state in at the current dead set, which also
+    /// surfaces a state that cannot be built as an error here rather
+    /// than at the first batch. Caller holds the mutation lock.
+    fn build_group(&self, stmt: &Statement<'_>, at: &EpochState) -> Result<Group, ServiceError> {
         let query = Arc::clone(stmt.query_arc());
-        let mut atoms_by_slot: Vec<Vec<usize>> = vec![Vec::new(); base.relations().len()];
-        for (i, atom) in query.atoms().iter().enumerate() {
-            let Some(rel_id) = base.rel_id(atom.name()) else {
-                return Err(ServiceError::BadRequest(format!(
-                    "unknown relation {:?} in subscribed statement",
-                    atom.name()
-                )));
-            };
-            atoms_by_slot[rel_id.index()].push(i);
-        }
-        if query.is_boolean() {
-            // No delta state to maintain: bind the current epoch's plan
-            // (shared with the solve path) just to record liveness.
-            let (prep, _hit, evicted) = self.plan_for(
-                stmt.fingerprint(),
-                stmt.normalized_text().to_string(),
-                &query,
-                &current,
-            );
-            StatsInner::add(&self.stats.evicted, evicted);
-            return Ok(Group {
-                fingerprint: stmt.fingerprint(),
-                normalized: stmt.normalized_text().to_string(),
-                query,
-                plan: Weak::new(),
-                state: Maintained::Boolean {
-                    live: prep.output_count() > 0,
-                },
-                atoms_by_slot,
-                targets: HashMap::new(),
-                subs: Vec::new(),
-            });
-        }
-        let (prep, _hit, evicted) = self.cache.get_or_insert(
-            stmt.fingerprint(),
-            (stmt.normalized_text().to_string(), BASE_PLAN_EPOCH),
-            |normalized| self.base_plan(normalized, &query, base),
-        );
-        StatsInner::add(&self.stats.evicted, evicted);
-        // The statement's own base plan: its join and scoring pass serve
-        // pull solves and this group alike.
-        let mut greedy = IncrementalGreedy::from_prepared(&prep, true)
-            .map_err(|e| ServiceError::Solve(e.into()))?;
-        // Catch up from the base (epoch 0) state to the current epoch.
-        let catch_up: Vec<TupleRef> = deleted
-            .iter()
-            .enumerate()
-            .flat_map(|(slot, set)| {
-                let atoms = &atoms_by_slot[slot];
-                set.iter()
-                    .flat_map(move |&idx| atoms.iter().map(move |&a| TupleRef::new(a, idx)))
-            })
-            .collect();
-        greedy.apply_deletes(&catch_up);
-        Ok(Group {
-            fingerprint: stmt.fingerprint(),
-            normalized: stmt.normalized_text().to_string(),
+        let mut group = Group {
+            base: self.base_plan(stmt.normalized_text(), &query, &at.base),
             query,
-            plan: Arc::downgrade(&prep),
-            state: Maintained::Greedy(Box::new(greedy)),
-            atoms_by_slot,
+            normalized: stmt.normalized_text().to_string(),
+            fingerprint: stmt.fingerprint(),
+            live: 0,
             targets: HashMap::new(),
             subs: Vec::new(),
-        })
+        };
+        group.live = if group.query.is_boolean() {
+            self.epoch_plan(&group, at).output_count()
+        } else {
+            group
+                .base
+                .advance(&at.deleted, &at.deleted)
+                .map_err(|e| ServiceError::Solve(e.into()))?
+                .live_outputs
+        };
+        Ok(group)
     }
 
-    /// Fresh boolean answer for `group` at the current epoch, through
-    /// the shared plan cache: whether the query is satisfied, and (when
-    /// it is) the min-cut cost plus its deletion set mapped to **base**
-    /// tuple coordinates so churn stays comparable across epochs. Caller
-    /// holds the mutation lock, so the current epoch is settled.
-    fn boolean_answer(&self, group: &Group) -> Result<(bool, u64, Vec<TupleRef>), ServiceError> {
-        let current = self.current();
-        let db = Arc::clone(&current.db);
+    /// The group's plan at the epoch of `at`, through the shared plan
+    /// cache — the plan a pull solve of the statement would use.
+    fn epoch_plan(&self, group: &Group, at: &EpochState) -> Arc<PreparedQuery> {
         let (prep, _hit, evicted) = self.plan_for(
             group.fingerprint,
             group.normalized.clone(),
             &group.query,
-            &current,
+            at,
         );
         StatsInner::add(&self.stats.evicted, evicted);
-        if prep.output_count() == 0 {
-            return Ok((false, 0, Vec::new()));
-        }
-        let mut opts = self.config.default_opts.clone();
+        prep
+    }
+
+    /// The options a group answers its targets with. Row groups force
+    /// the greedy leaf, sequentially and without a deadline, so every
+    /// push is the fresh `force_greedy` answer; boolean groups use the
+    /// service's defaults, which reach the min-cut solver. Both report
+    /// their deletion sets.
+    fn push_opts(&self, query: &Query) -> AdpOptions {
+        let mut opts = if query.is_boolean() {
+            self.config.default_opts.clone()
+        } else {
+            AdpOptions {
+                force_greedy: true,
+                sequential: true,
+                ..Default::default()
+            }
+        };
         opts.mode = Mode::Report;
-        let outcome = prep.solve(1, &opts).map_err(ServiceError::Solve)?;
-        let solution = outcome.solution.unwrap_or_default();
-        let mut deletions = Vec::with_capacity(solution.len());
-        for t in solution {
-            // Snapshot dense index → base stable id; atoms and
-            // relations were validated when the group was built.
-            let Some(atom) = group.query.atoms().get(t.atom) else {
-                continue;
+        opts
+    }
+
+    /// Moves `group` from the dead set `prev` to `next` (the epoch `prep`
+    /// is planned at) and returns the rows that `(came back, died)`.
+    fn advance_group(
+        &self,
+        group: &mut Group,
+        prep: &PreparedQuery,
+        prev: &Arc<DeadSet>,
+        next: &Arc<DeadSet>,
+    ) -> (Vec<OutputRow>, Vec<OutputRow>) {
+        if group.query.is_boolean() {
+            let was = group.live > 0;
+            group.live = prep.output_count();
+            let pseudo = || {
+                vec![OutputRow {
+                    id: 0,
+                    values: Box::default(),
+                }]
             };
-            let Some(rel_id) = db.rel_id(atom.name()) else {
-                continue;
+            return match (was, group.live > 0) {
+                (false, true) => (pseudo(), Vec::new()),
+                (true, false) => (Vec::new(), pseudo()),
+                _ => (Vec::new(), Vec::new()),
             };
-            let rel = db.relation_by_id(rel_id);
-            deletions.push(TupleRef::new(t.atom, rel.stable_id_at(t.index)));
         }
-        deletions.sort_unstable();
-        Ok((true, outcome.cost, deletions))
+        // The group was built by a successful advance, and the plan
+        // caches whether its scored state can be built, so this cannot
+        // fail; were it to, the rows would be lost but not the seq.
+        let Ok(moved) = group.base.advance(prev, next) else {
+            return (Vec::new(), Vec::new());
+        };
+        StatsInner::bump(&self.stats.shared_delta_applications);
+        group.live = moved.live_outputs;
+        let eval = group.base.eval();
+        let rows = |ids: &[u32]| -> Vec<OutputRow> {
+            ids.iter()
+                .map(|&id| OutputRow {
+                    id,
+                    values: eval.outputs[id as usize].clone(),
+                })
+                .collect()
+        };
+        (rows(&moved.revived), rows(&moved.died))
     }
 
     /// The fan-out half of every effective mutation batch. Called by
-    /// `apply_batch` with the mutation lock held, after the new epoch
-    /// is installed: advances each group's shared delta state through
-    /// the batch once, re-solves each distinct target on the maintained
-    /// state, and `try_send`s per-subscriber updates — never blocking,
+    /// `apply_batch` with the mutation lock held, after the epoch whose
+    /// dead set is `next` is installed: advances each group from `prev`
+    /// to `next` once, answers each distinct target through the pull
+    /// path, and `try_send`s per-subscriber updates — never blocking,
     /// dropping to [`Lagged`] accounting when a buffer is full.
-    pub(crate) fn notify_subscribers(&self, epoch: u64, effective: &[(usize, u32)], delete: bool) {
+    pub(crate) fn notify_subscribers(&self, epoch: u64, prev: &Arc<DeadSet>, next: &Arc<DeadSet>) {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
         // propagating the original crash beats serving torn state.
@@ -610,107 +598,35 @@ impl Service {
         if groups.is_empty() {
             return;
         }
+        let current = self.current();
         let mut reaped = 0u64;
         for group in groups.values_mut() {
+            let prep = self.epoch_plan(group, &current);
+            let (gained, lost) = self.advance_group(group, &prep, prev, next);
+
+            // One solve per distinct resolved k, shared by every target
+            // and subscriber that asks for it. A solver-side failure (an
+            // over-budget flow solve under a custom `default_opts`
+            // deadline) degrades to "answer unknown, carry the previous
+            // one": the update still delivers its gapless seq with zero
+            // drift, and the next successful solve reports the
+            // accumulated movement.
+            let opts = self.push_opts(&group.query);
+            let mut by_k: BTreeMap<u64, Option<(u64, Vec<TupleRef>)>> = BTreeMap::new();
             let mut answers: HashMap<TargetKey, (i64, DeletionChurn)> = HashMap::new();
-            let (gained, lost);
-            if matches!(group.state, Maintained::Boolean { .. }) {
-                // Re-solve-on-push: a fresh min-cut at the new epoch,
-                // diffed against the remembered answer. A solver-side
-                // failure (an over-budget flow solve under a custom
-                // `default_opts` deadline) degrades to "answer unknown,
-                // carry the previous one": the update still delivers
-                // its gapless seq with zero drift, and the next
-                // successful solve reports the accumulated movement.
-                let answer = self.boolean_answer(group).ok();
-                let prev_live = matches!(group.state, Maintained::Boolean { live: true });
-                let live_now = answer.as_ref().map_or(prev_live, |&(live, _, _)| live);
-                group.state = Maintained::Boolean { live: live_now };
-                let pseudo = || {
-                    vec![OutputRow {
-                        id: 0,
-                        values: Vec::new().into_boxed_slice(),
-                    }]
-                };
-                (gained, lost) = match (prev_live, live_now) {
-                    (false, true) => (pseudo(), Vec::new()),
-                    (true, false) => (Vec::new(), pseudo()),
-                    _ => (Vec::new(), Vec::new()),
-                };
-                for (tkey, st) in group.targets.iter_mut() {
-                    let (cost, deletions) = match &answer {
-                        Some((_, cost, dels)) if resolve_k(st.target, u64::from(live_now)) > 0 => {
-                            (*cost, dels.clone())
-                        }
-                        Some(_) => (0, Vec::new()),
-                        None => (st.prev_cost, st.prev_deletions.clone()),
-                    };
-                    let drift = cost as i64 - st.prev_cost as i64;
-                    let moved = churn(&st.prev_deletions, &deletions);
-                    st.prev_cost = cost;
-                    st.prev_deletions = deletions;
-                    answers.insert(*tkey, (drift, moved));
-                }
-            } else {
-                // Service batches are (relation slot, base index); the
-                // delta state wants per-atom tuple refs.
-                let refs: Vec<TupleRef> = effective
-                    .iter()
-                    .flat_map(|&(slot, idx)| {
-                        group
-                            .atoms_by_slot
-                            .get(slot)
-                            .into_iter()
-                            .flatten()
-                            .map(move |&a| TupleRef::new(a, idx))
-                    })
-                    .collect();
-                let transitions = match &mut group.state {
-                    Maintained::Greedy(greedy) => {
-                        if delete {
-                            greedy.apply_deletes(&refs)
-                        } else {
-                            greedy.apply_restores(&refs)
-                        }
-                    }
-                    Maintained::Boolean { .. } => Vec::new(),
-                };
-                StatsInner::bump(&self.stats.shared_delta_applications);
-
-                // Materialize rows only for outputs that actually
-                // crossed the live boundary (the SSP weight rule).
-                let rows: Vec<OutputRow> = if transitions.is_empty() {
-                    Vec::new()
-                } else {
-                    let eval = self.group_eval(group);
-                    transitions
-                        .iter()
-                        .map(|&id| OutputRow {
-                            id,
-                            values: eval.outputs[id as usize].clone(),
-                        })
-                        .collect()
-                };
-                (gained, lost) = if delete {
-                    (Vec::new(), rows)
-                } else {
-                    (rows, Vec::new())
-                };
-
-                // One re-solve per distinct target, shared by its
-                // subscribers.
-                let Group { state, targets, .. } = group;
-                if let Maintained::Greedy(greedy) = state {
-                    let live = greedy.live_outputs();
-                    for (tkey, st) in targets.iter_mut() {
-                        let solve = greedy.solve(resolve_k(st.target, live));
-                        let drift = solve.cost as i64 - st.prev_cost as i64;
-                        let moved = churn(&st.prev_deletions, &solve.deletions);
-                        st.prev_cost = solve.cost;
-                        st.prev_deletions = solve.deletions;
-                        answers.insert(*tkey, (drift, moved));
-                    }
-                }
+            for (tkey, st) in group.targets.iter_mut() {
+                let k = resolve_k(st.target, group.live);
+                let solved = by_k
+                    .entry(k)
+                    .or_insert_with(|| answer(&prep, k, &opts).ok());
+                let (cost, deletions) = solved
+                    .clone()
+                    .unwrap_or_else(|| (st.prev_cost, st.prev_deletions.clone()));
+                let drift = cost as i64 - st.prev_cost as i64;
+                let moved = churn(&st.prev_deletions, &deletions);
+                st.prev_cost = cost;
+                st.prev_deletions = deletions;
+                answers.insert(*tkey, (drift, moved));
             }
 
             group.subs.retain_mut(|sub| {
@@ -756,25 +672,6 @@ impl Service {
         }
         groups.retain(|_, g| !g.subs.is_empty());
         StatsInner::sub(&self.stats.subscriptions_live, reaped);
-    }
-
-    /// The group's base evaluation, re-binding the plan through the
-    /// shared cache if LRU pressure evicted it. The base database never
-    /// changes and evaluation is deterministic, so a re-compiled plan
-    /// reproduces the exact output ids the maintained state indexes.
-    fn group_eval(&self, group: &mut Group) -> Arc<adp_engine::join::EvalResult> {
-        if let Some(prep) = group.plan.upgrade() {
-            return prep.eval();
-        }
-        let base = self.current().base;
-        let (prep, _hit, evicted) = self.cache.get_or_insert(
-            group.fingerprint,
-            (group.normalized.clone(), BASE_PLAN_EPOCH),
-            |normalized| self.base_plan(normalized, &group.query, &base),
-        );
-        StatsInner::add(&self.stats.evicted, evicted);
-        group.plan = Arc::downgrade(&prep);
-        prep.eval()
     }
 }
 
@@ -874,9 +771,9 @@ mod tests {
         assert_eq!(replay, ts.prev_deletions);
     }
 
-    /// A subscription group maintains a clone of the statement's own
-    /// base-plan template: no second base plan, and the cache holds the
-    /// same entries as it would with two.
+    /// A subscription group holds the statement's own base plan, takes
+    /// no cache slot for it, and answers through the same epoch plans a
+    /// pull solve uses.
     #[test]
     fn subscription_groups_share_the_statements_base_plan() {
         let svc = Service::new(chain_db());
@@ -884,21 +781,25 @@ mod tests {
         let (_id, rx) = svc
             .subscribe(&stmt, Target::Outputs(1), SubscribeOptions::default())
             .unwrap();
-        assert_eq!(
-            svc.cached_plans(),
-            2,
-            "the epoch-0 key and the reserved key"
-        );
+        assert_eq!(svc.cached_plans(), 1, "the epoch-0 plan only");
         let group_plan = {
             let groups = svc.subscriptions.inner.lock().unwrap();
-            groups[stmt.normalized_text()].plan.upgrade().unwrap()
+            Arc::clone(&groups[stmt.normalized_text()].base)
         };
         let solved = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
         assert!(solved.stats.cache_hit);
         svc.delete_tuples(&[("R2", 0)]).unwrap();
         assert_eq!(rx.try_recv().unwrap().outputs_lost.len(), 1);
-        stmt.solve(Target::Outputs(1)).unwrap();
-        assert_eq!(svc.cached_plans(), 2, "epoch 0 invalidated, epoch 1 added");
+        assert_eq!(
+            svc.cached_plans(),
+            1,
+            "epoch 0 invalidated, the push cached epoch 1"
+        );
+        let pulled = stmt.solve(Target::Outputs(1)).unwrap();
+        assert!(
+            pulled.stats.cache_hit,
+            "the pull solve shares the push's plan"
+        );
         let (prep, hit, _) = svc.cache.get_or_insert(
             stmt.fingerprint(),
             (stmt.normalized_text().to_string(), 1),
@@ -906,6 +807,75 @@ mod tests {
         );
         assert!(hit);
         assert!(Arc::ptr_eq(prep.anchor().unwrap(), &group_plan));
+    }
+
+    /// A reader still holding the previous epoch's plan after a push
+    /// advanced the shared state must still get that epoch's answer: the
+    /// push checks the state in under the new dead set, never the old.
+    /// The subscriber watches rows only (`k = 0`), so no target solve
+    /// runs between the advance and the reader.
+    #[test]
+    fn a_reader_at_the_previous_epoch_is_not_served_the_pushed_state() {
+        use adp_core::solver::AdpOptions;
+        // An 8 × 8 grid: 64 witnesses, and one pick kills at most 8, so
+        // small solves check their states back into the pool.
+        let r1: Vec<[u64; 1]> = (0..8).map(|a| [a]).collect();
+        let r2: Vec<[u64; 2]> = (0..64).map(|i| [i % 8, i / 8]).collect();
+        let mut db = Database::new();
+        db.add_relation(
+            "R1",
+            attrs(&["A"]),
+            &r1.iter().map(|t| &t[..]).collect::<Vec<_>>(),
+        );
+        db.add_relation(
+            "R2",
+            attrs(&["A", "B"]),
+            &r2.iter().map(|t| &t[..]).collect::<Vec<_>>(),
+        );
+        db.add_relation(
+            "R3",
+            attrs(&["B"]),
+            &r1.iter().map(|t| &t[..]).collect::<Vec<_>>(),
+        );
+        let svc = Service::new(db);
+        let stmt = svc.prepare(Q).unwrap();
+        let (_id, rx) = svc
+            .subscribe(&stmt, Target::Outputs(0), SubscribeOptions::default())
+            .unwrap();
+        let greedy = AdpOptions {
+            force_greedy: true,
+            ..Default::default()
+        };
+        let batches: [(&[(&str, u32)], bool); 4] = [
+            (&[("R1", 0)], true),
+            (&[("R3", 2), ("R2", 9)], true),
+            (&[("R1", 0)], false),
+            (&[("R1", 1), ("R3", 2)], true),
+        ];
+        for (batch, delete) in batches {
+            stmt.solve(Target::Outputs(1)).unwrap();
+            let (epoch, snap) = svc.snapshot();
+            let (old, hit, _) = svc.cache.get_or_insert(
+                stmt.fingerprint(),
+                (stmt.normalized_text().to_string(), epoch),
+                |_| unreachable!("the statement cached its epoch"),
+            );
+            assert!(hit);
+            if delete {
+                svc.delete_tuples(batch).unwrap();
+            } else {
+                svc.restore_tuples(batch).unwrap();
+            }
+            rx.try_recv().unwrap();
+            let fresh = PreparedQuery::new(old.query().clone(), snap);
+            for k in [1, 2, 5] {
+                assert_eq!(
+                    old.solve(k, &greedy).unwrap(),
+                    fresh.solve(k, &greedy).unwrap(),
+                    "epoch {epoch}, k={k}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1010,9 +980,9 @@ mod tests {
     }
 
     #[test]
-    fn base_plan_survives_epoch_invalidation_and_rebinds_after_eviction() {
-        // 1-entry cache: the reserved base-plan entry is evicted by any
-        // other traffic, and the notifier must transparently re-bind.
+    fn rows_stay_correct_after_cache_eviction() {
+        // 1-entry cache: any other traffic evicts the group's epoch
+        // plans, and the group's base plan is not in the cache at all.
         let svc = Service::with_config(
             chain_db(),
             ServiceConfig {
@@ -1025,10 +995,9 @@ mod tests {
         let (_id, rx) = svc
             .subscribe(&stmt, Target::Outputs(1), SubscribeOptions::default())
             .unwrap();
-        // Epoch invalidation must not drop the reserved key.
         svc.delete_tuples(&[("R2", 0)]).unwrap();
         assert_eq!(rx.try_recv().unwrap().outputs_lost.len(), 1);
-        // Unrelated traffic evicts the base plan from the 1-slot cache…
+        // Unrelated traffic evicts the epoch-1 plan from the 1-slot cache…
         svc.solve(&SolveRequest::outputs("Q(A) :- R1(A)", 1))
             .unwrap();
         // …and the next transition still materializes correct rows.
@@ -1183,9 +1152,8 @@ mod tests {
             let fresh = svc.solve(&SolveRequest::outputs(text, 1)).unwrap();
             let groups = svc.subscriptions.inner.lock().unwrap();
             let g = groups.values().next().unwrap();
-            let live = matches!(g.state, Maintained::Boolean { live: true });
             let ts = g.targets.values().next().unwrap();
-            assert_eq!(u64::from(live), fresh.outcome.output_count);
+            assert_eq!(g.live, fresh.outcome.output_count);
             assert_eq!(ts.prev_cost, fresh.outcome.cost);
         }
     }

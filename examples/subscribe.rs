@@ -2,8 +2,9 @@
 //! view maintenance, mutate the database, drain the pushed diffs, and
 //! unsubscribe — without ever re-solving from scratch.
 //!
-//! Each `delete_tuples` / `restore_tuples` batch drives one shared
-//! delta application per subscribed statement and pushes a minimal
+//! Each `delete_tuples` / `restore_tuples` batch advances the
+//! statement's pooled greedy state once, whatever the number of
+//! subscribers, and pushes a minimal
 //! [`ViewUpdate`] to every subscriber: output rows that crossed the
 //! live/dead line, the drift in the target's greedy cost, and the churn
 //! in its recommended deletion set. A subscriber replaying the diffs
@@ -32,8 +33,8 @@ fn main() {
         .prepare("Q(NK,SK,PK,OK) :- S(NK,SK), PS(SK,PK), L(OK,PK)")
         .expect("valid query");
 
-    // Register: the service seeds a long-lived incremental solver for
-    // the statement and hands back a bounded channel of updates. The
+    // Register: the service seeds the target's answer at the current
+    // epoch and hands back a bounded channel of updates. The
     // buffer is the lag policy — a full buffer drops the update and the
     // next delivered one names the missed sequence numbers in
     // `lagged`, so the mutation path never blocks on a slow reader.

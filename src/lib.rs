@@ -92,7 +92,7 @@ pub use adp_core::selection::{solve_selection, SelectionQuery};
 pub use adp_core::solver::brute::BruteForceOptions;
 pub use adp_core::solver::{
     apply_deletions, removed_outputs, AdpOptions, AdpOutcome, Branch, DeletionPolicy, Explain,
-    IncrementalGreedy, IncrementalSolve, Mode, PreparedQuery, Report, Solve,
+    Mode, PreparedQuery, Report, Solve,
 };
 pub use adp_engine::database::Database;
 pub use adp_engine::delta::DeltaProvenance;

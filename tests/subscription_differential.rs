@@ -12,11 +12,17 @@
 //! a pinned 4-worker pool (which routes the subscription's one-time
 //! scoring build through the parallel range partitioner).
 //!
+//! Between batches the replay also runs pull solves on the same
+//! statement at random targets, some with `force_greedy` at ratios of
+//! one half and more: pull and push share the statement's pooled greedy
+//! states, such a solve drops the state it ran on, and the next push
+//! must rebuild it without a byte of difference.
+//!
 //! Also pinned here: the sharing contract (N subscribers on one
 //! normalized statement ⇒ exactly one delta application per batch) and
 //! the gapless `seq` numbering over effective batches.
 
-use adp::core::solver::{AdpOptions, PreparedQuery};
+use adp::core::solver::{AdpOptions, AdpOutcome, PreparedQuery};
 use adp::service::{Service, SubscribeOptions, Target, ViewUpdate};
 use adp::{parse_query, Database, TupleRef, Value};
 use proptest::prelude::*;
@@ -52,7 +58,7 @@ struct Replica {
 
 impl Replica {
     /// Seeds from fresh solves at the subscription epoch.
-    fn seed(svc: &Service, query_text: &str, k: u64) -> Replica {
+    fn seed(svc: &Service, query_text: &str, target: Target) -> Replica {
         let (epoch, snap) = svc.snapshot();
         assert_eq!(epoch, 0, "replicas subscribe at epoch 0 in this suite");
         let q = parse_query(query_text).unwrap();
@@ -64,15 +70,14 @@ impl Replica {
             .enumerate()
             .map(|(i, row)| (i as u32, row.clone()))
             .collect();
-        let fresh = prep.solve(k.min(prep.output_count()), &greedy_opts(true));
-        let (cost, deletions) = match fresh {
-            Ok(out) => (out.cost as i64, {
-                let mut d = out.solution.unwrap();
-                d.sort_unstable();
-                d
-            }),
-            // k = 0 after clamping (empty view): trivially free.
-            Err(_) => (0, Vec::new()),
+        let k = resolve_k(target, prep.output_count());
+        let (cost, deletions) = if k == 0 {
+            (0, Vec::new())
+        } else {
+            let out = prep.solve(k, &greedy_opts(true)).unwrap();
+            let mut d = out.solution.unwrap();
+            d.sort_unstable();
+            (out.cost as i64, d)
         };
         Replica {
             rows,
@@ -115,6 +120,15 @@ impl Replica {
     }
 }
 
+/// `k` for `target` over `total` live outputs, as the service resolves
+/// it: counts clamp to the view, ratios round up.
+fn resolve_k(target: Target, total: u64) -> u64 {
+    match target {
+        Target::Outputs(k) => k.min(total),
+        Target::Ratio(rho) => ((total as f64 * rho).ceil() as u64).min(total),
+    }
+}
+
 /// The fresh-solve oracle at the current epoch: output rows from a
 /// direct evaluation of the snapshot, cost + deletion set from a fresh
 /// greedy solve, the latter mapped back to base coordinates through the
@@ -122,7 +136,7 @@ impl Replica {
 fn fresh_state(
     svc: &Service,
     query_text: &str,
-    k: u64,
+    target: Target,
     sequential: bool,
 ) -> (Vec<Box<[Value]>>, i64, Vec<TupleRef>) {
     let (epoch, snap) = svc.snapshot();
@@ -130,8 +144,7 @@ fn fresh_state(
     let prep = PreparedQuery::new(q.clone(), snap);
     let mut rows: Vec<Box<[Value]>> = prep.eval().outputs.to_vec();
     rows.sort();
-    let total = prep.output_count();
-    let k_eff = k.min(total);
+    let k_eff = resolve_k(target, prep.output_count());
     if k_eff == 0 {
         return (rows, 0, Vec::new());
     }
@@ -154,12 +167,53 @@ fn fresh_state(
     (rows, out.cost as i64, deletions)
 }
 
+/// Pull solves of the subscribed statement between two batches: one to
+/// three random targets, half of them forcing the greedy leaf, and on
+/// every third gap a `force_greedy` solve at ρ = 0.75, whose rounds kill
+/// too many witnesses for its state to go back to the pool. Each answer
+/// must equal a fresh solve of the snapshot.
+fn pull_solves(
+    svc: &Service,
+    stmt: &adp::service::Statement<'_>,
+    rng: &mut impl FnMut(u64) -> u64,
+    gap: usize,
+) {
+    const TARGETS: [Target; 6] = [
+        Target::Outputs(1),
+        Target::Outputs(3),
+        Target::Ratio(0.25),
+        Target::Ratio(0.5),
+        Target::Ratio(0.75),
+        Target::Ratio(1.0),
+    ];
+    let mut pulls: Vec<(Target, bool)> = (0..1 + rng(3))
+        .map(|_| (TARGETS[rng(6) as usize], rng(2) == 0))
+        .collect();
+    if gap.is_multiple_of(3) {
+        pulls.push((Target::Ratio(0.75), true));
+    }
+    let (_, snap) = svc.snapshot();
+    let fresh = PreparedQuery::new(stmt.query().clone(), snap);
+    for (target, greedy) in pulls {
+        let opts = greedy.then(|| greedy_opts(true));
+        let got = stmt.solve_with(target, opts.as_ref(), None).unwrap();
+        let k = resolve_k(target, fresh.output_count());
+        if k > 0 {
+            let want: AdpOutcome = fresh
+                .solve(k, opts.as_ref().unwrap_or(&AdpOptions::default()))
+                .unwrap();
+            assert_eq!(got.outcome, want, "pull solve at {target:?} diverges");
+        }
+    }
+}
+
 /// Drives one subscription through an op stream, checking the replica
-/// against the fresh oracle after every batch.
+/// against the fresh oracle after every batch, with pull solves of the
+/// same statement in between.
 fn run_replay(
     query_text: &str,
     db: Database,
-    k: u64,
+    target: Target,
     ops: &[(bool, Vec<(usize, u32)>)],
     sequential: bool,
 ) {
@@ -174,15 +228,29 @@ fn run_replay(
         .map(|a| a.name().to_string())
         .collect();
     let rel_len = |name: &str| svc.snapshot().1.expect(name).len() as u32;
+    // The pull targets are drawn from a generator seeded by the stream.
+    let mut state = ops
+        .iter()
+        .flat_map(|(_, picks)| picks)
+        .fold(0x9E37_79B9_7F4A_7C15u64, |h, &(rel, idx)| {
+            (h ^ ((rel as u64) << 32) ^ u64::from(idx)).wrapping_mul(0x100_0000_01B3)
+        });
+    let mut rng = move |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
 
     let stmt = svc.prepare(query_text).unwrap();
     let (_id, rx) = svc
-        .subscribe(&stmt, Target::Outputs(k), SubscribeOptions::default())
+        .subscribe(&stmt, target, SubscribeOptions::default())
         .unwrap();
-    let mut replica = Replica::seed(&svc, query_text, k);
+    let mut replica = Replica::seed(&svc, query_text, target);
     let mut expected_seq = 0u64;
 
-    for (delete, picks) in ops {
+    for (gap, (delete, picks)) in ops.iter().enumerate() {
+        pull_solves(&svc, &stmt, &mut rng, gap);
         let batch: Vec<(&str, u32)> = picks
             .iter()
             .map(|&(rel, idx)| {
@@ -208,7 +276,7 @@ fn run_replay(
         expected_seq += 1;
         replica.apply(&u);
 
-        let (rows, cost, deletions) = fresh_state(&svc, query_text, k, sequential);
+        let (rows, cost, deletions) = fresh_state(&svc, query_text, target, sequential);
         let mut replica_rows: Vec<Box<[Value]>> = replica.rows.values().cloned().collect();
         replica_rows.sort();
         assert_eq!(replica_rows, rows, "replayed outputs diverge at {after}");
@@ -222,6 +290,9 @@ fn run_replay(
 
 const CHAIN: &str = "Q(NK,SK,PK,OK) :- S(NK,SK), PS(SK,PK), L(OK,PK)";
 const FULL: &str = "Q(A,B) :- R1(A), R2(A,B), R3(B)";
+/// Singleton-shaped: pull solves take the exact singleton solver, push
+/// forces the greedy leaf, and both run on the one base plan.
+const SINGLETON: &str = "Q(A,B) :- R1(A), R2(A,B)";
 
 fn chain_db(s_rows: &[(u64, u64)], ps_rows: &[(u64, u64)], l_rows: &[(u64, u64)]) -> Database {
     fn rel(db: &mut Database, name: &str, cols: [&str; 2], rows: &[(u64, u64)]) {
@@ -292,7 +363,7 @@ proptest! {
     fn pushed_diffs_replay_to_fresh_solves_chain(
         (s, ps, l, k, ops) in arb_chain_case()
     ) {
-        run_replay(CHAIN, chain_db(&s, &ps, &l), k, &ops, true);
+        run_replay(CHAIN, chain_db(&s, &ps, &l), Target::Outputs(k), &ops, true);
     }
 
     /// Sequential replay over a full CQ (every variable in the head:
@@ -307,7 +378,23 @@ proptest! {
             arb_ops(),
         )
     ) {
-        run_replay(FULL, full_db(&r1, &r2, &r3), k, &ops, true);
+        run_replay(FULL, full_db(&r1, &r2, &r3), Target::Outputs(k), &ops, true);
+    }
+
+    /// Sequential replay over a singleton-shaped statement with a ratio
+    /// target, so `k` moves with the view's size.
+    #[test]
+    fn pushed_diffs_replay_to_fresh_solves_singleton_ratio(
+        (r1, r2, r3, quarters, ops) in (
+            proptest::collection::vec(0u64..4, 1..=6),
+            proptest::collection::vec((0u64..4, 0u64..4), 1..=10),
+            proptest::collection::vec(0u64..4, 1..=6),
+            1u64..=4,
+            arb_ops(),
+        )
+    ) {
+        let target = Target::Ratio(quarters as f64 / 4.0);
+        run_replay(SINGLETON, full_db(&r1, &r2, &r3), target, &ops, true);
     }
 
     /// The same replay with the global pool pinned to 4 workers: the
@@ -318,7 +405,7 @@ proptest! {
         (s, ps, l, k, ops) in arb_chain_case()
     ) {
         four_workers();
-        run_replay(CHAIN, chain_db(&s, &ps, &l), k, &ops, false);
+        run_replay(CHAIN, chain_db(&s, &ps, &l), Target::Outputs(k), &ops, false);
     }
 }
 
@@ -355,7 +442,7 @@ fn parallel_scored_subscription_replays_exactly() {
             (i % 4 != 3, picks)
         })
         .collect();
-    run_replay(CHAIN, db, 8, &ops, false);
+    run_replay(CHAIN, db, Target::Outputs(8), &ops, false);
 }
 
 /// Satellite: the sharing counter. N subscribers on one normalized
