@@ -268,70 +268,6 @@ impl<'a> Solve<'a> {
     pub fn run(self) -> Result<Report, SolveError> {
         let ptime = is_ptime(self.query);
 
-        // Policy front door: byte-identical to `compute_adp_with_policy`
-        // (which never used the planned root path), so it bypasses the
-        // prepared plumbing below. Brute force ignores the policy.
-        if self.brute.is_none() {
-            if let Some(policy) = self.policy.as_ref().filter(|p| !p.frozen().is_empty()) {
-                let db: &Database = match &self.db {
-                    Db::Borrowed(db) => db,
-                    Db::Shared(db) => db,
-                    Db::Prepared(prep) => prep.database(),
-                };
-                let k = match self.k {
-                    Some(k) => k,
-                    None if self.resilience => {
-                        // `|Q(D)|` for the resilience target: reuse the
-                        // handle's cached evaluation when there is one;
-                        // otherwise compile once (sharing the Arc, not
-                        // cloning the data, when the caller already
-                        // shares ownership).
-                        let total = match &self.db {
-                            Db::Prepared(prep) => prep.output_count(),
-                            Db::Shared(db) => {
-                                PreparedQuery::new(self.query.clone(), Arc::clone(db))
-                                    .output_count()
-                            }
-                            Db::Borrowed(db) => {
-                                PreparedQuery::new(self.query.clone(), Arc::new((*db).clone()))
-                                    .output_count()
-                            }
-                        };
-                        if total == 0 {
-                            return Ok(trivial_report(Branch::Policy, &self.opts, ptime));
-                        }
-                        total
-                    }
-                    None => 0,
-                };
-                // adp-lint: allow(wall-clock) -- explain-trace timing
-                // only; the measured duration never feeds a decision.
-                let solve_start = Instant::now();
-                let outcome = compute_with_policy_impl(self.query, db, k, policy, &self.opts)?;
-                let solve_micros = solve_start.elapsed().as_micros() as u64;
-                // The policy path has no drastic variant: non-boolean
-                // queries always run the policy-aware greedy, boolean
-                // ones the exact min-cut.
-                let solver = if outcome.output_count == 0 {
-                    "trivial"
-                } else if outcome.exact {
-                    "exact"
-                } else {
-                    "greedy"
-                };
-                return Ok(Report {
-                    outcome,
-                    explain: Explain {
-                        branch: Branch::Policy,
-                        solver,
-                        ptime,
-                        plan_micros: 0,
-                        solve_micros,
-                    },
-                });
-            }
-        }
-
         // Compile (or reuse) the plan.
         // adp-lint: allow(wall-clock) -- explain-trace timing only; the
         // measured duration never feeds a decision.
@@ -349,6 +285,13 @@ impl<'a> Solve<'a> {
             }
         };
 
+        // Brute force ignores the policy; an unrestricted policy is no
+        // policy at all.
+        let policy = self
+            .policy
+            .as_ref()
+            .filter(|p| self.brute.is_none() && !p.frozen().is_empty());
+
         // Resolve the target. No target behaves like k = 0 (KZero), as
         // the v1 functions rejected it.
         let k = match self.k {
@@ -356,11 +299,11 @@ impl<'a> Solve<'a> {
             None if self.resilience => {
                 let total = prep.output_count();
                 if total == 0 {
-                    return Ok(trivial_report(
-                        Branch::of(self.query, &self.opts),
-                        &self.opts,
-                        ptime,
-                    ));
+                    let branch = match policy {
+                        Some(_) => Branch::Policy,
+                        None => Branch::of(self.query, &self.opts),
+                    };
+                    return Ok(trivial_report(branch, &self.opts, ptime));
                 }
                 total
             }
@@ -370,6 +313,30 @@ impl<'a> Solve<'a> {
         // adp-lint: allow(wall-clock) -- explain-trace timing only; the
         // measured duration never feeds a decision.
         let solve_start = Instant::now();
+        if let Some(policy) = policy {
+            let outcome = compute_with_policy_impl(prep, k, policy, &self.opts)?;
+            let solve_micros = solve_start.elapsed().as_micros() as u64;
+            // The policy path has no drastic variant: non-boolean
+            // queries always run the policy-aware greedy, boolean
+            // ones the exact min-cut.
+            let solver = if outcome.output_count == 0 {
+                "trivial"
+            } else if outcome.exact {
+                "exact"
+            } else {
+                "greedy"
+            };
+            return Ok(Report {
+                outcome,
+                explain: Explain {
+                    branch: Branch::Policy,
+                    solver,
+                    ptime,
+                    plan_micros,
+                    solve_micros,
+                },
+            });
+        }
         if let Some(bf_opts) = self.brute {
             let eval = prep.eval();
             let (cost, solution) =

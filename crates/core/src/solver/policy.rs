@@ -15,7 +15,7 @@
 //!   as [`SolveError::Infeasible`].
 
 use super::greedy::solve_greedy_filtered;
-use super::view::View;
+use super::prepared::PreparedQuery;
 use super::{boolean, AdpOptions, AdpOutcome, Mode};
 use crate::error::SolveError;
 use crate::query::Query;
@@ -77,15 +77,15 @@ pub fn compute_adp_with_policy(
     policy: &DeletionPolicy,
     opts: &AdpOptions,
 ) -> Result<AdpOutcome, SolveError> {
-    compute_with_policy_impl(query, db, k, policy, opts)
+    let prep = PreparedQuery::new(query.clone(), Arc::new(db.clone()));
+    compute_with_policy_impl(&prep, k, policy, opts)
 }
 
 /// Shared implementation behind [`compute_adp_with_policy`] and the
 /// fluent [`Solve::policy`](super::Solve::policy) path, so the two
 /// front doors cannot drift.
 pub(crate) fn compute_with_policy_impl(
-    query: &Query,
-    db: &Database,
+    prep: &PreparedQuery,
     k: u64,
     policy: &DeletionPolicy,
     opts: &AdpOptions,
@@ -94,10 +94,10 @@ pub(crate) fn compute_with_policy_impl(
         return Err(SolveError::KZero);
     }
     if policy.frozen().is_empty() {
-        return super::prepared::PreparedQuery::new(query.clone(), Arc::new(db.clone()))
-            .solve(k, opts);
+        return prep.solve(k, opts);
     }
-    let view = View::root(query.clone(), Arc::new(db.clone()));
+    let query = prep.query();
+    let view = prep.root_view();
     let deletable = policy.deletable_atoms(query);
     if deletable.iter().all(|&d| !d) {
         // nothing may be deleted at all
