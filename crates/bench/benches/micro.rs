@@ -2,13 +2,12 @@
 //! join + provenance, plan-once/execute-many re-evaluation, min-cut
 //! resilience, profile combination, greedy iterations, and the
 //! query-complexity analyses.
-// The replan-per-call baseline deliberately measures the legacy one-shot
-// entry point (the fluent v2 `Solve` adds a per-run explain pass that
-// would skew the comparison against `PreparedQuery`).
-#![allow(deprecated)]
+// The replan-per-call baselines compile a fresh `PreparedQuery` per
+// call rather than going through the fluent `Solve`, whose per-run
+// explain pass would skew the comparison.
 
 use adp_core::analysis::{find_hard_structures, is_ptime};
-use adp_core::solver::{compute_adp_arc, AdpOptions, CostProfile, PreparedQuery};
+use adp_core::solver::{AdpOptions, CostProfile, PreparedQuery};
 use adp_datagen::queries;
 use adp_datagen::zipf::ZipfConfig;
 use adp_engine::database::Database;
@@ -65,7 +64,7 @@ fn bench_plan_reuse(c: &mut Criterion) {
 }
 
 /// Plan reuse across a ρ-sweep: one `PreparedQuery` solved for all four
-/// ratios vs a fresh `compute_adp_arc` per ratio (which replans, rebuilds
+/// ratios vs a fresh `PreparedQuery` per ratio (which replans, rebuilds
 /// indexes, and re-joins every time).
 fn bench_prepared_sweep(c: &mut Criterion) {
     let db = Arc::new(adp_datagen::zipf_pair(&ZipfConfig::new(
@@ -97,7 +96,10 @@ fn bench_prepared_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0;
             for &k in &ks {
-                acc += compute_adp_arc(&q, Arc::clone(&db), k, &opts).unwrap().cost;
+                acc += PreparedQuery::new(q.clone(), Arc::clone(&db))
+                    .solve(k, &opts)
+                    .unwrap()
+                    .cost;
             }
             black_box(acc)
         })
@@ -253,7 +255,9 @@ fn bench_mincut_resilience(c: &mut Criterion) {
     let q = adp_core::query::parse_query("Q() :- R1(A), R2(A,B), R3(B)").unwrap();
     c.bench_function("boolean_resilience_5k", |b| {
         b.iter(|| {
-            let out = compute_adp_arc(&q, Arc::clone(&db), 1, &AdpOptions::counting()).unwrap();
+            let out = PreparedQuery::new(q.clone(), Arc::clone(&db))
+                .solve(1, &AdpOptions::counting())
+                .unwrap();
             black_box(out.cost)
         })
     });
@@ -264,11 +268,15 @@ fn bench_singleton_solver(c: &mut Criterion) {
         50_000, 1.0, 5, false,
     )));
     let q = queries::q6();
-    let probe = compute_adp_arc(&q, Arc::clone(&db), 1, &AdpOptions::counting()).unwrap();
+    let probe = PreparedQuery::new(q.clone(), Arc::clone(&db))
+        .solve(1, &AdpOptions::counting())
+        .unwrap();
     let k = probe.output_count / 2;
     c.bench_function("singleton_q6_50k_half", |b| {
         b.iter(|| {
-            let out = compute_adp_arc(&q, Arc::clone(&db), k, &AdpOptions::counting()).unwrap();
+            let out = PreparedQuery::new(q.clone(), Arc::clone(&db))
+                .solve(k, &AdpOptions::counting())
+                .unwrap();
             black_box(out.cost)
         })
     });

@@ -156,18 +156,16 @@ pub fn fig12_13() {
             f12.push(label, n as f64, ms, u64::MAX);
             f13.push(label, n as f64, ms, out.cost);
         }
-        // Timed with the legacy entry point on purpose: the fluent
-        // brute path additionally verifies `achieved` via the cached
-        // provenance postings, which would skew this series against the
-        // paper baseline (same rationale as benches/micro.rs).
+        // Times the exhaustive search alone on purpose: the fluent
+        // brute path also runs the dichotomy analysis for its explain
+        // trace, which would skew this series against the paper
+        // baseline.
         let start = Instant::now();
-        #[allow(deprecated)]
-        match adp_core::solver::brute::brute_force_prepared(&prep, k, &BruteForceOptions::default())
-        {
-            Ok((cost, _)) => {
+        match adp_core::solver::brute::brute_force(&prep, k, &BruteForceOptions::default()) {
+            Ok(out) => {
                 let ms = start.elapsed().as_secs_f64() * 1e3;
                 f12.push("BruteForce", n as f64, ms, u64::MAX);
-                f13.push("BruteForce", n as f64, ms, cost);
+                f13.push("BruteForce", n as f64, ms, out.cost);
             }
             Err(e) => {
                 // The paper's BruteForce also "did not stop in several

@@ -102,15 +102,13 @@ fn check_k(k: u64, available: u64) -> Result<(), SolveError> {
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent v2 path is
-// differentially tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::query::parse_query;
     use crate::solver::brute::{brute_force, BruteForceOptions};
     use crate::solver::removed_outputs;
     use adp_engine::schema::attrs;
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -139,10 +137,13 @@ mod tests {
     #[test]
     fn primal_dual_is_feasible_and_within_p() {
         let p = 3u64;
+        let prep = PreparedQuery::new(q(), Arc::new(db()));
         for k in 1..=4 {
             let sol = primal_dual_full_cq(&q(), &db(), k).unwrap();
             assert!(removed_outputs(&q(), &db(), &sol) >= k, "k={k}");
-            let (opt, _) = brute_force(&q(), &db(), k, &BruteForceOptions::default()).unwrap();
+            let opt = brute_force(&prep, k, &BruteForceOptions::default())
+                .unwrap()
+                .cost;
             assert!(
                 sol.len() as u64 <= p * opt,
                 "k={k}: primal-dual {} vs p·OPT {}",
@@ -154,9 +155,12 @@ mod tests {
 
     #[test]
     fn greedy_within_harmonic_factor() {
+        let prep = PreparedQuery::new(q(), Arc::new(db()));
         for k in 1..=4u64 {
             let sol = greedy_full_cq(&q(), &db(), k).unwrap();
-            let (opt, _) = brute_force(&q(), &db(), k, &BruteForceOptions::default()).unwrap();
+            let opt = brute_force(&prep, k, &BruteForceOptions::default())
+                .unwrap()
+                .cost;
             // H_k ≤ 1 + ln k; generous integer bound:
             let hk = (1..=k).map(|i| 1.0 / i as f64).sum::<f64>();
             assert!(
@@ -177,7 +181,6 @@ mod tests {
 
     #[test]
     fn prepared_instance_matches_and_joins_once() {
-        use std::sync::Arc;
         let prep = PreparedQuery::new(q(), Arc::new(db()));
         let (a, refs_a) = psc_instance_prepared(&prep);
         let (b, refs_b) = psc_instance(&q(), &db());

@@ -67,6 +67,4 @@ pub mod wire;
 
 pub use error::{QueryError, SolveError};
 pub use query::{parse_query, Query, QueryBuilder};
-#[allow(deprecated)]
-pub use solver::{compute_adp, compute_adp_arc};
 pub use solver::{AdpOptions, AdpOutcome, Branch, Explain, Mode, Report, Solve};

@@ -63,6 +63,14 @@ pub fn solve_selection(
     k: u64,
     opts: &AdpOptions,
 ) -> Result<AdpOutcome, SolveError> {
+    solver::outcome(k, opts.mode, || {
+        solver::solve(&residual_view(sq, db), k, opts)
+    })
+}
+
+/// The view of `Q^{-A_θ}` over the filtered, projected database, with
+/// tuple maps back to the caller's coordinates.
+fn residual_view(sq: &SelectionQuery, db: &Database) -> View {
     let selected: Vec<Attr> = sq.predicates.iter().map(|(a, _)| a.clone()).collect();
     let residual = sq.residual();
 
@@ -105,46 +113,10 @@ pub fn solve_selection(
         maps.push(Some(back));
     }
 
-    // Solve on the residual view; solutions come back in original
-    // coordinates thanks to the view's tuple maps.
-    let root = View::root(sq.query.clone(), Arc::new(db.clone()));
-    let view = root.rebased(residual, new_db, maps);
-    let solved = solver::solve(&view, k, opts)?;
-    if k == 0 {
-        return Err(SolveError::KZero);
-    }
-    if k > solved.total_outputs {
-        return Err(SolveError::KTooLarge {
-            k,
-            available: solved.total_outputs,
-        });
-    }
-    let Some(cost) = solved.min_cost(k)? else {
-        if solved.truncated {
-            return solver::truncated_outcome(&solved, opts);
-        }
-        return Err(SolveError::Infeasible {
-            k,
-            removable: solved.max_removable(),
-        });
-    };
-    let solution = match opts.mode {
-        solver::Mode::Report => {
-            let mut s = solved.extract(k)?;
-            s.sort_unstable();
-            s.dedup();
-            Some(s)
-        }
-        solver::Mode::Count => None,
-    };
-    Ok(AdpOutcome {
-        cost,
-        achieved: k,
-        exact: solved.exact,
-        truncated: solved.truncated,
-        output_count: solved.total_outputs,
-        solution,
-    })
+    // Solutions come back in original coordinates through the maps.
+    let mut view = View::root(residual, Arc::new(new_db));
+    view.tuple_map = maps;
+    view
 }
 
 #[cfg(test)]

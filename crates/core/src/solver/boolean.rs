@@ -237,9 +237,6 @@ fn min_cut_resilience(sub: &View, order: &[usize], deletable: &[bool]) -> (u64, 
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent v2 path is
-// differentially tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::query::parse_query;
@@ -347,7 +344,7 @@ mod tests {
 
     /// Regression: an expired budget on the triad (greedy) path used to
     /// be misreported as "no finite cut" — a falsely *exact* empty
-    /// result that `solve_prepared` surfaced as `Infeasible`. It must
+    /// result that the outcome builder surfaced as `Infeasible`. It must
     /// instead propagate the truncation flag so the caller gets the
     /// documented best-so-far outcome.
     #[test]
@@ -365,7 +362,7 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        let out = crate::solver::compute_adp(&q, &db, 1, &opts).unwrap();
+        let out = crate::solver::solve_once(&q, &db, 1, &opts).unwrap();
         assert!(out.truncated, "budget expiry must be visible, not an error");
         assert!(!out.exact);
         assert_eq!(out.achieved, 0);
@@ -373,7 +370,7 @@ mod tests {
         assert_eq!(out.solution.as_deref(), Some(&[][..]));
         // Without a deadline the same instance is solvable (both
         // triangles must break): never truncated.
-        let out = crate::solver::compute_adp(&q, &db, 1, &AdpOptions::default()).unwrap();
+        let out = crate::solver::solve_once(&q, &db, 1, &AdpOptions::default()).unwrap();
         assert!(!out.truncated);
         assert_eq!(out.cost, 2);
     }
@@ -397,7 +394,7 @@ mod tests {
             deadline: Some(std::time::Instant::now()),
             ..Default::default()
         };
-        let out = crate::solver::compute_adp(&q, &db, 1, &opts).unwrap();
+        let out = crate::solver::solve_once(&q, &db, 1, &opts).unwrap();
         assert_eq!(out.cost, 1, "deleting S(7) still makes the query false");
         assert_eq!(out.achieved, 1);
         assert!(

@@ -23,11 +23,11 @@
 //! of the sequential early-exit without giving up determinism.
 
 use super::prepared::PreparedQuery;
+use super::profile::CostProfile;
+use super::solved::{Extractor, Solved, Step};
+use super::{AdpOutcome, Mode};
 use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
-use crate::query::Query;
-use adp_engine::database::Database;
-use adp_engine::join::{evaluate, EvalResult};
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -61,58 +61,41 @@ impl Default for BruteForceOptions {
 }
 
 /// Finds a minimum deletion set removing at least `k` outputs by
-/// exhaustive search. Exact but exponential — use on small instances.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::new(query, db).k(k).brute_force().run()` \
-            (byte-identical deletion sets)"
-)]
+/// exhaustive search over the prepared plan's cached evaluation. Exact
+/// but exponential — use on small instances. The answer is in report
+/// mode, and `achieved` is what the winning set removes.
 pub fn brute_force(
-    query: &Query,
-    db: &Database,
-    k: u64,
-    opts: &BruteForceOptions,
-) -> Result<(u64, Vec<TupleRef>), SolveError> {
-    let eval = evaluate(db, query.atoms(), query.head());
-    brute_force_with_eval(query, db, &eval, k, opts)
-}
-
-/// [`brute_force`] against a [`PreparedQuery`]: the cached plan and
-/// evaluation are reused, so repeated baseline probes (one per `k` in a
-/// sweep) never re-join.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::prepared(&prep).k(k).brute_force().run()` \
-            (byte-identical deletion sets)"
-)]
-pub fn brute_force_prepared(
     prep: &PreparedQuery,
     k: u64,
     opts: &BruteForceOptions,
-) -> Result<(u64, Vec<TupleRef>), SolveError> {
-    let eval = prep.eval();
-    brute_force_with_eval(prep.query(), prep.database(), &eval, k, opts)
+) -> Result<AdpOutcome, SolveError> {
+    super::outcome(k, Mode::Report, || search(prep, k, opts))
 }
 
-pub(crate) fn brute_force_with_eval(
-    query: &Query,
-    db: &Database,
-    eval: &EvalResult,
+/// The search behind [`brute_force`] and the fluent
+/// [`Solve::brute_force`](super::Solve::brute_force): the first subset,
+/// by size and then lexicographically, that removes at least `k`
+/// outputs, as a one-point profile.
+pub(crate) fn search(
+    prep: &PreparedQuery,
     k: u64,
     opts: &BruteForceOptions,
-) -> Result<(u64, Vec<TupleRef>), SolveError> {
-    if k == 0 {
-        return Err(SolveError::KZero);
-    }
+) -> Result<Solved, SolveError> {
+    let eval = prep.eval();
     let total = eval.output_count();
     if k > total {
-        return Err(SolveError::KTooLarge {
-            k,
-            available: total,
-        });
+        // Nothing to search: the outcome is the empty instance's answer
+        // or `KTooLarge`.
+        return Ok(Solved::eager(
+            CostProfile::empty(),
+            Extractor::Empty,
+            true,
+            total,
+        ));
     }
-    let prov = ProvenanceIndex::new(eval);
+    let prov = ProvenanceIndex::try_new(&eval)?;
 
+    let query = prep.query();
     let endo = endogenous_atoms(query);
     let mut candidates: Vec<TupleRef> = Vec::new();
     for (atom, schema) in query.atoms().iter().enumerate() {
@@ -121,7 +104,7 @@ pub(crate) fn brute_force_with_eval(
         }
         // adp-lint: allow(panic-path) -- documented panicking lookup;
         // the solver runs on a query validated against the database.
-        let rel = db.expect(schema.name());
+        let rel = prep.database().expect(schema.name());
         for idx in rel.indices() {
             candidates.push(TupleRef::new(atom, idx));
         }
@@ -150,7 +133,18 @@ pub(crate) fn brute_force_with_eval(
             _ => search_size_sequential(&prov, &candidates, size, k),
         };
         if let Some(subset) = found {
-            return Ok((size as u64, subset));
+            let cost = size as u64;
+            let removed = prov.killed_by_set(&subset);
+            return Ok(Solved::eager(
+                CostProfile::single(cost, removed),
+                Extractor::Steps(vec![Step {
+                    tuples: subset,
+                    removed_cum: removed,
+                    cost_cum: cost,
+                }]),
+                true,
+                total,
+            ));
         }
     }
     // adp-lint: allow(panic-path) -- the size loop ends at all
@@ -260,13 +254,13 @@ fn binomial(n: u128, k: u128) -> u128 {
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent path is differentially
-// tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::query::parse_query;
+    use crate::query::{parse_query, Query};
+    use adp_engine::database::Database;
+    use adp_engine::join::evaluate;
     use adp_engine::schema::attrs;
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -276,26 +270,32 @@ mod tests {
         db
     }
 
+    fn prepared(q: &Query) -> PreparedQuery {
+        PreparedQuery::new(q.clone(), Arc::new(db()))
+    }
+
     #[test]
     fn brute_force_on_qpath() {
         // Q(A,B): outputs (1,1),(1,2),(2,1). k=2: deleting R1(1) removes 2.
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
-        let (cost, sol) = brute_force(&q, &db(), 2, &BruteForceOptions::default()).unwrap();
-        assert_eq!(cost, 1);
-        assert_eq!(sol.len(), 1);
+        let prep = prepared(&q);
+        let out = brute_force(&prep, 2, &BruteForceOptions::default()).unwrap();
+        assert_eq!(out.cost, 1);
+        assert_eq!(out.solution.unwrap().len(), 1);
+        assert_eq!(out.achieved, 2);
         // k=3: need 2 deletions (e.g. both R1 tuples).
-        let (cost, _) = brute_force(&q, &db(), 3, &BruteForceOptions::default()).unwrap();
-        assert_eq!(cost, 2);
+        let out = brute_force(&prep, 3, &BruteForceOptions::default()).unwrap();
+        assert_eq!(out.cost, 2);
     }
 
     #[test]
     fn endogenous_restriction_matches_unrestricted() {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
+        let prep = prepared(&q);
         for k in 1..=3 {
-            let a = brute_force(&q, &db(), k, &BruteForceOptions::default()).unwrap();
+            let a = brute_force(&prep, k, &BruteForceOptions::default()).unwrap();
             let b = brute_force(
-                &q,
-                &db(),
+                &prep,
                 k,
                 &BruteForceOptions {
                     endogenous_only: false,
@@ -303,19 +303,20 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(a.0, b.0, "k={k}");
+            assert_eq!(a.cost, b.cost, "k={k}");
         }
     }
 
     #[test]
     fn k_bounds_checked() {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
+        let prep = prepared(&q);
         assert!(matches!(
-            brute_force(&q, &db(), 0, &BruteForceOptions::default()),
+            brute_force(&prep, 0, &BruteForceOptions::default()),
             Err(SolveError::KZero)
         ));
         assert!(matches!(
-            brute_force(&q, &db(), 99, &BruteForceOptions::default()),
+            brute_force(&prep, 99, &BruteForceOptions::default()),
             Err(SolveError::KTooLarge { .. })
         ));
     }

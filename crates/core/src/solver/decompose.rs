@@ -381,13 +381,10 @@ fn naive_pairs(
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent v2 path is
-// differentially tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::query::parse_query;
-    use crate::solver::{compute_adp, AdpOptions};
+    use crate::solver::{solve_once, AdpOptions};
     use adp_engine::database::Database;
     use adp_engine::schema::attrs;
 
@@ -436,7 +433,7 @@ mod tests {
         }
         for strategy in strategies() {
             for k in 1..=12u64 {
-                let out = compute_adp(
+                let out = solve_once(
                     &q,
                     &db,
                     k,
@@ -462,7 +459,7 @@ mod tests {
         db.add_relation("T", attrs(&["C"]), &[&[0], &[1]]);
         // |Q| = 8; removing all = delete a whole relation (2 tuples).
         for strategy in strategies() {
-            let out = compute_adp(
+            let out = solve_once(
                 &q,
                 &db,
                 8,
@@ -476,7 +473,7 @@ mod tests {
         }
         // k=4: delete one tuple of any relation removes exactly 4.
         for strategy in strategies() {
-            let out = compute_adp(
+            let out = solve_once(
                 &q,
                 &db,
                 4,
@@ -495,8 +492,8 @@ mod tests {
         let q = parse_query("Q(A,B) :- R(A), S(B)").unwrap();
         let db = cross_db(5, 7);
         for k in [1, 5, 12, 20, 34, 35] {
-            let dense = compute_adp(&q, &db, k, &AdpOptions::default()).unwrap();
-            let sparse = compute_adp(
+            let dense = solve_once(&q, &db, k, &AdpOptions::default()).unwrap();
+            let sparse = solve_once(
                 &q,
                 &db,
                 k,
@@ -520,7 +517,7 @@ mod tests {
         db.add_relation("S", attrs(&["B"]), &[]);
         // An empty component empties the cross product: zero outputs,
         // so the answer is the empty deletion set at cost 0.
-        let out = compute_adp(&q, &db, 1, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, 1, &AdpOptions::default()).unwrap();
         assert_eq!(out.output_count, 0);
         assert_eq!(out.cost, 0);
         assert_eq!(out.solution.as_deref(), Some(&[][..]));

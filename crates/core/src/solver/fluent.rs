@@ -1,10 +1,8 @@
-//! The fluent v2 solve API: one builder for every way to run ADP.
+//! The fluent solve API: one builder for every way to run ADP.
 //!
-//! The v1 surface grew one free function per scenario —
-//! `compute_adp`, `compute_adp_arc`, `compute_adp_with_policy`,
-//! `compute_resilience`, `brute_force`, `brute_force_prepared` — each
-//! with its own parameter order and its own slice of the option space.
-//! [`Solve`] replaces the zoo with one builder:
+//! [`Solve`] takes a query, a database (borrowed, shared, or already
+//! compiled into a [`PreparedQuery`]), a target, and switches for
+//! policy, deadline and the brute-force baseline:
 //!
 //! ```
 //! use adp_core::query::parse_query;
@@ -23,71 +21,25 @@
 //! println!("{:?} via {}", report.explain.branch, report.explain.solver);
 //! ```
 //!
-//! Every configuration is **byte-identical** to the v1 function it
-//! replaces (the `api_v2_differential` proptest suite pins it); the
-//! additions are ergonomic only: a typed target, deadline/policy/brute
-//! switches on one object, and a [`Report`] that carries an explain
-//! trace ([`Explain`]) next to the outcome — which dichotomy branch the
+//! [`run`](Solve::run) has one path: compile or reuse the plan,
+//! resolve the target, run the dichotomy, policy or brute-force solver
+//! on the plan's root view, and build the outcome with the same code
+//! as [`PreparedQuery::solve`] (the `api_v2_differential` proptest
+//! suite pins the two together). The [`Report`] carries an explain
+//! trace ([`Explain`]) next to the outcome: which dichotomy branch the
 //! root dispatch took, which solver family answered, and where the
 //! microseconds went.
 
-use super::brute::{brute_force_with_eval, BruteForceOptions};
-use super::policy::{compute_with_policy_impl, DeletionPolicy};
+use super::brute::{self, BruteForceOptions};
+use super::policy::{solve_policy, DeletionPolicy};
 use super::prepared::PreparedQuery;
-use super::{AdpOptions, AdpOutcome, Mode};
-use crate::analysis::{is_ptime, roles::singleton_atom};
+use super::{solver_label, AdpOptions, AdpOutcome, Branch, Mode};
+use crate::analysis::is_ptime;
 use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::database::Database;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The root dispatch branch of `ComputeADP` (Algorithm 2) a solve went
-/// through — the paper's dichotomy cases, plus the non-recursive
-/// front doors (policy, brute force).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Branch {
-    /// Exhaustive subset search ([`Solve::brute_force`]).
-    BruteForce,
-    /// Policy-restricted solve (frozen relations, §9 extension).
-    Policy,
-    /// Boolean base case: resilience via linearization + min-cut (§7.1).
-    Boolean,
-    /// The benchmark hook jumped straight to the greedy leaf
-    /// ([`AdpOptions::force_greedy`]).
-    ForcedGreedy,
-    /// Singleton base case (§7.2, Algorithm 3).
-    Singleton,
-    /// Universal-attribute partition + DP (§7.3, Algorithm 4).
-    Universe,
-    /// Disconnected query: per-component solve + cross-product DP
-    /// (§7.3, Algorithm 5).
-    Decompose,
-    /// NP-hard leaf: greedy heuristics over the materialized join
-    /// (§7.4, Algorithms 6/7).
-    Greedy,
-}
-
-impl Branch {
-    /// The branch the root dispatch of [`super::solve`] takes for this
-    /// query under these options — derived from the same checks, in the
-    /// same order, as the dispatcher itself.
-    fn of(query: &Query, opts: &AdpOptions) -> Branch {
-        if query.is_boolean() {
-            Branch::Boolean
-        } else if opts.force_greedy {
-            Branch::ForcedGreedy
-        } else if !opts.skip_singleton && singleton_atom(query).is_some() {
-            Branch::Singleton
-        } else if !query.universal_attrs().is_empty() {
-            Branch::Universe
-        } else if query.connected_components().len() > 1 {
-            Branch::Decompose
-        } else {
-            Branch::Greedy
-        }
-    }
-}
 
 /// The explain trace carried by every [`Report`]: which path answered
 /// and where the time went. Assembled from stats the solver already
@@ -98,9 +50,9 @@ pub struct Explain {
     pub branch: Branch,
     /// Solver family that produced the answer: `"exact"` (poly-time
     /// shape ran to optimality), `"greedy"`, `"drastic-greedy"`,
-    /// `"brute-force"`, or `"trivial"` (nothing to remove). The same
-    /// labels the serving layer reports in
-    /// [`RequestStats::solver`](https://docs.rs/adp-service).
+    /// `"brute-force"`, or `"trivial"` (nothing to remove). Both this
+    /// field and the serving layer's per-request stats come from
+    /// [`solver_label`].
     pub solver: &'static str,
     /// The structural dichotomy's verdict for the query (Theorem 2):
     /// `true` means the exact polynomial algorithm applies.
@@ -117,8 +69,7 @@ pub struct Explain {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The solver outcome: cost, achieved removal, deletion set,
-    /// exactness and truncation flags — exactly what the v1 functions
-    /// returned.
+    /// exactness and truncation flags.
     pub outcome: AdpOutcome,
     /// Which path answered and where the time went.
     pub explain: Explain,
@@ -144,7 +95,7 @@ enum Db<'a> {
 }
 
 /// A fluent solve: query + database + target + switches, then
-/// [`run`](Solve::run). See the module docs for the v1 ↔ v2 mapping.
+/// [`run`](Solve::run). See the module docs.
 pub struct Solve<'a> {
     query: &'a Query,
     db: Db<'a>,
@@ -157,15 +108,14 @@ pub struct Solve<'a> {
 
 impl<'a> Solve<'a> {
     /// A solve of `query` over `db`. The database is cloned into shared
-    /// ownership at [`run`](Solve::run) time (exactly what
-    /// `compute_adp` did); use [`shared`](Solve::shared) or
-    /// [`prepared`](Solve::prepared) to avoid the clone.
+    /// ownership at [`run`](Solve::run) time; use
+    /// [`shared`](Solve::shared) or [`prepared`](Solve::prepared) to
+    /// avoid the clone.
     pub fn new(query: &'a Query, db: &'a Database) -> Self {
         Self::with_db(query, Db::Borrowed(db))
     }
 
-    /// A solve of `query` over a shared database (no clone) — the v2
-    /// form of `compute_adp_arc`.
+    /// A solve of `query` over a shared database (no clone).
     pub fn shared(query: &'a Query, db: Arc<Database>) -> Self {
         Self::with_db(query, Db::Shared(db))
     }
@@ -191,27 +141,28 @@ impl<'a> Solve<'a> {
 
     /// Target: remove at least `k` outputs (the paper's `ADP(Q, D, k)`).
     /// Exactly one of [`k`](Solve::k) and [`resilience`](Solve::resilience)
-    /// must be set; like v1, `k = 0` (or no target at all) is rejected
-    /// with [`SolveError::KZero`] and `k > |Q(D)|` with
-    /// [`SolveError::KTooLarge`].
+    /// must be set; `k = 0` (or no target at all) is rejected with
+    /// [`SolveError::KZero`] and `k > |Q(D)|` with
+    /// [`SolveError::KTooLarge`]. On an empty result any `k ≥ 1` is
+    /// answered with the empty set at cost 0.
     pub fn k(mut self, k: u64) -> Self {
         self.k = Some(k);
         self.resilience = false;
         self
     }
 
-    /// Target: empty the result entirely (`k = |Q(D)|`) — the v2 form of
-    /// `compute_resilience`. An already-empty result is answered with a
-    /// trivial zero-cost report instead of v1's `None`.
+    /// Target: empty the result entirely (`k = |Q(D)|`), the resilience
+    /// problem. An already-empty result is answered with a trivial
+    /// zero-cost report.
     pub fn resilience(mut self) -> Self {
         self.resilience = true;
         self.k = None;
         self
     }
 
-    /// Restricts deletions to non-frozen relations — the v2 form of
-    /// `compute_adp_with_policy`. An unrestricted policy behaves exactly
-    /// like no policy. Ignored by [`brute_force`](Solve::brute_force).
+    /// Restricts deletions to non-frozen relations (§9 extension, see
+    /// [`DeletionPolicy`]). An unrestricted policy behaves exactly like
+    /// no policy. Ignored by [`brute_force`](Solve::brute_force).
     pub fn policy(mut self, policy: DeletionPolicy) -> Self {
         self.policy = Some(policy);
         self
@@ -249,11 +200,10 @@ impl<'a> Solve<'a> {
         self.deadline(Instant::now() + budget)
     }
 
-    /// Exhaustive-search baseline instead of the dichotomy solver — the
-    /// v2 form of `brute_force`/`brute_force_prepared`. Exact but
-    /// exponential; the deletion policy is ignored (the baseline only
-    /// knows the endogenous-candidates restriction in
-    /// [`BruteForceOptions`]).
+    /// Exhaustive-search baseline ([`brute::brute_force`]) instead of
+    /// the dichotomy solver. Exact but exponential; the deletion policy
+    /// is ignored (the baseline only knows the endogenous-candidates
+    /// restriction in [`BruteForceOptions`]).
     pub fn brute_force(self) -> Self {
         self.brute_force_opts(BruteForceOptions::default())
     }
@@ -264,11 +214,13 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Runs the solve and assembles the [`Report`].
+    /// Runs the solve and assembles the [`Report`]: compiles (or
+    /// reuses) the plan, resolves the target, runs the brute-force,
+    /// policy or dichotomy solver on the plan's root view, and builds
+    /// the outcome the way every front door does.
     pub fn run(self) -> Result<Report, SolveError> {
         let ptime = is_ptime(self.query);
 
-        // Compile (or reuse) the plan.
         // adp-lint: allow(wall-clock) -- explain-trace timing only; the
         // measured duration never feeds a decision.
         let plan_start = Instant::now();
@@ -287,133 +239,41 @@ impl<'a> Solve<'a> {
 
         // Brute force ignores the policy; an unrestricted policy is no
         // policy at all.
-        let policy = self
-            .policy
-            .as_ref()
-            .filter(|p| self.brute.is_none() && !p.frozen().is_empty());
+        let policy = self.policy.as_ref().filter(|p| !p.frozen().is_empty());
+        let branch = match (&self.brute, policy) {
+            (Some(_), _) => Branch::BruteForce,
+            (None, Some(_)) => Branch::Policy,
+            (None, None) => Branch::of(self.query, &self.opts),
+        };
 
-        // Resolve the target. No target behaves like k = 0 (KZero), as
-        // the v1 functions rejected it.
+        // Resolve the target. No target behaves like k = 0 (KZero).
+        // Resilience asks for every output; on an empty result that is
+        // k = 1, which the outcome answers with the empty set at cost 0.
         let k = match self.k {
             Some(k) => k,
-            None if self.resilience => {
-                let total = prep.output_count();
-                if total == 0 {
-                    let branch = match policy {
-                        Some(_) => Branch::Policy,
-                        None => Branch::of(self.query, &self.opts),
-                    };
-                    return Ok(trivial_report(branch, &self.opts, ptime));
-                }
-                total
-            }
+            None if self.resilience => prep.output_count().max(1),
             None => 0,
         };
 
         // adp-lint: allow(wall-clock) -- explain-trace timing only; the
         // measured duration never feeds a decision.
         let solve_start = Instant::now();
-        if let Some(policy) = policy {
-            let outcome = compute_with_policy_impl(prep, k, policy, &self.opts)?;
-            let solve_micros = solve_start.elapsed().as_micros() as u64;
-            // The policy path has no drastic variant: non-boolean
-            // queries always run the policy-aware greedy, boolean
-            // ones the exact min-cut.
-            let solver = if outcome.output_count == 0 {
-                "trivial"
-            } else if outcome.exact {
-                "exact"
-            } else {
-                "greedy"
-            };
-            return Ok(Report {
-                outcome,
-                explain: Explain {
-                    branch: Branch::Policy,
-                    solver,
-                    ptime,
-                    plan_micros,
-                    solve_micros,
-                },
-            });
-        }
-        if let Some(bf_opts) = self.brute {
-            let eval = prep.eval();
-            let (cost, solution) =
-                brute_force_with_eval(self.query, prep.database(), &eval, k, &bf_opts)?;
-            let achieved = prep.removed_outputs(&solution);
-            let outcome = AdpOutcome {
-                cost,
-                achieved,
-                exact: true,
-                truncated: false,
-                output_count: eval.output_count(),
-                solution: (self.opts.mode == Mode::Report).then_some(solution),
-            };
-            let solve_micros = solve_start.elapsed().as_micros() as u64;
-            return Ok(Report {
-                outcome,
-                explain: Explain {
-                    branch: Branch::BruteForce,
-                    solver: "brute-force",
-                    ptime,
-                    plan_micros,
-                    solve_micros,
-                },
-            });
-        }
-
-        let outcome = prep.solve(k, &self.opts)?;
+        let outcome = super::outcome(k, self.opts.mode, || match (&self.brute, policy) {
+            (Some(bf_opts), _) => brute::search(prep, k, bf_opts),
+            (None, Some(policy)) => solve_policy(&prep.root_view(), k, policy, &self.opts),
+            (None, None) => super::solve(&prep.root_view(), k, &self.opts),
+        })?;
         let solve_micros = solve_start.elapsed().as_micros() as u64;
-        let solver = solver_label(&outcome, &self.opts, self.query);
         Ok(Report {
-            outcome,
             explain: Explain {
-                branch: Branch::of(self.query, &self.opts),
-                solver,
+                branch,
+                solver: solver_label(branch, &outcome, &self.opts, self.query),
                 ptime,
                 plan_micros,
                 solve_micros,
             },
+            outcome,
         })
-    }
-}
-
-/// The solver-family label for a dichotomy-path outcome (same labels as
-/// the serving layer's per-request stats).
-fn solver_label(outcome: &AdpOutcome, opts: &AdpOptions, query: &Query) -> &'static str {
-    if outcome.output_count == 0 {
-        "trivial"
-    } else if outcome.exact {
-        "exact"
-    } else if opts.use_drastic && query.is_full() {
-        "drastic-greedy"
-    } else {
-        "greedy"
-    }
-}
-
-/// The zero-output resilience answer: nothing to remove, empty set at
-/// cost 0 (v1 returned `None` here). `branch` names the front door
-/// that was actually taken (the policy path passes [`Branch::Policy`]
-/// so the branch field never flips with the data).
-fn trivial_report(branch: Branch, opts: &AdpOptions, ptime: bool) -> Report {
-    Report {
-        outcome: AdpOutcome {
-            cost: 0,
-            achieved: 0,
-            exact: true,
-            truncated: false,
-            output_count: 0,
-            solution: (opts.mode == Mode::Report).then(Vec::new),
-        },
-        explain: Explain {
-            branch,
-            solver: "trivial",
-            ptime,
-            plan_micros: 0,
-            solve_micros: 0,
-        },
     }
 }
 
@@ -431,17 +291,17 @@ mod tests {
         db
     }
 
+    /// `compute_adp` was the one-shot prepared solve; the fluent door
+    /// must still match it on every outcome field.
     #[test]
-    #[allow(deprecated)]
     fn fluent_matches_legacy_compute_adp() {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
         let db = chain_db();
+        let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
         for k in 1..=3u64 {
             let v2 = Solve::new(&q, &db).k(k).run().unwrap();
-            let v1 = super::super::compute_adp(&q, &db, k, &AdpOptions::default()).unwrap();
-            assert_eq!(v2.outcome.cost, v1.cost, "k={k}");
-            assert_eq!(v2.outcome.solution, v1.solution, "k={k}");
-            assert_eq!(v2.outcome.achieved, v1.achieved, "k={k}");
+            let direct = prep.solve(k, &AdpOptions::default()).unwrap();
+            assert_eq!(v2.outcome, direct, "k={k}");
             assert_eq!(v2.explain.branch, Branch::Greedy);
             assert!(!v2.explain.ptime);
         }
@@ -463,20 +323,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn resilience_matches_legacy_and_handles_empty() {
+        // The legacy resilience answer: a solve at k = |Q(D)|.
         let q = parse_query("Q() :- R1(A), R2(A,B), R3(B)").unwrap();
         let db = chain_db();
         let v2 = Solve::new(&q, &db).resilience().run().unwrap();
-        let v1 = super::super::compute_resilience(&q, &db, &AdpOptions::default())
-            .unwrap()
+        let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
+        let direct = prep
+            .solve(prep.output_count(), &AdpOptions::default())
             .unwrap();
-        assert_eq!(v2.outcome.cost, v1.cost);
-        assert_eq!(v2.outcome.solution, v1.solution);
+        assert_eq!(v2.outcome, direct);
         assert_eq!(v2.explain.branch, Branch::Boolean);
         assert_eq!(v2.explain.solver, "exact");
 
-        // Empty result: v1 returned None; v2 reports the trivial answer.
+        // Empty result: the trivial answer.
         let q2 = parse_query("Q(A) :- R1(A), R9(A)").unwrap();
         let mut db2 = Database::new();
         db2.add_relation("R1", attrs(&["A"]), &[&[1]]);
@@ -488,24 +348,34 @@ mod tests {
         assert_eq!(r.deletion_set(), Some(&[][..]));
     }
 
+    /// The policy solver used to run on a fresh root view over a cloned
+    /// database; on the prepared plan it must answer the same.
     #[test]
-    #[allow(deprecated)]
     fn policy_matches_legacy() {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
         let db = chain_db();
+        let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
         let policy = DeletionPolicy::unrestricted().freeze("R1");
+        let opts = AdpOptions::default();
         for k in 1..=3u64 {
-            let v2 = Solve::new(&q, &db)
+            let fresh = super::super::View::root(q.clone(), Arc::new(db.clone()));
+            let legacy =
+                super::super::outcome(k, opts.mode, || solve_policy(&fresh, k, &policy, &opts))
+                    .unwrap();
+            let borrowed = Solve::new(&q, &db)
                 .k(k)
                 .policy(policy.clone())
                 .run()
                 .unwrap();
-            let v1 =
-                super::super::compute_adp_with_policy(&q, &db, k, &policy, &AdpOptions::default())
-                    .unwrap();
-            assert_eq!(v2.outcome.cost, v1.cost, "k={k}");
-            assert_eq!(v2.outcome.solution, v1.solution, "k={k}");
-            assert_eq!(v2.explain.branch, Branch::Policy);
+            let prepared = Solve::prepared(&prep)
+                .k(k)
+                .policy(policy.clone())
+                .run()
+                .unwrap();
+            assert_eq!(borrowed.outcome, legacy, "k={k}");
+            assert_eq!(prepared.outcome, legacy, "k={k}");
+            assert_eq!(prepared.explain.branch, Branch::Policy);
+            assert_eq!(prepared.explain.plan_micros, 0);
         }
         // An unrestricted policy is a no-op, not the policy code path.
         let r = Solve::new(&q, &db)
@@ -517,17 +387,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn brute_force_matches_legacy() {
+        // The legacy search is `brute::brute_force`.
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
         let db = chain_db();
+        let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
         for k in 1..=3u64 {
             let v2 = Solve::new(&q, &db).k(k).brute_force().run().unwrap();
-            let (cost, sol) =
-                super::super::brute::brute_force(&q, &db, k, &BruteForceOptions::default())
-                    .unwrap();
-            assert_eq!(v2.outcome.cost, cost, "k={k}");
-            assert_eq!(v2.outcome.solution.as_deref(), Some(&sol[..]), "k={k}");
+            let search = brute::brute_force(&prep, k, &BruteForceOptions::default()).unwrap();
+            assert_eq!(v2.outcome, search, "k={k}");
             assert!(v2.outcome.achieved >= k, "k={k}");
             assert_eq!(v2.explain.branch, Branch::BruteForce);
             assert_eq!(v2.explain.solver, "brute-force");

@@ -31,15 +31,9 @@ pub mod view;
 use crate::analysis::roles::singleton_atom;
 use crate::error::SolveError;
 use crate::query::Query;
-use adp_engine::database::Database;
 use adp_engine::provenance::TupleRef;
-use std::sync::Arc;
 
-#[allow(deprecated)]
-pub use self::compute_resilience as resilience;
-pub use fluent::{Branch, Explain, Report, Solve};
-#[allow(deprecated)]
-pub use policy::compute_adp_with_policy;
+pub use fluent::{Explain, Report, Solve};
 pub use policy::DeletionPolicy;
 pub use prepared::{DeadSet, LiveTransitions, PlannedEval, PreparedQuery};
 pub use profile::{CostProfile, ProfilePoint};
@@ -192,55 +186,26 @@ pub struct AdpOutcome {
     pub solution: Option<Vec<TupleRef>>,
 }
 
-/// Solves `ADP(Q, D, k)`: remove at least `k` output tuples from `Q(D)`
-/// by deleting the fewest input tuples (Definition 1).
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::new(query, db).k(k).run()` \
-            (byte-identical; the report adds an explain trace)"
-)]
-pub fn compute_adp(
-    query: &Query,
-    db: &Database,
+/// Builds the caller's [`AdpOutcome`] for target `k` from the
+/// [`Solved`] that `solver` returns: the one place every front door
+/// (plain and fluent solves, policy, brute force, selection) turns a
+/// solver result into an answer. `k = 0` is rejected before `solver`
+/// runs. An instance with no outputs is answered with the empty set at
+/// cost 0. If the deadline cut the greedy rounds short of `k`, the
+/// answer is everything they removed, flagged truncated. `achieved` is
+/// the removal at the chosen profile point, and the report-mode set is
+/// sorted and deduplicated.
+pub(crate) fn outcome(
     k: u64,
-    opts: &AdpOptions,
-) -> Result<AdpOutcome, SolveError> {
-    PreparedQuery::new(query.clone(), Arc::new(db.clone())).solve(k, opts)
-}
-
-/// [`compute_adp`] without cloning the database (shared ownership; the
-/// `Arc` makes the instance shareable with [`adp_runtime`] workers).
-///
-/// One-shot convenience over [`PreparedQuery`]: callers solving the same
-/// `(Q, D)` pair for several `k` values or option sets should hold a
-/// `PreparedQuery` so the plan, indexes, and root evaluation are reused.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::shared(query, db).k(k).run()` \
-            (byte-identical; the report adds an explain trace)"
-)]
-pub fn compute_adp_arc(
-    query: &Query,
-    db: Arc<Database>,
-    k: u64,
-    opts: &AdpOptions,
-) -> Result<AdpOutcome, SolveError> {
-    PreparedQuery::new(query.clone(), db).solve(k, opts)
-}
-
-/// Shared implementation behind [`PreparedQuery::solve`] and
-/// [`compute_adp_arc`].
-pub(crate) fn solve_prepared(
-    prep: &PreparedQuery,
-    k: u64,
-    opts: &AdpOptions,
+    mode: Mode,
+    solver: impl FnOnce() -> Result<Solved, SolveError>,
 ) -> Result<AdpOutcome, SolveError> {
     if k == 0 {
         return Err(SolveError::KZero);
     }
-    let view = prep.root_view();
-    let solved = solve(&view, k, opts)?;
-    if solved.total_outputs == 0 {
+    let solved = solver()?;
+    let total = solved.total_outputs;
+    if total == 0 {
         // Degenerate instance: the query is unsatisfiable (empty join or
         // empty relation), so there is nothing to remove — the empty
         // deletion set at cost 0 is the (vacuously optimal) answer.
@@ -250,92 +215,58 @@ pub(crate) fn solve_prepared(
             exact: true,
             truncated: false,
             output_count: 0,
-            solution: (opts.mode == Mode::Report).then(Vec::new),
+            solution: (mode == Mode::Report).then(Vec::new),
         });
     }
-    if k > solved.total_outputs {
+    if k > total {
         return Err(SolveError::KTooLarge {
             k,
-            available: solved.total_outputs,
+            available: total,
         });
     }
-    let Some(cost) = solved.min_cost(k)? else {
-        if solved.truncated {
-            // The deadline expired before the greedy rounds reached k:
-            // answer with the best-so-far deletion set instead of an
-            // error (paper-style anytime behavior for serving layers).
-            return truncated_outcome(&solved, opts);
+    let (target, cost, exact) = match solved.min_cost(k)? {
+        Some(cost) => (k, cost, solved.exact),
+        // The deadline expired before the greedy rounds reached k:
+        // answer with the best-so-far deletion set instead of an error
+        // (paper-style anytime behavior for serving layers).
+        None if solved.truncated => {
+            let removable = solved.max_removable();
+            (removable, solved.min_cost(removable)?.unwrap_or(0), false)
         }
-        // The profile stops short of k (possible when a policy or an
-        // exhausted candidate pool truncated a heuristic profile);
-        // surface it instead of panicking.
-        return Err(SolveError::Infeasible {
-            k,
-            removable: solved.max_removable(),
-        });
+        // The profile stops short of k (a policy or an exhausted
+        // candidate pool truncated it).
+        None => {
+            return Err(SolveError::Infeasible {
+                k,
+                removable: solved.max_removable(),
+            })
+        }
     };
-    let solution = match opts.mode {
+    let solution = match mode {
         Mode::Report => Some({
-            let mut s = solved.extract(k)?;
+            let mut s = solved.extract(target)?;
             s.sort_unstable();
             s.dedup();
             s
         }),
         Mode::Count => None,
     };
-    // `achieved` is the removal at the chosen profile point.
-    let achieved = best_achieved(&solved, k, cost)?;
-    Ok(AdpOutcome {
-        cost,
-        achieved,
-        exact: solved.exact,
-        truncated: solved.truncated,
-        output_count: solved.total_outputs,
-        solution,
-    })
-}
-
-/// Builds the best-so-far [`AdpOutcome`] for a deadline-truncated
-/// [`Solved`] whose profile stopped short of the requested target:
-/// everything the expired greedy rounds managed to remove, at the cost
-/// they paid. Shared by the prepared, policy, and selection front ends
-/// so truncation semantics cannot drift between them.
-pub(crate) fn truncated_outcome(
-    solved: &Solved,
-    opts: &AdpOptions,
-) -> Result<AdpOutcome, SolveError> {
-    debug_assert!(solved.truncated);
-    let achieved = solved.max_removable();
-    let cost = solved.min_cost(achieved)?.unwrap_or(0);
-    let solution = match opts.mode {
-        Mode::Report => Some({
-            let mut s = solved.extract(achieved)?;
-            s.sort_unstable();
-            s.dedup();
-            s
-        }),
-        Mode::Count => None,
-    };
-    Ok(AdpOutcome {
-        cost,
-        achieved,
-        exact: false,
-        truncated: true,
-        output_count: solved.total_outputs,
-        solution,
-    })
-}
-
-fn best_achieved(solved: &Solved, k: u64, _cost: u64) -> Result<u64, SolveError> {
-    // The point chosen by min_cost(k) removes at least k.
-    Ok(match &solved.repr {
+    // The first profile point reaching the target is the one
+    // `min_cost` chose; a lazy cross product only promises the target.
+    let achieved = match &solved.repr {
         solved::Repr::Eager { profile, .. } => profile
-            .points()
-            .iter()
-            .find(|p| p.removed >= k)
-            .map(|p| p.removed)
-            .unwrap_or(k),
-        solved::Repr::Pair(_) => k,
+            .points_with_origin()
+            .find(|p| p.removed >= target)
+            .map_or(target, |p| p.removed),
+        solved::Repr::Pair(_) => target,
+    };
+    Ok(AdpOutcome {
+        cost,
+        achieved,
+        exact,
+        truncated: solved.truncated,
+        output_count: total,
+        solution,
     })
 }
 
@@ -362,83 +293,132 @@ pub(crate) fn count_outputs(view: &View) -> u64 {
     u64::try_from(total).unwrap_or(u64::MAX)
 }
 
-/// Convenience wrapper for the **resilience** problem (Freire et al.,
-/// used by the paper as the `k = |Q(D)|` / boolean special case): the
-/// minimum number of deletions making `Q(D)` empty. Exact for triad-free
-/// boolean shapes and all poly-time queries; a heuristic upper bound
-/// otherwise. Returns `None` when `Q(D)` is already empty.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::new(query, db).resilience().run()` \
-            (byte-identical on non-empty results; an empty result is a \
-            trivial zero-cost report instead of `None`)"
-)]
-pub fn compute_resilience(
-    query: &Query,
-    db: &Database,
-    opts: &AdpOptions,
-) -> Result<Option<AdpOutcome>, SolveError> {
-    let prep = PreparedQuery::new(query.clone(), Arc::new(db.clone()));
-    let total = prep.output_count();
-    if total == 0 {
-        return Ok(None);
+/// The root dispatch branch of `ComputeADP` (Algorithm 2) a solve went
+/// through — the paper's dichotomy cases, plus the non-recursive
+/// front doors (policy, brute force).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Branch {
+    /// Exhaustive subset search ([`Solve::brute_force`]).
+    BruteForce,
+    /// Policy-restricted solve (frozen relations, §9 extension).
+    Policy,
+    /// Boolean base case: resilience via linearization + min-cut (§7.1).
+    Boolean,
+    /// The benchmark hook jumped straight to the greedy leaf
+    /// ([`AdpOptions::force_greedy`]).
+    ForcedGreedy,
+    /// Singleton base case (§7.2, Algorithm 3).
+    Singleton,
+    /// Universal-attribute partition + DP (§7.3, Algorithm 4).
+    Universe,
+    /// Disconnected query: per-component solve + cross-product DP
+    /// (§7.3, Algorithm 5).
+    Decompose,
+    /// NP-hard leaf: greedy heuristics over the materialized join
+    /// (§7.4, Algorithms 6/7).
+    Greedy,
+}
+
+impl Branch {
+    /// The branch Algorithm 2 takes for this query under these options:
+    /// the dispatcher matches on it at every recursion level, so this
+    /// is the one statement of the paper's dispatch order.
+    pub fn of(query: &Query, opts: &AdpOptions) -> Branch {
+        if query.is_boolean() {
+            // Line 1: boolean base case.
+            Branch::Boolean
+        } else if opts.force_greedy {
+            // Benchmark hook (§8.2): measure the heuristics on easy
+            // queries.
+            Branch::ForcedGreedy
+        } else if !opts.skip_singleton && singleton_atom(query).is_some() {
+            // Line 2: singleton base case.
+            Branch::Singleton
+        } else if !query.universal_attrs().is_empty() {
+            // Line 3: universal attributes.
+            Branch::Universe
+        } else if query.connected_components().len() > 1 {
+            // Line 4: disconnected query.
+            Branch::Decompose
+        } else {
+            // Line 5: NP-hard leaf.
+            Branch::Greedy
+        }
     }
-    prep.solve(total, opts).map(Some)
+}
+
+/// The solver family that produced `outcome` through the front door
+/// `branch`, for the explain trace ([`Explain::solver`]) and the serving
+/// layer's per-request stats: `"trivial"` (nothing was asked for or
+/// nothing is there to remove), `"brute-force"`, `"exact"` (poly-time
+/// shape ran to optimality), `"drastic-greedy"` or `"greedy"`. The
+/// policy solver has no drastic variant.
+pub fn solver_label(
+    branch: Branch,
+    outcome: &AdpOutcome,
+    opts: &AdpOptions,
+    query: &Query,
+) -> &'static str {
+    if outcome.achieved == 0 && !outcome.truncated {
+        "trivial"
+    } else if branch == Branch::BruteForce {
+        "brute-force"
+    } else if outcome.exact {
+        "exact"
+    } else if branch != Branch::Policy && opts.use_drastic && query.is_full() {
+        "drastic-greedy"
+    } else {
+        "greedy"
+    }
 }
 
 /// The recursive dispatcher (Algorithm 2). `cap` bounds how many output
 /// removals the caller will ever request from this subinstance.
 pub(crate) fn solve(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, SolveError> {
-    let q = &view.query;
-
-    // Line 1: boolean base case.
-    if q.is_boolean() {
-        return boolean::solve_boolean(view, opts);
-    }
-
-    // Benchmark hook (§8.2): measure the heuristics on easy queries.
-    if opts.force_greedy {
-        return greedy::solve_leaf(view, cap, opts);
-    }
-
-    // Line 2: singleton base case.
-    if !opts.skip_singleton {
-        if let Some(i) = singleton_atom(q) {
-            return singleton::solve_singleton(view, i, cap);
+    match Branch::of(&view.query, opts) {
+        Branch::Boolean => boolean::solve_boolean(view, opts),
+        Branch::Singleton => {
+            // adp-lint: allow(panic-path) -- `Branch::of` found the
+            // singleton atom a line above.
+            let i = singleton_atom(&view.query).expect("singleton branch has its atom");
+            singleton::solve_singleton(view, i, cap)
+        }
+        Branch::Universe => universe::solve_universe(view, cap, opts),
+        Branch::Decompose => decompose::solve_decompose(view, cap, opts),
+        // `of` never names the policy and brute-force front doors.
+        Branch::ForcedGreedy | Branch::Greedy | Branch::Policy | Branch::BruteForce => {
+            greedy::solve_leaf(view, cap, opts)
         }
     }
-
-    // Line 3: universal attributes.
-    if !q.universal_attrs().is_empty() {
-        return universe::solve_universe(view, cap, opts);
-    }
-
-    // Line 4: disconnected query.
-    if q.connected_components().len() > 1 {
-        return decompose::solve_decompose(view, cap, opts);
-    }
-
-    // Line 5: NP-hard leaf — greedy heuristics over the materialized join.
-    greedy::solve_leaf(view, cap, opts)
 }
 
 /// True if the dispatcher, under default options, sends this connected
 /// query straight to the greedy leaf (Algorithm 2 line 5).
 fn reaches_greedy_leaf(q: &Query) -> bool {
-    !q.is_boolean() && singleton_atom(q).is_none() && q.universal_attrs().is_empty()
+    Branch::of(q, &AdpOptions::default()) == Branch::Greedy
+}
+
+/// One-shot solve over a private copy of `db`, for tests.
+#[cfg(test)]
+pub(crate) fn solve_once(
+    query: &Query,
+    db: &adp_engine::database::Database,
+    k: u64,
+    opts: &AdpOptions,
+) -> Result<AdpOutcome, SolveError> {
+    PreparedQuery::new(query.clone(), std::sync::Arc::new(db.clone())).solve(k, opts)
 }
 
 #[cfg(test)]
-// The tests deliberately pin the legacy v1 entry points (the fluent v2
-// API is differentially tested against them in `fluent` and in
-// `tests/api_v2_differential.rs`).
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::analysis::is_ptime;
     use crate::query::parse_query;
+    use crate::selection::{solve_selection, SelectionQuery};
     use crate::solver::brute::{brute_force, BruteForceOptions};
-    use adp_engine::schema::attrs;
+    use adp_engine::database::Database;
+    use adp_engine::schema::{attr, attrs};
+    use std::sync::Arc;
 
     /// Figure 1 database.
     fn figure1() -> Database {
@@ -458,7 +438,7 @@ mod tests {
         // §3.2: ADP(Q1, D, 2) returns the single tuple R3(c3, e3).
         let q = parse_query("Q1(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
         let db = figure1();
-        let out = compute_adp(&q, &db, 2, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, 2, &AdpOptions::default()).unwrap();
         assert_eq!(out.output_count, 4);
         assert_eq!(out.cost, 1, "a single tuple removes two outputs");
         let sol = out.solution.unwrap();
@@ -471,7 +451,7 @@ mod tests {
     fn k_equals_output_count_is_resilience_like() {
         let q = parse_query("Q1(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
         let db = figure1();
-        let out = compute_adp(&q, &db, 4, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, 4, &AdpOptions::default()).unwrap();
         let sol = out.solution.unwrap();
         assert_eq!(verify::removed_outputs(&q, &db, &sol), 4);
         assert_eq!(sol.len() as u64, out.cost);
@@ -485,19 +465,17 @@ mod tests {
         db.add_relation("R1", attrs(&["A"]), &[&[1]]);
         db.add_relation("R2", attrs(&["A", "B"]), &[&[1, 1], &[1, 2]]);
         db.add_relation("R3", attrs(&["B"]), &[&[1], &[2]]);
-        let out = compute_resilience(&q, &db, &AdpOptions::default())
-            .unwrap()
-            .unwrap();
+        let out = Solve::new(&q, &db).resilience().run().unwrap().outcome;
         assert_eq!(out.cost, 1);
         assert!(out.exact);
-        // empty result => None
+        // empty result => the trivial answer
         let q2 = parse_query("Q() :- R1(A), R4(A)").unwrap();
         let mut db2 = Database::new();
         db2.add_relation("R1", attrs(&["A"]), &[&[1]]);
         db2.add_relation("R4", attrs(&["A"]), &[&[2]]);
-        assert!(compute_resilience(&q2, &db2, &AdpOptions::default())
-            .unwrap()
-            .is_none());
+        let r = Solve::new(&q2, &db2).resilience().run().unwrap();
+        assert_eq!(r.outcome.output_count, 0);
+        assert_eq!(r.explain.solver, "trivial");
     }
 
     #[test]
@@ -506,11 +484,11 @@ mod tests {
         let mut db = Database::new();
         db.add_relation("R", attrs(&["A"]), &[&[1]]);
         assert!(matches!(
-            compute_adp(&q, &db, 0, &AdpOptions::default()),
+            solve_once(&q, &db, 0, &AdpOptions::default()),
             Err(SolveError::KZero)
         ));
         assert!(matches!(
-            compute_adp(&q, &db, 2, &AdpOptions::default()),
+            solve_once(&q, &db, 2, &AdpOptions::default()),
             Err(SolveError::KTooLarge { .. })
         ));
     }
@@ -535,14 +513,41 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let out = compute_adp(&q, &db, 3, &opts).unwrap();
-            assert_eq!(out.cost, 0);
-            assert_eq!(out.achieved, 0);
-            assert_eq!(out.output_count, 0);
-            assert!(out.exact);
-            match opts.mode {
-                Mode::Report => assert_eq!(out.solution.as_deref(), Some(&[][..])),
-                Mode::Count => assert!(out.solution.is_none()),
+            // Every front door: plain, policy (some and all atoms
+            // frozen), selection.
+            let sq = SelectionQuery::new(q.clone(), vec![(attr("A"), 7)]).unwrap();
+            let doors = [
+                ("plain", solve_once(&q, &db, 3, &opts)),
+                (
+                    "policy",
+                    Solve::new(&q, &db)
+                        .k(3)
+                        .opts(opts.clone())
+                        .policy(DeletionPolicy::unrestricted().freeze("R"))
+                        .run()
+                        .map(|r| r.outcome),
+                ),
+                (
+                    "all frozen",
+                    Solve::new(&q, &db)
+                        .k(3)
+                        .opts(opts.clone())
+                        .policy(DeletionPolicy::unrestricted().freeze("R").freeze("S"))
+                        .run()
+                        .map(|r| r.outcome),
+                ),
+                ("selection", solve_selection(&sq, &db, 3, &opts)),
+            ];
+            for (door, out) in doors {
+                let out = out.unwrap_or_else(|e| panic!("{door}: {e}"));
+                assert_eq!(out.cost, 0, "{door}");
+                assert_eq!(out.achieved, 0, "{door}");
+                assert_eq!(out.output_count, 0, "{door}");
+                assert!(out.exact, "{door}");
+                match opts.mode {
+                    Mode::Report => assert_eq!(out.solution.as_deref(), Some(&[][..]), "{door}"),
+                    Mode::Count => assert!(out.solution.is_none(), "{door}"),
+                }
             }
         }
     }
@@ -567,11 +572,11 @@ mod tests {
                 }
                 db.add(inst); // S stays empty
             }
-            let out = compute_adp(&q, &db, 1, &AdpOptions::default())
+            let out = solve_once(&q, &db, 1, &AdpOptions::default())
                 .unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(out.cost, 0, "{text}");
             assert_eq!(out.solution.as_deref(), Some(&[][..]), "{text}");
-            let greedy = compute_adp(
+            let greedy = solve_once(
                 &q,
                 &db,
                 2,
@@ -605,7 +610,7 @@ mod tests {
                 deadline: Some(std::time::Instant::now()),
                 ..Default::default()
             };
-            let out = compute_adp(&q, &db, total, &opts).unwrap();
+            let out = solve_once(&q, &db, total, &opts).unwrap();
             assert!(out.truncated, "full_reeval={full_reeval}");
             assert!(!out.exact);
             assert_eq!(out.output_count, total);
@@ -641,8 +646,8 @@ mod tests {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
             ..base.clone()
         };
-        let a = compute_adp(&q, &db, 3, &base).unwrap();
-        let b = compute_adp(&q, &db, 3, &with_deadline).unwrap();
+        let a = solve_once(&q, &db, 3, &base).unwrap();
+        let b = solve_once(&q, &db, 3, &with_deadline).unwrap();
         assert!(!b.truncated);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.achieved, b.achieved);
@@ -654,7 +659,7 @@ mod tests {
         let q = parse_query("Q(A) :- R(A)").unwrap();
         let mut db = Database::new();
         db.add_relation("R", attrs(&["A"]), &[&[1], &[2]]);
-        let out = compute_adp(&q, &db, 1, &AdpOptions::counting()).unwrap();
+        let out = solve_once(&q, &db, 1, &AdpOptions::counting()).unwrap();
         assert_eq!(out.cost, 1);
         assert!(out.solution.is_none());
     }
@@ -679,7 +684,7 @@ mod tests {
         db
     }
 
-    /// Differential test: on poly-time queries `compute_adp` must equal
+    /// Differential test: on poly-time queries `ComputeADP` must equal
     /// the brute-force optimum for every feasible k; on NP-hard queries
     /// it must be feasible and ≥ the optimum.
     #[test]
@@ -711,7 +716,7 @@ mod tests {
                     continue;
                 }
                 for k in 1..=total.min(6) {
-                    let out = compute_adp(&q, &db, k, &AdpOptions::default())
+                    let out = solve_once(&q, &db, k, &AdpOptions::default())
                         .unwrap_or_else(|e| panic!("{text} k={k}: {e}"));
                     let sol = out.solution.clone().unwrap();
                     let removed = verify::removed_outputs(&q, &db, &sol);
@@ -720,7 +725,10 @@ mod tests {
                         sol.len() as u64 <= out.cost,
                         "{text} k={k}: solution larger than reported cost"
                     );
-                    let (opt, _) = brute_force(&q, &db, k, &BruteForceOptions::default()).unwrap();
+                    let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
+                    let opt = brute_force(&prep, k, &BruteForceOptions::default())
+                        .unwrap()
+                        .cost;
                     if ptime {
                         assert!(out.exact, "{text} k={k} should be exact");
                         assert_eq!(out.cost, opt, "{text} k={k}: not optimal");

@@ -15,12 +15,12 @@
 //!   as [`SolveError::Infeasible`].
 
 use super::greedy::solve_greedy_filtered;
-use super::prepared::PreparedQuery;
-use super::{boolean, AdpOptions, AdpOutcome, Mode};
+use super::profile::CostProfile;
+use super::solved::{Extractor, Solved};
+use super::view::View;
+use super::{boolean, AdpOptions};
 use crate::error::SolveError;
 use crate::query::Query;
-use adp_engine::database::Database;
-use std::sync::Arc;
 
 /// A deletion policy: which relations are **frozen** (undeletable).
 #[derive(Clone, Debug, Default)]
@@ -62,102 +62,41 @@ impl DeletionPolicy {
     }
 }
 
-/// Solves `ADP(Q, D, k)` under a deletion policy. Boolean queries are
-/// solved exactly (min-cut with infinite capacities on frozen atoms);
-/// non-boolean queries use the policy-aware greedy heuristic.
-#[deprecated(
-    since = "0.3.0",
-    note = "use the fluent v2 API: `Solve::new(query, db).k(k).policy(policy).run()` \
-            (byte-identical; the report adds an explain trace)"
-)]
-pub fn compute_adp_with_policy(
-    query: &Query,
-    db: &Database,
+/// Solves `ADP(Q, D, k)` under a deletion policy on `view` (the
+/// prepared plan's root view, whose pooled greedy states are keyed by
+/// the selectable mask). Boolean queries are solved exactly (min-cut
+/// with infinite capacities on frozen atoms); non-boolean queries use
+/// the policy-aware greedy heuristic. With every atom frozen the
+/// profile is empty, so any target is infeasible.
+pub(crate) fn solve_policy(
+    view: &View,
     k: u64,
     policy: &DeletionPolicy,
     opts: &AdpOptions,
-) -> Result<AdpOutcome, SolveError> {
-    let prep = PreparedQuery::new(query.clone(), Arc::new(db.clone()));
-    compute_with_policy_impl(&prep, k, policy, opts)
-}
-
-/// Shared implementation behind [`compute_adp_with_policy`] and the
-/// fluent [`Solve::policy`](super::Solve::policy) path, so the two
-/// front doors cannot drift.
-pub(crate) fn compute_with_policy_impl(
-    prep: &PreparedQuery,
-    k: u64,
-    policy: &DeletionPolicy,
-    opts: &AdpOptions,
-) -> Result<AdpOutcome, SolveError> {
-    if k == 0 {
-        return Err(SolveError::KZero);
-    }
-    if policy.frozen().is_empty() {
-        return prep.solve(k, opts);
-    }
-    let query = prep.query();
-    let view = prep.root_view();
-    let deletable = policy.deletable_atoms(query);
+) -> Result<Solved, SolveError> {
+    let deletable = policy.deletable_atoms(&view.query);
     if deletable.iter().all(|&d| !d) {
-        // nothing may be deleted at all
-        let total = super::count_outputs(&view);
-        if k > total {
-            return Err(SolveError::KTooLarge {
-                k,
-                available: total,
-            });
-        }
-        return Err(SolveError::Infeasible { k, removable: 0 });
+        return Ok(Solved::eager(
+            CostProfile::empty(),
+            Extractor::Empty,
+            true,
+            super::count_outputs(view),
+        ));
     }
-
-    let solved = if query.is_boolean() {
-        boolean::solve_boolean_with_policy(&view, opts, &deletable)?
+    if view.query.is_boolean() {
+        boolean::solve_boolean_with_policy(view, opts, &deletable)
     } else {
         let eval = view.eval();
-        solve_greedy_filtered(&view, &eval, k, &deletable, opts)?
-    };
-    if k > solved.total_outputs {
-        return Err(SolveError::KTooLarge {
-            k,
-            available: solved.total_outputs,
-        });
+        solve_greedy_filtered(view, &eval, k, &deletable, opts)
     }
-    let Some(cost) = solved.min_cost(k)? else {
-        if solved.truncated {
-            return super::truncated_outcome(&solved, opts);
-        }
-        return Err(SolveError::Infeasible {
-            k,
-            removable: solved.max_removable(),
-        });
-    };
-    let solution = match opts.mode {
-        Mode::Report => Some({
-            let mut s = solved.extract(k)?;
-            s.sort_unstable();
-            s.dedup();
-            s
-        }),
-        Mode::Count => None,
-    };
-    Ok(AdpOutcome {
-        cost,
-        achieved: k,
-        exact: solved.exact,
-        truncated: solved.truncated,
-        output_count: solved.total_outputs,
-        solution,
-    })
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry point; the fluent path is differentially
-// tested against it.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::query::parse_query;
+    use crate::solver::{AdpOutcome, Solve};
+    use adp_engine::database::Database;
     use adp_engine::schema::attrs;
 
     fn db() -> Database {
@@ -168,10 +107,25 @@ mod tests {
         db
     }
 
+    fn solve_with_policy(
+        q: &Query,
+        db: &Database,
+        k: u64,
+        policy: &DeletionPolicy,
+        opts: &AdpOptions,
+    ) -> Result<AdpOutcome, SolveError> {
+        Solve::new(q, db)
+            .k(k)
+            .policy(policy.clone())
+            .opts(opts.clone())
+            .run()
+            .map(|r| r.outcome)
+    }
+
     #[test]
     fn unrestricted_policy_delegates() {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
-        let out = compute_adp_with_policy(
+        let out = solve_with_policy(
             &q,
             &db(),
             2,
@@ -187,8 +141,7 @@ mod tests {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
         let policy = DeletionPolicy::unrestricted().freeze("R1");
         for k in 1..=3 {
-            let out =
-                compute_adp_with_policy(&q, &db(), k, &policy, &AdpOptions::default()).unwrap();
+            let out = solve_with_policy(&q, &db(), k, &policy, &AdpOptions::default()).unwrap();
             for t in out.solution.unwrap() {
                 assert_ne!(t.atom, 0, "frozen R1 must not be touched (k={k})");
             }
@@ -201,7 +154,7 @@ mod tests {
         // (or R2); the min-cut stays exact.
         let q = parse_query("Q() :- R1(A), R2(A,B), R3(B)").unwrap();
         let policy = DeletionPolicy::unrestricted().freeze("R3");
-        let out = compute_adp_with_policy(&q, &db(), 1, &policy, &AdpOptions::default()).unwrap();
+        let out = solve_with_policy(&q, &db(), 1, &policy, &AdpOptions::default()).unwrap();
         assert!(out.exact);
         assert_eq!(out.cost, 2, "both R1 values must go");
         for t in out.solution.unwrap() {
@@ -217,7 +170,7 @@ mod tests {
             .freeze("R2")
             .freeze("R3");
         assert!(matches!(
-            compute_adp_with_policy(&q, &db(), 1, &policy, &AdpOptions::default()),
+            solve_with_policy(&q, &db(), 1, &policy, &AdpOptions::default()),
             Err(SolveError::Infeasible { .. })
         ));
     }

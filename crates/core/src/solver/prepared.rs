@@ -13,10 +13,9 @@
 //! * the [`JoinIndexes`] (per-atom hash indexes over the full input),
 //! * the root [`EvalResult`] (witnesses + outputs + incidence).
 //!
-//! [`PreparedQuery::solve`] then behaves exactly like
-//! [`compute_adp_arc`](super::compute_adp_arc) — which is now a thin
-//! wrapper over it — except that every solve after the first starts from
-//! the cached evaluation, and
+//! [`PreparedQuery::solve`] then runs `ComputeADP` (Algorithm 2) on
+//! the plan's root view: every solve after the first starts from the
+//! cached evaluation, and
 //! [`PreparedQuery::removed_outputs`] verifies deletion sets by masked
 //! re-execution ([`AliveMask`]) instead of rebuilding the database.
 //!
@@ -538,10 +537,10 @@ impl PreparedQuery {
     }
 
     /// Solves `ADP(Q, D, k)`, reusing the cached plan, indexes, and
-    /// evaluation across calls. Semantically identical to
-    /// [`compute_adp_arc`](super::compute_adp_arc).
+    /// evaluation across calls: `ComputeADP` (Algorithm 2) on the root
+    /// view.
     pub fn solve(&self, k: u64, opts: &AdpOptions) -> Result<AdpOutcome, SolveError> {
-        super::solve_prepared(self, k, opts)
+        super::outcome(k, opts.mode, || super::solve(&self.root_view(), k, opts))
     }
 
     /// Number of outputs removed by deleting `deletions`:
@@ -686,9 +685,6 @@ impl PreparedQuery {
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent v2 path is
-// differentially tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::analysis::roles::endogenous_atoms;
@@ -725,6 +721,8 @@ mod tests {
         db
     }
 
+    /// A reused plan answers every `k` like a one-shot solve on a fresh
+    /// plan (what the removed `compute_adp_arc` ran).
     #[test]
     fn solve_matches_compute_adp_across_k() {
         let q = parse_query("Q1(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
@@ -733,7 +731,8 @@ mod tests {
         assert_eq!(prep.output_count(), 4);
         for k in 1..=4 {
             let a = prep.solve(k, &AdpOptions::default()).unwrap();
-            let b = super::super::compute_adp_arc(&q, Arc::clone(&db), k, &AdpOptions::default())
+            let b = PreparedQuery::new(q.clone(), Arc::clone(&db))
+                .solve(k, &AdpOptions::default())
                 .unwrap();
             assert_eq!(a.cost, b.cost, "k={k}");
             assert_eq!(a.output_count, b.output_count);

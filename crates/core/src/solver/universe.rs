@@ -187,13 +187,10 @@ pub(crate) fn combine_disjoint(
 }
 
 #[cfg(test)]
-// Pins the legacy v1 entry points; the fluent v2 path is
-// differentially tested against them.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::query::parse_query;
-    use crate::solver::{compute_adp, AdpOptions};
+    use crate::solver::{solve_once, AdpOptions};
     use adp_engine::schema::attrs;
 
     /// Q(A,B) :- R1(A,B), R2(A,B) with A universal: groups are A-values.
@@ -217,7 +214,7 @@ mod tests {
         // After removing the universal {A,B} both relations' residuals
         // are vacuum; each (A,B) group is a singleton output of cost 1.
         let q = parse_query("Q(A,B) :- R1(A,B), R2(A,B)").unwrap();
-        let out = compute_adp(&q, &db(), 2, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db(), 2, &AdpOptions::default()).unwrap();
         assert_eq!(out.output_count, 4);
         assert!(out.exact);
         assert_eq!(out.cost, 2, "two groups must be hit");
@@ -228,8 +225,8 @@ mod tests {
     fn one_by_one_matches_combined() {
         let q = parse_query("Q(A,B) :- R1(A,B), R2(A,B)").unwrap();
         for k in 1..=4 {
-            let combined = compute_adp(&q, &db(), k, &AdpOptions::default()).unwrap();
-            let one_by_one = compute_adp(
+            let combined = solve_once(&q, &db(), k, &AdpOptions::default()).unwrap();
+            let one_by_one = solve_once(
                 &q,
                 &db(),
                 k,
@@ -253,12 +250,12 @@ mod tests {
         db.add_relation("R2", attrs(&["A"]), &[&[1], &[2]]);
         let q = parse_query("Q(A) :- R1(A,B), R2(A)").unwrap();
         // |Q(D)| = 2 (a=1, a=2). k=1: cost 1 (delete R2(2) or R2(1)).
-        let out = compute_adp(&q, &db, 1, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, 1, &AdpOptions::default()).unwrap();
         assert_eq!(out.output_count, 2);
         assert_eq!(out.cost, 1);
         assert!(out.exact);
         // k=2: both groups; group a=1 needs 1 (R2(1)), group a=2 needs 1.
-        let out = compute_adp(&q, &db, 2, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, 2, &AdpOptions::default()).unwrap();
         assert_eq!(out.cost, 2);
     }
 }

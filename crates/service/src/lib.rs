@@ -53,8 +53,8 @@
 //!   path. Push and pull share one maintained state per statement.
 //!
 //! Every answer is byte-identical to a direct
-//! [`compute_adp_arc`](adp_core::solver::compute_adp_arc) call on the
-//! same `(Q, D, k)` — cache hit or cold miss, one client thread or
+//! [`PreparedQuery::solve`](adp_core::solver::PreparedQuery::solve) on
+//! the same `(Q, D, k)` — cache hit or cold miss, one client thread or
 //! many. The `service_differential` proptest suite enforces it.
 //!
 //! [`PreparedQuery`]: adp_core::solver::PreparedQuery
@@ -78,7 +78,9 @@ pub use subscribe::{
 };
 
 use adp_core::query::{parse_query, Query};
-use adp_core::solver::{AdpOptions, AdpOutcome, DeadSet, Mode, PreparedQuery};
+use adp_core::solver::{
+    solver_label, AdpOptions, AdpOutcome, Branch, DeadSet, Mode, PreparedQuery,
+};
 use adp_engine::catalog::RelId;
 use adp_engine::database::Database;
 use adp_engine::error::AdpError;
@@ -336,8 +338,8 @@ impl Service {
     /// snapshot, plan-cache lookup, solve. The solver itself may fan
     /// out over the global [`adp_runtime`] pool; results are
     /// byte-identical to a direct
-    /// [`compute_adp_arc`](adp_core::solver::compute_adp_arc) call on
-    /// the snapshot.
+    /// [`PreparedQuery::solve`](adp_core::solver::PreparedQuery::solve)
+    /// on the snapshot.
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveResponse, ServiceError> {
         let _permit = self.try_admit()?;
         self.solve_admitted(req)
@@ -436,29 +438,20 @@ impl Service {
         // deletion (the resilience-style request). Both are serving
         // semantics: the raw solver treats them as caller errors.
         let k = k.min(total);
-        let (outcome, solver) = if k == 0 {
-            (
-                AdpOutcome {
-                    cost: 0,
-                    achieved: 0,
-                    exact: true,
-                    truncated: false,
-                    output_count: total,
-                    solution: (opts.mode == Mode::Report).then(Vec::new),
-                },
-                "trivial",
-            )
+        let outcome = if k == 0 {
+            AdpOutcome {
+                cost: 0,
+                achieved: 0,
+                exact: true,
+                truncated: false,
+                output_count: total,
+                solution: (opts.mode == Mode::Report).then(Vec::new),
+            }
         } else {
-            let outcome = prep.solve(k, &opts).map_err(ServiceError::Solve)?;
-            let solver = if outcome.exact {
-                "exact"
-            } else if opts.use_drastic && prep.query().is_full() {
-                "drastic-greedy"
-            } else {
-                "greedy"
-            };
-            (outcome, solver)
+            prep.solve(k, &opts).map_err(ServiceError::Solve)?
         };
+        let query = prep.query();
+        let solver = solver_label(Branch::of(query, &opts), &outcome, &opts, query);
         let solve_micros = solve_start.elapsed().as_micros() as u64;
         if outcome.truncated {
             StatsInner::bump(&self.stats.truncated);
@@ -666,14 +659,16 @@ impl Service {
 }
 
 #[cfg(test)]
-// The tests pin the serving layer against the legacy v1 oracle
-// (`compute_adp_arc`); the fluent v2 path is differentially tested
-// against the same oracle elsewhere.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use adp_core::solver::compute_adp_arc;
     use adp_engine::schema::attrs;
+
+    /// The direct solve the serving layer must match.
+    fn direct(q: &Query, db: Arc<Database>, k: u64) -> AdpOutcome {
+        PreparedQuery::new(q.clone(), db)
+            .solve(k, &AdpOptions::default())
+            .unwrap()
+    }
 
     fn chain_db() -> Database {
         let mut db = Database::new();
@@ -701,7 +696,7 @@ mod tests {
         let q = parse_query(Q).unwrap();
         for k in 1..=3u64 {
             let a = svc.solve(&SolveRequest::outputs(Q, k)).unwrap();
-            let b = compute_adp_arc(&q, Arc::clone(&db), k, &AdpOptions::default()).unwrap();
+            let b = direct(&q, Arc::clone(&db), k);
             assert_eq!(a.outcome.cost, b.cost, "k={k}");
             assert_eq!(a.outcome.achieved, b.achieved, "k={k}");
             assert_eq!(a.outcome.solution, b.solution, "k={k}");
@@ -753,7 +748,7 @@ mod tests {
             .outcome
             .output_count;
         let r = svc.solve(&SolveRequest::outputs(Q, total + 100)).unwrap();
-        let full = compute_adp_arc(&q, db, total, &AdpOptions::default()).unwrap();
+        let full = direct(&q, db, total);
         assert_eq!(r.outcome.achieved, total, "everything must go");
         assert_eq!(r.outcome.cost, full.cost);
         assert_eq!(r.outcome.solution, full.solution);
@@ -837,7 +832,7 @@ mod tests {
         // The response must equal direct computation on the snapshot.
         let (_, db) = svc.snapshot();
         let q = parse_query(Q).unwrap();
-        let direct = compute_adp_arc(&q, db, 1, &AdpOptions::default()).unwrap();
+        let direct = direct(&q, db, 1);
         assert_eq!(after.outcome.cost, direct.cost);
         assert_eq!(after.outcome.solution, direct.solution);
 

@@ -86,7 +86,9 @@ pub struct RequestStats {
     pub solve_micros: u64,
     /// Which solver family produced the answer: `"exact"` (poly-time
     /// shape), `"greedy"`, `"drastic-greedy"`, or `"trivial"` (`k = 0`
-    /// or an empty result).
+    /// or an empty result). The same
+    /// [`solver_label`](adp_core::solver::solver_label) as the fluent
+    /// API's [`Explain::solver`](adp_core::solver::Explain::solver).
     pub solver: &'static str,
 }
 

@@ -41,11 +41,11 @@
 //!    plan-once/bind-many serving handle whose hot path does zero
 //!    query-text work per call.
 //!
-//! All three are byte-identical to the deprecated v1 entry points they
-//! replace (`compute_adp`, `compute_adp_arc`, `compute_adp_with_policy`,
-//! `compute_resilience`, `brute_force*`), enforced by the
-//! `api_v2_differential` proptest suite. Failures unify into one
-//! [`Error`] with `From` conversions from every layer enum.
+//! Every [`Solve`] door builds its outcome with the same code as
+//! [`PreparedQuery::solve`], and a [`Statement`] answers exactly what
+//! a direct solve on its snapshot does; the `api_v2_differential`
+//! proptest suite pins both. Failures unify into one [`Error`] with
+//! `From` conversions from every layer enum.
 //!
 //! ```
 //! use adp::{attrs, Database, Query, Solve};
@@ -110,15 +110,3 @@ pub use adp_service::{
 // Core error enums, re-exported so `adp::Error` variants can be matched
 // without reaching into the sub-crates.
 pub use adp_core::{QueryError, SolveError};
-
-// ---------------------------------------------------------------------
-// Deprecated v1 entry points, kept as thin wrappers so existing callers
-// (and the differential test suite pinning byte-identical behavior)
-// keep compiling. See each item's note for its v2 replacement.
-// ---------------------------------------------------------------------
-#[allow(deprecated)]
-pub use adp_core::solver::brute::{brute_force, brute_force_prepared};
-#[allow(deprecated)]
-pub use adp_core::solver::{
-    compute_adp, compute_adp_arc, compute_adp_with_policy, compute_resilience,
-};

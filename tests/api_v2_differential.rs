@@ -1,26 +1,29 @@
-//! Differential tests for the v2 API (ISSUE 5).
+//! Differential tests for the v2 API.
 //!
 //! The v2 surface — [`QueryBuilder`], the fluent [`Solve`] builder, and
-//! the service [`Statement`] handles — must be **byte-identical** to
-//! the v1 entry points it replaces:
+//! the service [`Statement`] handles — is pinned to the library's
+//! direct entry points:
 //!
-//! * `Solve::new(q, db).k(k).run()` ≡ `compute_adp(q, db, k, opts)`;
-//! * `Solve..policy(p)` ≡ `compute_adp_with_policy` (including typed
-//!   errors);
-//! * `Solve..resilience()` ≡ `compute_resilience` (non-empty results);
-//! * `Solve..brute_force()` ≡ `brute_force`;
+//! * `Solve::{new, shared, prepared}(..).k(k).run()` and
+//!   `Solve..resilience()` ≡ `PreparedQuery::solve` at `k` and at
+//!   `|Q(D)|` (including typed errors) — the solve the removed
+//!   `compute_adp` and `compute_resilience` ran;
+//! * `Solve..brute_force()` ≡ `brute::brute_force` on every outcome
+//!   field;
+//! * `Solve..policy(p)` keeps the policy's promises: an empty policy is
+//!   no policy, frozen atoms never appear in the deletion set, the set
+//!   removes exactly `achieved ≥ k` outputs at cost `|set|`, and a
+//!   boolean poly-time query stays exact;
 //! * `Statement::solve(target)` ≡ `Service::solve(&SolveRequest)` on
 //!   the same snapshot — cold, hot, across epoch bumps, and under
 //!   cache-eviction pressure;
 //! * `parse_query(&q.to_text()) == q` for every builder-built query.
-// The legacy entry points are the oracles here, by design.
-#![allow(deprecated)]
 
-use adp::core::solver::brute::BruteForceOptions;
+use adp::core::solver::brute::{brute_force, BruteForceOptions};
 use adp::service::{Service, ServiceConfig, SolveRequest};
 use adp::{
-    brute_force, compute_adp, compute_adp_with_policy, compute_resilience, parse_query, AdpOptions,
-    AdpOutcome, Database, DeletionPolicy, Query, Solve, SolveError, Target,
+    is_ptime, parse_query, removed_outputs, AdpOptions, AdpOutcome, Database, DeletionPolicy,
+    PreparedQuery, Query, Solve, SolveError, Target,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -113,8 +116,10 @@ fn feasible_ks(q: &Query, db: &Database) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fluent `Solve` ≡ legacy `compute_adp` on random `(Q, D, k, opts)`
-    /// — including counting mode and the forced-greedy benchmark hook.
+    /// Fluent `Solve` (borrowed, shared and prepared) ≡
+    /// `PreparedQuery::solve` — the one-shot solve the removed
+    /// `compute_adp` ran — on random `(Q, D, k, opts)`, including
+    /// counting mode and the forced-greedy benchmark hook.
     #[test]
     fn fluent_solve_matches_legacy_compute_adp(
         (q, db) in arb_query().prop_flat_map(|q| {
@@ -127,26 +132,29 @@ proptest! {
             AdpOptions::counting(),
             AdpOptions { force_greedy: true, ..Default::default() },
         ];
+        let shared = Arc::new(db.clone());
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&shared));
+        let total = prep.output_count();
         for opts in &option_sets {
             for k in feasible_ks(&q, &db) {
-                let v1 = compute_adp(&q, &db, k, opts)
+                let direct = PreparedQuery::new(q.clone(), Arc::clone(&shared))
+                    .solve(k, opts)
                     .unwrap_or_else(|e| panic!("{q} k={k}: {e}"));
-                let v2 = Solve::new(&q, &db).k(k).opts(opts.clone()).run()
+                let borrowed = Solve::new(&q, &db).k(k).opts(opts.clone()).run()
                     .unwrap_or_else(|e| panic!("{q} k={k}: {e}"));
-                assert_outcomes_identical(&v2.outcome, &v1, &format!("{q} k={k}"));
-            }
-            // Shared-ownership form too.
-            let shared = Arc::new(db.clone());
-            for k in feasible_ks(&q, &db) {
-                let v1 = adp::compute_adp_arc(&q, Arc::clone(&shared), k, opts).unwrap();
-                let v2 = Solve::shared(&q, Arc::clone(&shared)).k(k).opts(opts.clone()).run().unwrap();
-                assert_outcomes_identical(&v2.outcome, &v1, &format!("{q} k={k} (arc)"));
+                assert_outcomes_identical(&borrowed.outcome, &direct, &format!("{q} k={k}"));
+                let arc = Solve::shared(&q, Arc::clone(&shared)).k(k).opts(opts.clone()).run()
+                    .unwrap();
+                assert_outcomes_identical(&arc.outcome, &direct, &format!("{q} k={k} (arc)"));
+                let reused = Solve::prepared(&prep).k(k).opts(opts.clone()).run().unwrap();
+                assert_outcomes_identical(&reused.outcome, &direct, &format!("{q} k={k} (prep)"));
             }
         }
         // Error cases are typed identically.
         prop_assert!(matches!(Solve::new(&q, &db).k(0).run(), Err(SolveError::KZero)));
-        let total = adp::PreparedQuery::new(q.clone(), Arc::new(db.clone())).output_count();
         if total > 0 {
+            let too_many = Solve::new(&q, &db).k(total + 1).run().map(|r| r.outcome);
+            prop_assert_eq!(too_many, prep.solve(total + 1, &AdpOptions::default()));
             prop_assert!(matches!(
                 Solve::new(&q, &db).k(total + 1).run(),
                 Err(SolveError::KTooLarge { .. })
@@ -158,10 +166,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fluent `Solve..policy` ≡ legacy `compute_adp_with_policy`,
-    /// including infeasibility errors under all-frozen policies.
+    /// Fluent `Solve..policy` keeps the policy's promises on random
+    /// `(Q, D, frozen set, k)`: an empty policy is byte-identical to no
+    /// policy; frozen atoms never appear in the deletion set; the set
+    /// costs `|set|` and removes exactly `achieved ≥ k` outputs; a
+    /// boolean poly-time query stays exact. All-frozen and otherwise
+    /// unreachable targets fail with the typed `Infeasible` error.
     #[test]
-    fn fluent_policy_matches_legacy(
+    fn fluent_policy_keeps_its_promises(
         (q, db, frozen_mask) in arb_query().prop_flat_map(|q| {
             let db = arb_db(&q, 6, 3);
             let n = q.atom_count();
@@ -175,13 +187,33 @@ proptest! {
                 policy = policy.freeze(atom.name());
             }
         }
+        let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
         for k in feasible_ks(&q, &db) {
-            let v1 = compute_adp_with_policy(&q, &db, k, &policy, &AdpOptions::default());
-            let v2 = Solve::new(&q, &db).k(k).policy(policy.clone()).run();
-            match (v1, v2) {
-                (Ok(a), Ok(b)) => assert_outcomes_identical(&b.outcome, &a, &format!("{q} k={k}")),
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb, "{} k={}: errors diverged", q, k),
-                (a, b) => panic!("{q} k={k}: v1={a:?} but v2={b:?}"),
+            let unrestricted = Solve::new(&q, &db).k(k).policy(DeletionPolicy::unrestricted()).run()
+                .unwrap();
+            let plain = prep.solve(k, &AdpOptions::default()).unwrap();
+            assert_outcomes_identical(&unrestricted.outcome, &plain, &format!("{q} k={k} (empty)"));
+
+            if policy.frozen().is_empty() {
+                continue;
+            }
+            let out = match Solve::new(&q, &db).k(k).policy(policy.clone()).run() {
+                Ok(r) => r.outcome,
+                Err(SolveError::Infeasible { .. }) => continue,
+                Err(e) => panic!("{q} k={k}: {e}"),
+            };
+            let sol = out.solution.clone().unwrap();
+            for t in &sol {
+                prop_assert!(
+                    !policy.is_frozen(q.atoms()[t.atom].name()),
+                    "{} k={}: frozen tuple {:?} deleted", q, k, t
+                );
+            }
+            prop_assert_eq!(out.cost, sol.len() as u64, "{} k={}", q, k);
+            prop_assert!(out.achieved >= k, "{} k={}", q, k);
+            prop_assert_eq!(removed_outputs(&q, &db, &sol), out.achieved, "{} k={}", q, k);
+            if q.is_boolean() && is_ptime(&q) {
+                prop_assert!(out.exact, "{} k={}: boolean min-cut must stay exact", q, k);
             }
         }
     }
@@ -190,9 +222,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Solve..resilience()` ≡ `compute_resilience` (the non-empty
-    /// case) and `Solve..brute_force()` ≡ `brute_force` — byte-identical
-    /// deletion sets, not just costs.
+    /// `Solve..resilience()` ≡ `PreparedQuery::solve` at `|Q(D)|` (the
+    /// empty set on an empty result), and `Solve..brute_force()` ≡
+    /// `brute::brute_force` on every outcome field (and in the typed
+    /// error), on the borrowed and the prepared door.
     #[test]
     fn fluent_resilience_and_brute_match_legacy(
         (q, db) in arb_query().prop_flat_map(|q| {
@@ -201,30 +234,33 @@ proptest! {
         })
     ) {
         let opts = AdpOptions::default();
-        match compute_resilience(&q, &db, &opts).unwrap() {
-            Some(v1) => {
-                let v2 = Solve::new(&q, &db).resilience().run().unwrap();
-                assert_outcomes_identical(&v2.outcome, &v1, &format!("{q} resilience"));
-            }
-            None => {
-                let v2 = Solve::new(&q, &db).resilience().run().unwrap();
-                prop_assert_eq!(v2.outcome.cost, 0);
-                prop_assert_eq!(v2.outcome.output_count, 0);
-                prop_assert_eq!(v2.explain.solver, "trivial");
-            }
+        let total = PreparedQuery::new(q.clone(), Arc::new(db.clone())).output_count();
+        let resilience = Solve::new(&q, &db).resilience().run().unwrap();
+        let direct = PreparedQuery::new(q.clone(), Arc::new(db.clone()))
+            .solve(total.max(1), &opts)
+            .unwrap();
+        assert_outcomes_identical(&resilience.outcome, &direct, &format!("{q} resilience"));
+        if total == 0 {
+            prop_assert_eq!(resilience.outcome.cost, 0);
+            prop_assert_eq!(resilience.explain.solver, "trivial");
         }
         // Brute force on the smallest feasible k only (exponential).
         if let Some(&k) = feasible_ks(&q, &db).first() {
             let bf_opts = BruteForceOptions { max_subsets: 200_000, ..Default::default() };
-            let v1 = brute_force(&q, &db, k, &bf_opts);
-            let v2 = Solve::new(&q, &db).k(k).brute_force_opts(bf_opts).run();
-            match (v1, v2) {
-                (Ok((cost, sol)), Ok(report)) => {
-                    prop_assert_eq!(report.outcome.cost, cost, "{} k={}", q, k);
-                    prop_assert_eq!(report.outcome.solution.as_deref(), Some(&sol[..]), "{} k={}", q, k);
+            let prep = PreparedQuery::new(q.clone(), Arc::new(db.clone()));
+            let search = brute_force(&prep, k, &bf_opts);
+            for report in [
+                Solve::new(&q, &db).k(k).brute_force_opts(bf_opts).run(),
+                Solve::prepared(&prep).k(k).brute_force_opts(bf_opts).run(),
+            ] {
+                match (&search, report) {
+                    (Ok(a), Ok(b)) => {
+                        assert_outcomes_identical(&b.outcome, a, &format!("{q} k={k}"));
+                        prop_assert_eq!(b.explain.solver, "brute-force");
+                    }
+                    (Err(ea), Err(eb)) => prop_assert_eq!(ea, &eb),
+                    (a, b) => panic!("{q} k={k}: search={a:?} but fluent={b:?}"),
                 }
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                (a, b) => panic!("{q} k={k}: v1={a:?} but v2={b:?}"),
             }
         }
     }

@@ -1,16 +1,35 @@
 //! End-to-end integration tests spanning all crates: paper examples,
 //! every solver path, and cross-checks between the facade APIs.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
 use adp::core::analysis;
+use adp::core::solver::brute::brute_force;
 use adp::engine::schema::attr;
 use adp::{
-    attrs, brute_force, compute_adp, is_ptime, parse_query, removed_outputs, solve_selection,
-    AdpOptions, BruteForceOptions, Database, Mode, SelectionQuery,
+    attrs, is_ptime, parse_query, removed_outputs, solve_selection, AdpOptions, AdpOutcome,
+    BruteForceOptions, Database, DeletionPolicy, Mode, PreparedQuery, Query, SelectionQuery, Solve,
+    SolveError,
 };
+use std::sync::Arc;
+
+/// A one-shot solve on a private copy of `db`.
+fn solve_once(
+    q: &Query,
+    db: &Database,
+    k: u64,
+    opts: &AdpOptions,
+) -> Result<AdpOutcome, SolveError> {
+    PreparedQuery::new(q.clone(), Arc::new(db.clone())).solve(k, opts)
+}
+
+/// The exhaustive-search answer on a private copy of `db`.
+fn brute_once(q: &Query, db: &Database, k: u64, opts: &BruteForceOptions) -> AdpOutcome {
+    brute_force(
+        &PreparedQuery::new(q.clone(), Arc::new(db.clone())),
+        k,
+        opts,
+    )
+    .unwrap()
+}
 
 fn figure1_db() -> Database {
     let mut db = Database::new();
@@ -30,13 +49,13 @@ fn figure1_q1_and_q2_output_counts() {
     let q1 = parse_query("Q1(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
     let q2 = parse_query("Q2(A,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
     assert_eq!(
-        compute_adp(&q1, &db, 1, &AdpOptions::default())
+        solve_once(&q1, &db, 1, &AdpOptions::default())
             .unwrap()
             .output_count,
         4
     );
     assert_eq!(
-        compute_adp(&q2, &db, 1, &AdpOptions::default())
+        solve_once(&q2, &db, 1, &AdpOptions::default())
             .unwrap()
             .output_count,
         3
@@ -52,12 +71,12 @@ fn example1_waitlist_pipeline() {
     db.add_relation("Major", attrs(&["S", "M"]), &[&[1, 1], &[2, 1], &[3, 2]]);
     db.add_relation("Req", attrs(&["M", "C"]), &[&[1, 10], &[1, 11], &[2, 10]]);
     db.add_relation("NoSeat", attrs(&["C"]), &[&[10], &[11]]);
-    let probe = compute_adp(&q, &db, 1, &AdpOptions::default()).unwrap();
+    let probe = solve_once(&q, &db, 1, &AdpOptions::default()).unwrap();
     for k in 1..=probe.output_count {
-        let out = compute_adp(&q, &db, k, &AdpOptions::default()).unwrap();
+        let out = solve_once(&q, &db, k, &AdpOptions::default()).unwrap();
         let sol = out.solution.unwrap();
         assert!(removed_outputs(&q, &db, &sol) >= k);
-        let (opt, _) = brute_force(&q, &db, k, &BruteForceOptions::default()).unwrap();
+        let opt = brute_once(&q, &db, k, &BruteForceOptions::default()).cost;
         assert!(out.cost >= opt);
         assert!(out.cost <= opt * 3, "heuristic within small factor here");
     }
@@ -135,7 +154,7 @@ fn selection_vs_manual_filtering() {
     for ratio in [0.1, 0.5, 0.9] {
         let k = ((probe.output_count as f64 * ratio) as u64).max(1);
         let a = solve_selection(&sq, &db, k, &AdpOptions::counting()).unwrap();
-        let b = compute_adp(&residual, &fdb, k, &AdpOptions::counting()).unwrap();
+        let b = solve_once(&residual, &fdb, k, &AdpOptions::counting()).unwrap();
         assert_eq!(a.cost, b.cost, "k={k}");
         assert!(a.exact && b.exact);
     }
@@ -145,11 +164,11 @@ fn selection_vs_manual_filtering() {
 fn counting_equals_reporting_cost() {
     let q = adp::datagen::queries::q6();
     let db = adp::datagen::zipf_pair(&adp::datagen::zipf::ZipfConfig::new(400, 1.0, 5, false));
-    let probe = compute_adp(&q, &db, 1, &AdpOptions::counting()).unwrap();
+    let probe = solve_once(&q, &db, 1, &AdpOptions::counting()).unwrap();
     for ratio in [0.1, 0.25, 0.5, 0.75] {
         let k = ((probe.output_count as f64 * ratio) as u64).max(1);
-        let count = compute_adp(&q, &db, k, &AdpOptions::counting()).unwrap();
-        let report = compute_adp(
+        let count = solve_once(&q, &db, k, &AdpOptions::counting()).unwrap();
+        let report = solve_once(
             &q,
             &db,
             k,
@@ -183,14 +202,14 @@ fn snap_queries_heuristics_are_feasible() {
         adp::datagen::queries::q5(),
     ] {
         let db = ego_database_for(&edges, q.atoms());
-        let probe = match compute_adp(&q, &db, 1, &AdpOptions::default()) {
+        let probe = match solve_once(&q, &db, 1, &AdpOptions::default()) {
             Ok(p) => p,
             Err(adp::SolveError::KTooLarge { .. }) => continue, // empty result
             Err(e) => panic!("{q}: {e}"),
         };
         for ratio in [0.25, 0.75] {
             let k = ((probe.output_count as f64 * ratio) as u64).max(1);
-            let out = compute_adp(&q, &db, k, &AdpOptions::default()).unwrap();
+            let out = solve_once(&q, &db, k, &AdpOptions::default()).unwrap();
             let sol = out.solution.unwrap();
             assert!(removed_outputs(&q, &db, &sol) >= k, "{q} k={k}: infeasible");
         }
@@ -202,12 +221,12 @@ fn q7_and_q8_optimization_paths_agree() {
     use adp::core::solver::{DecomposeStrategy, UniverseStrategy};
     let q7 = adp::datagen::queries::q7();
     let db7 = adp::datagen::uniform::uniform_db_for_query(&q7, &[20, 40, 40, 30], 3, 23);
-    let probe = compute_adp(&q7, &db7, 1, &AdpOptions::default()).unwrap();
+    let probe = solve_once(&q7, &db7, 1, &AdpOptions::default()).unwrap();
     let total = probe.output_count;
     for ratio in [0.5, 0.75] {
         let k = ((total as f64 * ratio) as u64).max(1);
-        let singleton = compute_adp(&q7, &db7, k, &AdpOptions::default()).unwrap();
-        let combined = compute_adp(
+        let singleton = solve_once(&q7, &db7, k, &AdpOptions::default()).unwrap();
+        let combined = solve_once(
             &q7,
             &db7,
             k,
@@ -218,7 +237,7 @@ fn q7_and_q8_optimization_paths_agree() {
             },
         )
         .unwrap();
-        let one_by_one = compute_adp(
+        let one_by_one = solve_once(
             &q7,
             &db7,
             k,
@@ -236,7 +255,7 @@ fn q7_and_q8_optimization_paths_agree() {
 
     let q8 = adp::datagen::queries::q8();
     let db8 = adp::datagen::uniform::uniform_db_for_query(&q8, &[10, 20, 10, 20, 10, 20], 40, 29);
-    let probe = compute_adp(&q8, &db8, 1, &AdpOptions::default()).unwrap();
+    let probe = solve_once(&q8, &db8, 1, &AdpOptions::default()).unwrap();
     let k = (probe.output_count / 10).max(1);
     let mut costs = Vec::new();
     for strat in [
@@ -245,7 +264,7 @@ fn q7_and_q8_optimization_paths_agree() {
         DecomposeStrategy::NaivePairs,
         DecomposeStrategy::ImprovedDp,
     ] {
-        let out = compute_adp(
+        let out = solve_once(
             &q8,
             &db8,
             k,
@@ -276,14 +295,50 @@ fn boolean_resilience_matches_brute_force_on_random_data() {
             let sizes = vec![n; q.atom_count()];
             seed = seed.wrapping_add(1);
             let db = adp::datagen::uniform::uniform_db_for_query(&q, &sizes, 3, seed);
-            let out = match compute_adp(&q, &db, 1, &AdpOptions::default()) {
+            let out = match solve_once(&q, &db, 1, &AdpOptions::default()) {
                 Ok(o) => o,
                 Err(adp::SolveError::KTooLarge { .. }) => continue,
                 Err(e) => panic!("{text}: {e}"),
             };
-            let (opt, _) = brute_force(&q, &db, 1, &BruteForceOptions::default()).unwrap();
+            let opt = brute_once(&q, &db, 1, &BruteForceOptions::default()).cost;
             assert_eq!(out.cost, opt, "{text} n={n}");
             assert!(out.exact, "{text} is triad-free");
         }
     }
+}
+
+/// Regression: the policy and selection doors report the removal at
+/// the chosen profile point, not the target. At `k = 1` their one-tuple
+/// sets remove 2 outputs, and `achieved` must say 2.
+#[test]
+fn achieved_is_what_the_set_removes_on_policy_and_selection_doors() {
+    let mut db = Database::new();
+    db.add_relation("R1", attrs(&["A"]), &[&[1], &[2]]);
+    db.add_relation("R2", attrs(&["A", "B"]), &[&[1, 1], &[1, 2], &[2, 1]]);
+    db.add_relation("R3", attrs(&["B"]), &[&[1], &[2]]);
+
+    // Policy door: freeze R3 on Q_path, k = 1.
+    let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
+    let policy = DeletionPolicy::unrestricted().freeze("R3");
+    let out = Solve::new(&q, &db)
+        .k(1)
+        .policy(policy)
+        .run()
+        .unwrap()
+        .outcome;
+    let sol = out.solution.clone().unwrap();
+    assert_eq!(sol.len(), 1);
+    assert_eq!(removed_outputs(&q, &db, &sol), 2);
+    assert_eq!(out.achieved, 2, "policy door");
+
+    // Selection door: σ C=7, with every S tuple selected so that
+    // `removed_outputs` counts selected outputs only.
+    db.add_relation("S", attrs(&["C", "A"]), &[&[7, 1], &[7, 2]]);
+    let q = parse_query("Q(A,B,C) :- R1(A), R2(A,B), R3(B), S(C,A)").unwrap();
+    let sq = SelectionQuery::new(q.clone(), vec![(attr("C"), 7)]).unwrap();
+    let out = solve_selection(&sq, &db, 1, &AdpOptions::default()).unwrap();
+    let sol = out.solution.clone().unwrap();
+    assert_eq!(sol.len(), 1);
+    assert_eq!(removed_outputs(&q, &db, &sol), 2);
+    assert_eq!(out.achieved, 2, "selection door");
 }

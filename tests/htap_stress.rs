@@ -16,11 +16,7 @@
 //!   the O(Δ) write path shares segments instead of copying them, so a
 //!   pinned reader costs the writer nothing.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
-use adp::core::solver::{compute_adp_arc, AdpOptions};
+use adp::core::solver::{AdpOptions, PreparedQuery};
 use adp::service::{Service, ServiceConfig, SolveRequest, SubscribeOptions, Target, ViewUpdate};
 use adp::{parse_query, Database};
 use std::collections::HashMap;
@@ -176,11 +172,14 @@ fn htap_storm_stays_consistent_and_writers_stay_fast() {
                 std::thread::sleep(Duration::from_millis(50));
             }
             let q = parse_query(Q).unwrap();
-            let slow = compute_adp_arc(&q, Arc::clone(pinned), 2, &AdpOptions::default()).unwrap();
+            let slow = PreparedQuery::new(q.clone(), Arc::clone(pinned))
+                .solve(2, &AdpOptions::default())
+                .unwrap();
             // Epoch 0 == the untouched base: a from-scratch build of the
             // same data is the oracle.
-            let fresh =
-                compute_adp_arc(&q, Arc::new(htap_db()), 2, &AdpOptions::default()).unwrap();
+            let fresh = PreparedQuery::new(q.clone(), Arc::new(htap_db()))
+                .solve(2, &AdpOptions::default())
+                .unwrap();
             assert_eq!(slow.cost, fresh.cost, "pinned epoch drifted");
             assert_eq!(slow.output_count, fresh.output_count);
             assert_eq!(slow.solution, fresh.solution);
@@ -208,8 +207,9 @@ fn htap_storm_stays_consistent_and_writers_stay_fast() {
             .unwrap_or_else(|| panic!("response from unknown epoch {}", resp.stats.epoch));
         let k_eff = (*k).min(resp.outcome.output_count);
         if k_eff > 0 {
-            let oracle =
-                compute_adp_arc(&q, Arc::clone(snap), k_eff, &AdpOptions::default()).unwrap();
+            let oracle = PreparedQuery::new(q.clone(), Arc::clone(snap))
+                .solve(k_eff, &AdpOptions::default())
+                .unwrap();
             assert_eq!(resp.outcome.cost, oracle.cost, "k={k}");
             assert_eq!(resp.outcome.achieved, oracle.achieved, "k={k}");
             assert_eq!(resp.outcome.solution, oracle.solution, "k={k}");

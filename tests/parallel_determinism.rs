@@ -8,16 +8,31 @@
 //! the parallel code paths run even on a single-core CI box) and
 //! compare against `sequential: true` runs of the same instances.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
+use adp::core::solver::brute::brute_force;
 use adp::core::solver::{AdpOptions, AdpOutcome, Mode, PreparedQuery};
 use adp::datagen::zipf::ZipfConfig;
-use adp::{
-    brute_force, compute_adp, parallel_sweep, parse_query, BruteForceOptions, Database, Query,
-};
+use adp::{parallel_sweep, parse_query, BruteForceOptions, Database, Query, SolveError};
 use std::sync::Arc;
+
+/// A one-shot solve on a private copy of `db`.
+fn solve_once(
+    q: &Query,
+    db: &Database,
+    k: u64,
+    opts: &AdpOptions,
+) -> Result<AdpOutcome, SolveError> {
+    PreparedQuery::new(q.clone(), Arc::new(db.clone())).solve(k, opts)
+}
+
+/// The exhaustive-search answer on a private copy of `db`.
+fn brute_once(q: &Query, db: &Database, k: u64, opts: &BruteForceOptions) -> AdpOutcome {
+    brute_force(
+        &PreparedQuery::new(q.clone(), Arc::new(db.clone())),
+        k,
+        opts,
+    )
+    .unwrap()
+}
 
 /// Pins the global pool to 4 workers. Every test calls this first, so
 /// the pool is always multi-worker regardless of the machine.
@@ -86,10 +101,14 @@ fn brute_force_parallel_is_byte_identical() {
                 if k == 0 {
                     continue;
                 }
-                let seq = brute_force(&q, &db, k, &seq_opts).unwrap();
-                let par = brute_force(&q, &db, k, &par_opts).unwrap();
-                assert_eq!(seq.0, par.0, "{text} k={k}: cost differs");
-                assert_eq!(seq.1, par.1, "{text} k={k}: deletion set differs");
+                let seq = brute_once(&q, &db, k, &seq_opts);
+                let par = brute_once(&q, &db, k, &par_opts);
+                assert_eq!(seq.cost, par.cost, "{text} k={k}: cost differs");
+                assert_eq!(
+                    seq.solution, par.solution,
+                    "{text} k={k}: deletion set differs"
+                );
+                assert_eq!(seq, par, "{text} k={k}: outcome differs");
             }
         }
     }
@@ -119,13 +138,13 @@ fn solver_parallel_is_byte_identical_on_random_instances() {
                 sequential: true,
                 ..Default::default()
             };
-            let total = match compute_adp(&q, &db, 1, &AdpOptions::counting()) {
+            let total = match solve_once(&q, &db, 1, &AdpOptions::counting()) {
                 Ok(p) => p.output_count,
                 Err(_) => continue, // empty result set
             };
             for k in 1..=total.min(6) {
-                let par = compute_adp(&q, &db, k, &par_opts).unwrap();
-                let seq = compute_adp(&q, &db, k, &seq_opts).unwrap();
+                let par = solve_once(&q, &db, k, &par_opts).unwrap();
+                let seq = solve_once(&q, &db, k, &seq_opts).unwrap();
                 assert_identical(&par, &seq, &format!("{text} k={k}"));
             }
         }

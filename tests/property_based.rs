@@ -1,16 +1,34 @@
 //! Property-based tests (proptest) over randomly generated queries and
 //! instances, checking the paper's theorems as executable invariants.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
 use adp::core::analysis;
+use adp::core::solver::brute::brute_force;
 use adp::core::solver::CostProfile;
 use adp::{
-    brute_force, compute_adp, is_ptime, parse_query, removed_outputs, AdpOptions,
-    BruteForceOptions, Database, Query,
+    is_ptime, parse_query, removed_outputs, AdpOptions, AdpOutcome, BruteForceOptions, Database,
+    PreparedQuery, Query, SolveError,
 };
+use std::sync::Arc;
+
+/// A one-shot solve on a private copy of `db`.
+fn solve_once(
+    q: &Query,
+    db: &Database,
+    k: u64,
+    opts: &AdpOptions,
+) -> Result<AdpOutcome, SolveError> {
+    PreparedQuery::new(q.clone(), Arc::new(db.clone())).solve(k, opts)
+}
+
+/// The exhaustive-search answer on a private copy of `db`.
+fn brute_once(q: &Query, db: &Database, k: u64, opts: &BruteForceOptions) -> AdpOutcome {
+    brute_force(
+        &PreparedQuery::new(q.clone(), Arc::new(db.clone())),
+        k,
+        opts,
+    )
+    .unwrap()
+}
 use proptest::prelude::*;
 
 /// Strategy: a random self-join-free query over attributes A..E with
@@ -182,7 +200,7 @@ proptest! {
             (Just(q), db)
         })
     ) {
-        let probe = match compute_adp(&q, &db, 1, &AdpOptions::counting()) {
+        let probe = match solve_once(&q, &db, 1, &AdpOptions::counting()) {
             Ok(p) => p,
             Err(_) => return Ok(()), // empty result set
         };
@@ -192,7 +210,7 @@ proptest! {
             .filter(|&k| k >= 1 && k <= total)
             .collect();
         for k in ks {
-            let out = compute_adp(&q, &db, k, &AdpOptions::default()).unwrap();
+            let out = solve_once(&q, &db, k, &AdpOptions::default()).unwrap();
             let sol = out.solution.clone().unwrap();
             prop_assert!(sol.len() as u64 <= out.cost);
             prop_assert!(
@@ -200,7 +218,7 @@ proptest! {
                 "{} k={}: solution infeasible", q, k
             );
             if db.total_tuples() <= 14 {
-                let (opt, _) = brute_force(&q, &db, k, &BruteForceOptions::default()).unwrap();
+                let opt = brute_once(&q, &db, k, &BruteForceOptions::default()).cost;
                 if is_ptime(&q) {
                     prop_assert!(out.exact, "{} k={}", q, k);
                     prop_assert_eq!(out.cost, opt, "{} k={} not optimal", q, k);

@@ -4,15 +4,11 @@
 //! response the service produces — through the plan cache, concurrently,
 //! on either the cold-miss or the cache-hit path — must be
 //! **byte-identical** to a direct sequential
-//! [`compute_adp_arc`](adp::core::solver::compute_adp_arc) call on the
-//! same snapshot. The serving layer adds sharing and scheduling; it must
+//! [`PreparedQuery::solve`] on a freshly compiled plan over the same
+//! snapshot. The serving layer adds sharing and scheduling; it must
 //! never add (or lose) a single byte of answer.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
-use adp::core::solver::{compute_adp_arc, AdpOptions, AdpOutcome, PreparedQuery};
+use adp::core::solver::{AdpOptions, AdpOutcome, PreparedQuery};
 use adp::service::{Service, ServiceConfig, SolveRequest, SolveResponse, Statement, Target};
 use adp::{parse_query, Database, Query};
 use proptest::prelude::*;
@@ -146,7 +142,7 @@ proptest! {
                 adp::Target::Outputs(k) => k,
                 adp::Target::Ratio(_) => unreachable!(),
             };
-            let reference = compute_adp_arc(&q, Arc::clone(&shared), k, &AdpOptions::default())
+            let reference = PreparedQuery::new(q.clone(), Arc::clone(&shared)).solve(k, &AdpOptions::default())
                 .unwrap_or_else(|e| panic!("{q} k={k}: {e}"));
             assert_outcomes_identical(&resp.outcome, &reference, &format!("{q} k={k}"));
             prop_assert_eq!(resp.stats.epoch, 0);
@@ -193,7 +189,7 @@ proptest! {
             for k in [1, total].into_iter().filter(|&k| k >= 1 && k <= total) {
                 let resp = svc.solve(&SolveRequest::outputs(text.clone(), k)).unwrap();
                 let reference =
-                    compute_adp_arc(&q, Arc::clone(&snap), k, &AdpOptions::default()).unwrap();
+                    PreparedQuery::new(q.clone(), Arc::clone(&snap)).solve(k, &AdpOptions::default()).unwrap();
                 assert_outcomes_identical(
                     &resp.outcome,
                     &reference,

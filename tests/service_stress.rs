@@ -17,11 +17,7 @@
 //!   [`AdpError::Overloaded`](adp::engine::error::AdpError::Overloaded)
 //!   — the hammering threads all join without anyone parking forever.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
-use adp::core::solver::{compute_adp_arc, AdpOptions, AdpOutcome};
+use adp::core::solver::{AdpOptions, AdpOutcome, PreparedQuery};
 use adp::engine::error::AdpError;
 use adp::service::{Service, ServiceConfig, ServiceError, SolveRequest};
 use adp::{parse_query, Database};
@@ -155,7 +151,9 @@ fn mixed_traffic_never_serves_stale_epochs() {
                 solution: Some(Vec::new()),
             }
         } else {
-            compute_adp_arc(&q, Arc::clone(snap), k_eff, &AdpOptions::default()).unwrap()
+            PreparedQuery::new(q.clone(), Arc::clone(snap))
+                .solve(k_eff, &AdpOptions::default())
+                .unwrap()
         };
         assert_outcomes_identical(
             &resp.outcome,

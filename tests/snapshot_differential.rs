@@ -19,11 +19,7 @@
 //! restore of a tuple whose segment already compacted it away, which
 //! must re-materialize the row mid-segment in stable order.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
-use adp::core::solver::{compute_adp_arc, AdpOptions};
+use adp::core::solver::{AdpOptions, PreparedQuery};
 use adp::engine::delta::DeltaProvenance;
 use adp::engine::plan::QueryPlan;
 use adp::engine::relation::RelationInstance;
@@ -206,8 +202,12 @@ fn assert_views_identical(
     let total = seg_eval.output_count();
     if total > 0 {
         let k = (1 + step as u64 % 2).min(total);
-        let a = compute_adp_arc(q, Arc::new(seg.clone()), k, &AdpOptions::default()).unwrap();
-        let b = compute_adp_arc(q, Arc::new(oracle.clone()), k, &AdpOptions::default()).unwrap();
+        let a = PreparedQuery::new(q.clone(), Arc::new(seg.clone()))
+            .solve(k, &AdpOptions::default())
+            .unwrap();
+        let b = PreparedQuery::new(q.clone(), Arc::new(oracle.clone()))
+            .solve(k, &AdpOptions::default())
+            .unwrap();
         prop_assert_eq!(a.cost, b.cost, "step {}: greedy cost diverged", step);
         prop_assert_eq!(a.achieved, b.achieved);
         prop_assert_eq!(

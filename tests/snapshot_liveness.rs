@@ -17,11 +17,7 @@
 //!   subscription groups keep delivering gapless updates while their
 //!   segments are rewritten underneath them.
 
-// This suite pins the legacy v1 entry points as the differential
-// oracle for the fluent v2 API (see tests/api_v2_differential.rs).
-#![allow(deprecated)]
-
-use adp::core::solver::{compute_adp_arc, AdpOptions, PreparedQuery};
+use adp::core::solver::{AdpOptions, PreparedQuery};
 use adp::service::{Service, ServiceConfig, SolveRequest, SubscribeOptions, Target};
 use adp::{parse_query, Database};
 use std::sync::Arc;
@@ -175,7 +171,9 @@ fn statements_rebind_across_compactions() {
         let (_, snap) = svc.snapshot();
         let k = 1u64.min(resp.outcome.output_count);
         if k > 0 {
-            let direct = compute_adp_arc(&q, snap, k, &AdpOptions::default()).unwrap();
+            let direct = PreparedQuery::new(q.clone(), snap)
+                .solve(k, &AdpOptions::default())
+                .unwrap();
             assert_eq!(resp.outcome.cost, direct.cost, "round {round}");
             assert_eq!(resp.outcome.solution, direct.solution, "round {round}");
         }
