@@ -4,8 +4,11 @@
 //! query-complexity analyses.
 // The replan-per-call baselines compile a fresh `PreparedQuery` per
 // call rather than going through the fluent `Solve`, whose per-run
-// explain pass would skew the comparison.
+// explain pass would skew the comparison. A prepared plan memoizes its
+// root answers, so benches that re-solve a target time each solve on
+// a fresh plan (`fresh_plan`, outside the timer) instead of a lookup.
 
+use adp_bench::fresh_plan;
 use adp_core::analysis::{find_hard_structures, is_ptime};
 use adp_core::solver::{AdpOptions, CostProfile, PreparedQuery};
 use adp_datagen::queries;
@@ -15,7 +18,7 @@ use adp_engine::join::evaluate;
 use adp_engine::plan::{AliveMask, QueryPlan};
 use adp_engine::provenance::ProvenanceIndex;
 use adp_engine::semijoin::remove_dangling;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 
 fn bench_join(c: &mut Criterion) {
@@ -113,7 +116,9 @@ fn bench_prepared_sweep(c: &mut Criterion) {
 /// faster (8 cells whose cost is dominated by the two ρ=75% solves);
 /// on fewer cores it degrades gracefully. Outcomes are asserted
 /// byte-identical (cost, deletion set, outputs removed) before either
-/// variant is timed, so the pair always also checks determinism.
+/// variant is timed, so the pair always also checks determinism. Each
+/// cell solves on its own fresh plan: on a shared one, a larger-k cell
+/// that finished first would answer a smaller-k cell from its memo.
 fn bench_parallel_sweep(c: &mut Criterion) {
     // Two independent trials of the hard workload: more cells than a
     // single 4-ratio sweep, so 4 workers stay busy.
@@ -147,21 +152,25 @@ fn bench_parallel_sweep(c: &mut Criterion) {
         .collect();
     let pool = adp_runtime::ThreadPool::new(4);
 
-    let solve_seq = || -> Vec<_> {
+    let fresh_cells = || -> Vec<(PreparedQuery, u64)> {
         cells
             .iter()
-            .map(|&(t, k)| preps[t].solve(k, &opts).unwrap())
+            .map(|&(t, k)| (fresh_plan(&preps[t]), k))
             .collect()
     };
-    let solve_par = || -> Vec<_> {
-        adp_runtime::parallel_sweep(&pool, &cells, |_, &(t, k)| {
-            preps[t].solve(k, &opts).unwrap()
-        })
+    let solve_seq = |cells: Vec<(PreparedQuery, u64)>| -> Vec<_> {
+        cells
+            .iter()
+            .map(|(prep, k)| prep.solve(*k, &opts).unwrap())
+            .collect()
+    };
+    let solve_par = |cells: Vec<(PreparedQuery, u64)>| -> Vec<_> {
+        adp_runtime::parallel_sweep(&pool, &cells, |_, (prep, k)| prep.solve(*k, &opts).unwrap())
     };
 
     // Determinism gate: the parallel sweep must be byte-identical.
-    let seq = solve_seq();
-    let par = solve_par();
+    let seq = solve_seq(fresh_cells());
+    let par = solve_par(fresh_cells());
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.cost, p.cost, "parallel sweep changed a cost");
@@ -172,11 +181,21 @@ fn bench_parallel_sweep(c: &mut Criterion) {
         );
     }
 
+    let total_cost =
+        |outs: Vec<adp_core::solver::AdpOutcome>| -> u64 { outs.iter().map(|o| o.cost).sum() };
     c.bench_function("rho_sweep_hard_sequential", |b| {
-        b.iter(|| black_box(solve_seq().iter().map(|o| o.cost).sum::<u64>()))
+        b.iter_batched(
+            fresh_cells,
+            |cells| total_cost(solve_seq(cells)),
+            BatchSize::LargeInput,
+        )
     });
     c.bench_function("rho_sweep_hard_parallel_4t", |b| {
-        b.iter(|| black_box(solve_par().iter().map(|o| o.cost).sum::<u64>()))
+        b.iter_batched(
+            fresh_cells,
+            |cells| total_cost(solve_par(cells)),
+            BatchSize::LargeInput,
+        )
     });
 }
 
@@ -188,7 +207,10 @@ fn bench_parallel_sweep(c: &mut Criterion) {
 /// the incrementally maintained scores (`O(Δ)` per round). Outcomes are
 /// asserted byte-identical (cost, deletion set, outputs removed)
 /// **before** either variant is timed; the delta pair must be ≥5×
-/// faster (measured ~14–20× at this size, growing with n).
+/// faster (measured ~14–20× at this size, growing with n). The delta
+/// variant solves on a fresh plan per iteration, so it also pays its
+/// scoring pass: on the shared plan its repeat would be a memo lookup
+/// (the `full_reeval` oracle never reads the memo).
 fn bench_greedy_rounds(c: &mut Criterion) {
     let db = Arc::new(adp_datagen::zipf_pair(&ZipfConfig::new(
         4_000, 0.5, 21, true,
@@ -222,7 +244,11 @@ fn bench_greedy_rounds(c: &mut Criterion) {
         b.iter(|| black_box(prep.solve(k, &masked_opts).unwrap().cost))
     });
     c.bench_function("greedy_rounds_delta", |b| {
-        b.iter(|| black_box(prep.solve(k, &delta_opts).unwrap().cost))
+        b.iter_batched(
+            || fresh_plan(&prep),
+            |own| own.solve(k, &delta_opts).unwrap().cost,
+            BatchSize::LargeInput,
+        )
     });
 }
 

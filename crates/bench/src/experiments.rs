@@ -114,8 +114,8 @@ pub fn fig10_11() {
     let q = queries::q1();
     for &n in &sizes {
         let cfg = adp_datagen::tpch::TpchConfig::scaled(n, workload_seed(0xAB));
-        // One prepared query per workload: every ρ (and both heuristics)
-        // reuses the same plan, indexes, and root evaluation.
+        // One prepared query per workload gives |Q(D)|; `sweep_solve`
+        // rebinds it per cell, so every cell times its own solve.
         let prep = prepare(&q, adp_datagen::tpch_chain(&cfg));
         let total = prep.output_count();
         let mut cells = Vec::new();

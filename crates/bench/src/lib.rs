@@ -103,7 +103,10 @@ pub fn prepare(query: &Query, db: Database) -> PreparedQuery {
 /// Times one solver invocation against a prepared query. The first call
 /// on a fresh [`PreparedQuery`] pays the evaluation; subsequent calls
 /// measure pure solver time — the plan-once/execute-many regime the
-/// harness reports.
+/// harness reports. A call whose target an earlier call on the same
+/// plan already covered is answered from the plan's memo of root
+/// answers ([`PreparedQuery::cached_answers`]), so callers time each
+/// target once per plan, or on a plan of its own ([`sweep_solve`]).
 pub fn timed_solve(prep: &PreparedQuery, k: u64, opts: &AdpOptions) -> (f64, AdpOutcome) {
     let start = Instant::now();
     let out = prep
@@ -139,19 +142,34 @@ impl SweepCell {
     }
 }
 
-/// Solves every cell of a ρ-sweep against one shared [`PreparedQuery`],
-/// fanning the cells out across the global [`adp_runtime`] pool (one
-/// worker per cell, dynamically balanced). Results come back **in cell
-/// order** and are byte-identical to the sequential loop — per-cell
-/// wall-clock times are measured inside each cell, exactly like
-/// [`timed_solve`].
+/// Solves every cell of a ρ-sweep over `prep`'s database, fanning the
+/// cells out across the global [`adp_runtime`] pool (one worker per
+/// cell, dynamically balanced). Results come back **in cell order** and
+/// are byte-identical to the sequential loop — per-cell wall-clock
+/// times are measured inside each cell, exactly like [`timed_solve`].
+///
+/// Each cell solves on its own plan ([`fresh_plan`], joined before the
+/// timer starts), so every cell pays
+/// its own solve, scoring pass included. On one shared plan, a
+/// larger-k cell that finished first would answer a smaller-k cell
+/// from the plan's memo, and the figure would time a lookup. `prep`
+/// itself is left untouched.
 ///
 /// With a single-worker pool (`--threads 1`) this *is* the sequential
 /// loop.
 pub fn sweep_solve(prep: &PreparedQuery, cells: &[SweepCell]) -> Vec<(f64, AdpOutcome)> {
     adp_runtime::parallel_sweep(adp_runtime::global(), cells, |_, cell| {
-        timed_solve(prep, cell.k, &cell.opts)
+        timed_solve(&fresh_plan(prep), cell.k, &cell.opts)
     })
+}
+
+/// A new plan over `prep`'s database ([`PreparedQuery::rebind`]),
+/// joined and counted: a timed solve on it pays its scoring pass and
+/// rounds, but neither the join nor a lookup in `prep`'s memo.
+pub fn fresh_plan(prep: &PreparedQuery) -> PreparedQuery {
+    let own = prep.rebind(Arc::clone(prep.database()));
+    own.output_count();
+    own
 }
 
 /// The seed a figure's workload generator should use: the figure's
@@ -268,6 +286,11 @@ mod tests {
             .collect();
         let swept = sweep_solve(&prep, &cells);
         assert_eq!(swept.len(), cells.len());
+        assert_eq!(
+            prep.cached_answers(),
+            0,
+            "each cell solves on its own plan, never the caller's"
+        );
         for (cell, (_, out)) in cells.iter().zip(&swept) {
             let reference = prep.solve(cell.k, &cell.opts).unwrap();
             assert_eq!(out.cost, reference.cost, "{}", cell.series);

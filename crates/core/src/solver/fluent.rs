@@ -25,10 +25,12 @@
 //! resolve the target, run the dichotomy, policy or brute-force solver
 //! on the plan's root view, and build the outcome with the same code
 //! as [`PreparedQuery::solve`] (the `api_v2_differential` proptest
-//! suite pins the two together). The [`Report`] carries an explain
-//! trace ([`Explain`]) next to the outcome: which dichotomy branch the
-//! root dispatch took, which solver family answered, and where the
-//! microseconds went.
+//! suite pins the two together). The dichotomy solve shares
+//! [`PreparedQuery::solve`]'s memo of root answers, so a
+//! [`Solve::prepared`] run can be answered by an earlier solve on the
+//! same plan. The [`Report`] carries an explain trace ([`Explain`])
+//! next to the outcome: which dichotomy branch the root dispatch took,
+//! which solver family answered, and where the microseconds went.
 
 use super::brute::{self, BruteForceOptions};
 use super::policy::{solve_policy, DeletionPolicy};
@@ -61,7 +63,8 @@ pub struct Explain {
     /// [`PreparedQuery`] via [`Solve::prepared`]).
     pub plan_micros: u64,
     /// Microseconds spent solving, including the one-time root
-    /// evaluation on a fresh plan.
+    /// evaluation on a fresh plan; a solve answered from the plan's
+    /// memo of root answers spends only the lookup.
     pub solve_micros: u64,
 }
 
@@ -259,9 +262,11 @@ impl<'a> Solve<'a> {
         // measured duration never feeds a decision.
         let solve_start = Instant::now();
         let outcome = super::outcome(k, self.opts.mode, || match (&self.brute, policy) {
-            (Some(bf_opts), _) => brute::search(prep, k, bf_opts),
-            (None, Some(policy)) => solve_policy(&prep.root_view(), k, policy, &self.opts),
-            (None, None) => super::solve(&prep.root_view(), k, &self.opts),
+            (Some(bf_opts), _) => brute::search(prep, k, bf_opts).map(Arc::new),
+            (None, Some(policy)) => {
+                solve_policy(&prep.root_view(), k, policy, &self.opts).map(Arc::new)
+            }
+            (None, None) => prep.solve_root(k, &self.opts),
         })?;
         let solve_micros = solve_start.elapsed().as_micros() as u64;
         Ok(Report {

@@ -32,6 +32,7 @@ use crate::analysis::roles::singleton_atom;
 use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::provenance::TupleRef;
+use std::borrow::Borrow;
 
 pub use fluent::{Explain, Report, Solve};
 pub use policy::DeletionPolicy;
@@ -113,7 +114,9 @@ pub struct AdpOptions {
     /// **byte-identical** results (enforced by the `delta_differential`
     /// proptest suite and the `greedy_rounds_{masked,delta}` bench
     /// pair); this switch exists for those checks and for
-    /// benchmarking, not for correctness.
+    /// benchmarking, not for correctness. A `full_reeval` solve neither
+    /// reads nor writes the prepared plan's memo of root answers
+    /// ([`PreparedQuery::cached_answers`]): the oracle always computes.
     pub full_reeval: bool,
     /// Wall-clock budget for the greedy rounds (the only open-ended
     /// loop in the solver): once the instant passes, the current
@@ -128,7 +131,10 @@ pub struct AdpOptions {
     /// truncated results are **not** byte-identical across the
     /// delta/full-re-evaluation or sequential/parallel variants — this
     /// knob is for serving-layer latency bounds, not for the
-    /// differential suites.
+    /// differential suites. A solve with a deadline neither reads nor
+    /// writes the prepared plan's memo of root answers
+    /// ([`PreparedQuery::cached_answers`]), so a truncated answer is
+    /// never kept and a budgeted solve runs its rounds like a fresh one.
     pub deadline: Option<std::time::Instant>,
 }
 
@@ -187,23 +193,24 @@ pub struct AdpOutcome {
 }
 
 /// Builds the caller's [`AdpOutcome`] for target `k` from the
-/// [`Solved`] that `solver` returns: the one place every front door
-/// (plain and fluent solves, policy, brute force, selection) turns a
-/// solver result into an answer. `k = 0` is rejected before `solver`
+/// [`Solved`] that `solver` returns, owned or shared from a plan's memo:
+/// the one place every front door (plain and fluent solves, policy,
+/// brute force, selection) turns a solver result into an answer. `k = 0` is rejected before `solver`
 /// runs. An instance with no outputs is answered with the empty set at
 /// cost 0. If the deadline cut the greedy rounds short of `k`, the
 /// answer is everything they removed, flagged truncated. `achieved` is
 /// the removal at the chosen profile point, and the report-mode set is
 /// sorted and deduplicated.
-pub(crate) fn outcome(
+pub(crate) fn outcome<S: Borrow<Solved>>(
     k: u64,
     mode: Mode,
-    solver: impl FnOnce() -> Result<Solved, SolveError>,
+    solver: impl FnOnce() -> Result<S, SolveError>,
 ) -> Result<AdpOutcome, SolveError> {
     if k == 0 {
         return Err(SolveError::KZero);
     }
     let solved = solver()?;
+    let solved: &Solved = solved.borrow();
     let total = solved.total_outputs;
     if total == 0 {
         // Degenerate instance: the query is unsatisfiable (empty join or

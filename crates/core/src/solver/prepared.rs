@@ -19,6 +19,17 @@
 //! [`PreparedQuery::removed_outputs`] verifies deletion sets by masked
 //! re-execution ([`AliveMask`]) instead of rebuilding the database.
 //!
+//! The plan also memoizes its root answers
+//! ([`PreparedQuery::cached_answers`]). `ComputeADP` returns a whole
+//! cost profile, and its boolean, singleton and greedy leaves give the
+//! same answer for every target up to the cap they ran at. So one
+//! solve per leaf family answers every smaller target on the plan by
+//! reading a profile point and a prefix of steps: the repeated targets
+//! of a serving workload at one epoch, or a ρ-sweep served from its
+//! largest ρ. A miss computes at exactly the requested target. Universe,
+//! decompose and drastic solves, the `full_reeval` oracle, and solves
+//! with a deadline always compute.
+//!
 //! Greedy solves run on scored delta states pooled per plan. A plan for
 //! a later epoch of the same data can be
 //! [`anchored`](PreparedQuery::anchored) on the epoch-0 plan: its greedy
@@ -38,7 +49,7 @@
 //! keeps the bound from regressing.
 
 use super::view::View;
-use super::{AdpOptions, AdpOutcome};
+use super::{AdpOptions, AdpOutcome, Branch, Solved};
 use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
 use crate::query::Query;
@@ -145,6 +156,9 @@ pub struct PlannedEval {
     /// `|Q(D − S)|` read from an anchored state, computed once; `None`
     /// when the base state could not be built.
     anchored_outputs: OnceLock<Option<u64>>,
+    /// Memoized root answers, at most one per [`AnswerKey`]. See
+    /// [`PreparedQuery::solve_root`].
+    answers: Mutex<Vec<Answer>>,
 }
 
 impl PlannedEval {
@@ -162,6 +176,7 @@ impl PlannedEval {
             idle: Mutex::new(Vec::new()),
             anchor: None,
             anchored_outputs: OnceLock::new(),
+            answers: Mutex::new(Vec::new()),
         }
     }
 
@@ -364,6 +379,35 @@ impl PlannedEval {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn answers(&self) -> MutexGuard<'_, Vec<Answer>> {
+        // As for `idle_states`: entries are pushed or replaced whole.
+        self.answers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memoized answer under `key` that covers target `k`, if any.
+    fn answer(&self, key: AnswerKey, k: u64) -> Option<Arc<Solved>> {
+        self.answers()
+            .iter()
+            .find(|a| a.key == key && a.cap >= k)
+            .map(|a| Arc::clone(&a.solved))
+    }
+
+    /// Keeps `solved`, computed at `cap`, under `key`, unless an entry
+    /// with at least that cap is already there.
+    fn keep_answer(&self, key: AnswerKey, cap: u64, solved: &Arc<Solved>) {
+        let mut answers = self.answers();
+        let answer = Answer {
+            key,
+            cap,
+            solved: Arc::clone(solved),
+        };
+        match answers.iter_mut().find(|a| a.key == key) {
+            Some(old) if old.cap < cap => *old = answer,
+            Some(_) => {}
+            None => answers.push(answer),
+        }
+    }
+
     /// An all-alive mask shaped for this plan's atoms.
     pub fn fresh_mask(&self, query: &Query) -> AliveMask {
         AliveMask::all_alive(&self.db, query.atoms())
@@ -379,6 +423,53 @@ fn same_dead(a: Option<&Arc<DeadSet>>, b: Option<&Arc<DeadSet>>) -> bool {
         (Some(a), Some(b)) => Arc::ptr_eq(a, b),
         _ => false,
     }
+}
+
+/// The root leaf families whose [`Solved`] at cap `c` answers every
+/// target `k ≤ c` exactly as a solve at `k` would: the greedy rounds
+/// (Algorithm 6) pick in an order that does not depend on the cap and
+/// only stop sooner for a smaller one, the singleton solver (Algorithm
+/// 3) sorts once and takes a prefix, and the boolean min-cut ignores
+/// the cap. Their extractors take prefix steps, so neither the mode nor
+/// `sequential` changes the `Solved` and neither enters the key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AnswerKey {
+    Boolean,
+    Singleton,
+    /// [`Branch::Greedy`] and [`Branch::ForcedGreedy`]: both run
+    /// `greedy::solve_leaf` on the root view, so a push group's forced
+    /// solve and a pull's default solve share the entry.
+    Greedy,
+}
+
+impl AnswerKey {
+    /// The key of a root solve, or `None` when its answer must not be
+    /// shared. `full_reeval` is the differential oracle and always
+    /// computes; a deadline makes the answer depend on wall-clock speed.
+    /// Universe and Decompose size their DP tables by the cap (and keep
+    /// none in count mode), and the drastic leaf (Algorithm 7) picks its
+    /// relation by the cap, so none of them is memoized.
+    fn of(query: &Query, opts: &AdpOptions) -> Option<AnswerKey> {
+        if opts.full_reeval || opts.deadline.is_some() {
+            return None;
+        }
+        match Branch::of(query, opts) {
+            Branch::Boolean => Some(AnswerKey::Boolean),
+            Branch::Singleton => Some(AnswerKey::Singleton),
+            Branch::Greedy | Branch::ForcedGreedy if !(opts.use_drastic && query.is_full()) => {
+                Some(AnswerKey::Greedy)
+            }
+            // Policy and brute force never come through `solve_root`.
+            _ => None,
+        }
+    }
+}
+
+/// One memoized root answer: the [`Solved`] of a solve at `cap`.
+struct Answer {
+    key: AnswerKey,
+    cap: u64,
+    solved: Arc<Solved>,
 }
 
 /// Rounds may kill at most `1 / ROLLBACK_DIVISOR` of the witnesses for
@@ -538,9 +629,42 @@ impl PreparedQuery {
 
     /// Solves `ADP(Q, D, k)`, reusing the cached plan, indexes, and
     /// evaluation across calls: `ComputeADP` (Algorithm 2) on the root
-    /// view.
+    /// view, answered from the plan's memo when an earlier solve already
+    /// covers `k` (see [`cached_answers`](Self::cached_answers)).
     pub fn solve(&self, k: u64, opts: &AdpOptions) -> Result<AdpOutcome, SolveError> {
-        super::outcome(k, opts.mode, || super::solve(&self.root_view(), k, opts))
+        super::outcome(k, opts.mode, || self.solve_root(k, opts))
+    }
+
+    /// `ComputeADP` on the root view, memoized per plan: the one root
+    /// solve behind [`solve`](Self::solve) and the fluent API's plain
+    /// arm. A boolean, singleton or greedy root answer computed at cap
+    /// `c` is kept and serves every later target `k ≤ c` (the boolean
+    /// one any `k`); a miss computes at exactly `k`, outside the lock,
+    /// and keeps the larger-cap entry per leaf family. Requests with
+    /// `full_reeval` or a deadline neither read nor write the memo, so
+    /// a truncated answer is never kept. Each epoch is its own plan, so
+    /// entries never outlive the data they were computed on.
+    pub(crate) fn solve_root(&self, k: u64, opts: &AdpOptions) -> Result<Arc<Solved>, SolveError> {
+        let Some(key) = AnswerKey::of(&self.query, opts) else {
+            return super::solve(&self.root_view(), k, opts).map(Arc::new);
+        };
+        if let Some(hit) = self.planned.answer(key, k) {
+            return Ok(hit);
+        }
+        let solved = Arc::new(super::solve(&self.root_view(), k, opts)?);
+        let cap = if key == AnswerKey::Boolean {
+            u64::MAX
+        } else {
+            k
+        };
+        self.planned.keep_answer(key, cap, &solved);
+        Ok(solved)
+    }
+
+    /// Root answers memoized on this plan: at most one per leaf family
+    /// (boolean, singleton, greedy), so never more than 3.
+    pub fn cached_answers(&self) -> usize {
+        self.planned.answers().len()
     }
 
     /// Number of outputs removed by deleting `deletions`:
@@ -848,6 +972,16 @@ mod tests {
         }
     }
 
+    /// [`greedy`] with a deadline an hour out: it never fires, but the
+    /// solve bypasses the plan's memo and runs its rounds on a pooled
+    /// state even when an earlier solve already covers the target.
+    fn greedy_unmemoized() -> AdpOptions {
+        AdpOptions {
+            deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
+            ..greedy()
+        }
+    }
+
     /// A state that rolled back and checked in is indistinguishable from
     /// a fresh clone of the template with selection enabled; a solve
     /// that kills every witness drops its state instead.
@@ -875,12 +1009,12 @@ mod tests {
         assert_eq!(pooled.best_count_candidate(), fresh.best_count_candidate());
         lease.release(&[]);
         assert_eq!(prep.pooled_states(), 1);
-        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+        assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
 
         let total = prep.output_count();
         prep.solve(total, &greedy()).unwrap();
         assert_eq!(prep.pooled_states(), 0, "a full solve drops its state");
-        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+        assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
     }
 
     /// The lease is the pool's drop guard: a state whose solve unwound
@@ -888,8 +1022,8 @@ mod tests {
     #[test]
     fn a_state_whose_solve_panicked_is_not_returned() {
         let (q, db) = grid(8);
-        let prep = PreparedQuery::new(q, db);
-        let first = prep.solve(1, &greedy()).unwrap();
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        prep.solve(1, &greedy()).unwrap();
         assert_eq!(prep.pooled_states(), 1);
         let endo = endogenous_atoms(prep.query());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -900,7 +1034,10 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(prep.pooled_states(), 0, "the dirty state must not return");
-        assert_eq!(prep.solve(1, &greedy()).unwrap(), first);
+        // k = 2 is past every earlier solve's cap: a memo miss, so the
+        // solve builds a new state.
+        let fresh = PreparedQuery::new(q, db).solve(2, &greedy()).unwrap();
+        assert_eq!(prep.solve(2, &greedy()).unwrap(), fresh);
         assert_eq!(prep.pooled_states(), 1);
     }
 
@@ -996,7 +1133,7 @@ mod tests {
     #[test]
     fn anchored_state_advances_forward_and_backward() {
         let (q, db, base) = sealed_grid(8);
-        let at_base = base.solve(9, &greedy()).unwrap();
+        base.solve(9, &greedy()).unwrap();
         assert_eq!(base.pooled_states(), 1);
         let epochs: [&[u32]; 5] = [&[3], &[3, 10, 17], &[3, 10, 17, 40, 41], &[10], &[]];
         for ids in epochs {
@@ -1017,8 +1154,12 @@ mod tests {
         let first = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
         let second = Arc::new(first).anchored(epoch_of(&db, &dead), dead);
         assert!(Arc::ptr_eq(second.anchor().unwrap(), &base));
-        // Back at epoch 0 the base itself advances the state home.
-        assert_eq!(base.solve(9, &greedy()).unwrap(), at_base);
+        // Back at epoch 0 the base itself advances the state home (k = 10
+        // is past the first solve's cap, so the base's memo misses).
+        let fresh = PreparedQuery::new(q, Arc::clone(&db))
+            .solve(10, &greedy())
+            .unwrap();
+        assert_eq!(base.solve(10, &greedy()).unwrap(), fresh);
         assert!(same_dead(base.planned.idle_states()[0].dead.as_ref(), None));
     }
 
@@ -1062,7 +1203,7 @@ mod tests {
         let (q, db, base) = sealed_grid(8);
         let dead = dead_r2(&[7, 8]);
         let epoch = base.anchored(epoch_of(&db, &dead), Arc::clone(&dead));
-        let first = epoch.solve(3, &greedy()).unwrap();
+        epoch.solve(3, &greedy()).unwrap();
         assert_eq!(base.pooled_states(), 1);
         let endo = endogenous_atoms(&q);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1073,7 +1214,12 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(base.pooled_states(), 0, "the dirty state must not return");
-        assert_eq!(epoch.solve(3, &greedy()).unwrap(), first);
+        // k = 4 is past the first solve's cap: a memo miss, so the solve
+        // checks a new state out of the base pool.
+        let fresh = PreparedQuery::new(q, epoch_of(&db, &dead))
+            .solve(4, &greedy())
+            .unwrap();
+        assert_eq!(epoch.solve(4, &greedy()).unwrap(), fresh);
         assert_eq!(base.pooled_states(), 1);
     }
 
