@@ -238,9 +238,14 @@ fn delta_rounds(
 /// selection is enabled: delete the best sole killer — or, when none
 /// exists, the tuple on the most live witnesses — until `cap` outputs
 /// are gone, the state is empty, no candidate remains, or `deadline`
-/// passes. The picks stay deleted on `delta`. Returns each pick with the
-/// cumulative outputs removed through it, and whether the deadline cut
-/// the loop short.
+/// passes. Returns each pick with the cumulative outputs removed
+/// through it, and whether the deadline cut the loop short.
+///
+/// Every pick stays deleted on `delta` except a final pick read from
+/// its profit: a sole killer's profit is exactly the number of outputs
+/// its deletion removes, so the round that reaches `cap` with one is
+/// recorded without touching the state — `O(log n)` instead of the
+/// deletion (and the caller's rollback) of the heaviest tuple.
 ///
 /// [`delta_rounds`] is its one caller. Push subscriptions answer their
 /// targets through the same pull solve, so push and pull cannot pick
@@ -256,13 +261,18 @@ pub(super) fn greedy_round_loop(
         if deadline_expired(deadline, picks.len()) {
             return (picks, true);
         }
-        let best = delta
-            .best_profit_candidate()
-            .or_else(|| delta.best_count_candidate());
-        let Some((_, atom, idx)) = best else {
-            break; // no deletable candidate remains
+        let (t, profit) = match delta.best_profit_candidate() {
+            Some((p, atom, idx)) => (TupleRef::new(atom, idx), p),
+            // No sole killer: the count pick removes no output.
+            None => match delta.best_count_candidate() {
+                Some((_, atom, idx)) => (TupleRef::new(atom, idx), 0),
+                None => break, // no deletable candidate remains
+            },
         };
-        let t = TupleRef::new(atom, idx);
+        if removed + profit >= cap {
+            picks.push((t, removed + profit));
+            break;
+        }
         removed += delta.delete(t);
         picks.push((t, removed));
     }

@@ -473,10 +473,12 @@ struct Answer {
 }
 
 /// Rounds may kill at most `1 / ROLLBACK_DIVISOR` of the witnesses for
-/// their state to be rolled back and pooled, and a pooled state is
-/// advanced to another dead set only when the difference touches at
-/// most that share. Past it, undoing or redoing the deletions costs
-/// about as much as a template clone, and the state is dropped instead.
+/// their state to be rolled back and pooled (a final pick read from its
+/// profit counts by the witnesses its deletion would kill), and a
+/// pooled state is advanced to another dead set only when the
+/// difference touches at most that share. Past it, undoing or redoing
+/// the deletions costs about as much as a template clone, and the state
+/// is dropped instead.
 const ROLLBACK_DIVISOR: usize = 4;
 
 /// Where a pooled lease returns to, and what it must look like then.
@@ -556,19 +558,30 @@ impl<'a> GreedyLease<'a> {
     }
 
     /// Ends the solve. `picks` must be exactly the tuples the rounds
-    /// deleted. If they killed at most a `1 / ROLLBACK_DIVISOR` share of
-    /// the witnesses, they are restored and the state — again as it was
-    /// checked out — returns to its pool under the same tag; otherwise
-    /// it is dropped and a later checkout clones the template.
+    /// picked, each deleted on the state except possibly a final pick
+    /// read from its profit (see `greedy_round_loop`). The rollback rule
+    /// counts the witnesses the picks kill, the unapplied one by the
+    /// live witnesses its deletion would kill, so the decision is the
+    /// same as if every pick had been deleted. If they kill at most a
+    /// `1 / ROLLBACK_DIVISOR` share of the witnesses, the deleted picks
+    /// are restored and the state — again as it was checked out —
+    /// returns to its pool under the same tag; otherwise it is dropped
+    /// and a later checkout clones the template.
     pub(crate) fn release(self, picks: &[TupleRef]) {
         let GreedyLease { mut delta, home } = self;
         let Some(home) = home else {
             return;
         };
-        let killed = home.live_witnesses - delta.live_witnesses();
+        let would_kill: u64 = picks
+            .iter()
+            .filter(|&&t| !delta.is_deleted(t))
+            .filter_map(|t| delta.live_counts()[t.atom].get(&t.index))
+            .sum();
+        let killed = home.live_witnesses - delta.live_witnesses() + would_kill;
         if killed as usize > delta.witness_slots() / ROLLBACK_DIVISOR {
             return;
         }
+        // The unapplied pick is not deleted, so the restore skips it.
         delta.restore_batch(picks);
         let restored = delta.live_witnesses() == home.live_witnesses
             && delta.live_outputs() == home.live_outputs;
@@ -983,38 +996,77 @@ mod tests {
     }
 
     /// A state that rolled back and checked in is indistinguishable from
-    /// a fresh clone of the template with selection enabled; a solve
-    /// that kills every witness drops its state instead.
+    /// a fresh clone of the template with selection enabled — after a
+    /// one-round solve whose only pick is read from its profit, and
+    /// after one whose two applied picks are restored and whose final
+    /// pick is not; a solve that kills every witness drops its state
+    /// instead.
     #[test]
     fn checked_in_state_equals_the_template() {
-        let (q, db) = grid(8);
-        let prep = PreparedQuery::new(q, db);
+        // 256 witnesses; each `R1` pick kills 16 of them, so three
+        // picks stay within the quarter a rollback may undo.
+        let (q, db) = grid(16);
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        let endo = endogenous_atoms(prep.query());
+        let assert_pooled_is_template = || {
+            let mut fresh = DeltaProvenance::clone(&prep.planned.delta_template(false).unwrap());
+            fresh.enable_selection(endo.clone());
+            let mut lease = prep.planned.checkout(&endo, None, false).unwrap();
+            assert_eq!(prep.pooled_states(), 0, "checkout takes the pooled state");
+            let pooled = lease.delta();
+            assert_eq!(pooled.profits(), fresh.profits());
+            assert_eq!(pooled.live_counts(), fresh.live_counts());
+            assert_eq!(pooled.live_outputs(), fresh.live_outputs());
+            assert_eq!(pooled.live_witnesses(), fresh.live_witnesses());
+            assert_eq!(
+                pooled.best_profit_candidate(),
+                fresh.best_profit_candidate()
+            );
+            assert_eq!(pooled.best_count_candidate(), fresh.best_count_candidate());
+            lease.release(&[]);
+            assert_eq!(prep.pooled_states(), 1);
+        };
+
         let first = prep.solve(1, &greedy()).unwrap();
         assert_eq!(prep.pooled_states(), 1, "a small solve checks its state in");
-
-        let endo = endogenous_atoms(prep.query());
-        let mut fresh = DeltaProvenance::clone(&prep.planned.delta_template(false).unwrap());
-        fresh.enable_selection(endo.clone());
-        let mut lease = prep.planned.checkout(&endo, None, false).unwrap();
-        assert_eq!(prep.pooled_states(), 0, "checkout takes the pooled state");
-        let pooled = lease.delta();
-        assert_eq!(pooled.profits(), fresh.profits());
-        assert_eq!(pooled.live_counts(), fresh.live_counts());
-        assert_eq!(pooled.live_outputs(), fresh.live_outputs());
-        assert_eq!(pooled.live_witnesses(), fresh.live_witnesses());
-        assert_eq!(
-            pooled.best_profit_candidate(),
-            fresh.best_profit_candidate()
-        );
-        assert_eq!(pooled.best_count_candidate(), fresh.best_count_candidate());
-        lease.release(&[]);
-        assert_eq!(prep.pooled_states(), 1);
+        assert_pooled_is_template();
         assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
+
+        // k = 40: picks reach 16 and 32 (applied), then 48 (unapplied).
+        let three = prep.solve(40, &greedy_unmemoized()).unwrap();
+        assert_eq!(three.cost, 3);
+        let fresh = PreparedQuery::new(q, db).solve(40, &greedy()).unwrap();
+        assert_eq!(three, fresh);
+        assert_eq!(prep.pooled_states(), 1, "three picks roll back");
+        assert_pooled_is_template();
 
         let total = prep.output_count();
         prep.solve(total, &greedy()).unwrap();
         assert_eq!(prep.pooled_states(), 0, "a full solve drops its state");
         assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
+    }
+
+    /// The rollback rule counts a final pick read from its profit by the
+    /// witnesses its deletion would kill, so the pool decision is the
+    /// one every pick being deleted would give: a solve whose kills
+    /// cross the rollback share only through that pick drops its state.
+    #[test]
+    fn an_unapplied_final_pick_counts_toward_the_rollback_share() {
+        // 64 witnesses; each `R1` pick kills 8 of them.
+        let (q, db) = grid(8);
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        let share = prep.planned.delta_template(false).unwrap().witness_slots() / ROLLBACK_DIVISOR;
+        assert_eq!(share, 16);
+        // k = 16: one applied pick (8) and an unapplied one (16 in all).
+        prep.solve(16, &greedy()).unwrap();
+        assert_eq!(prep.pooled_states(), 1, "16 kills are within the share");
+        // k = 17: two applied picks (16, within the share) and an
+        // unapplied third that takes the kills to 24.
+        let out = prep.solve(17, &greedy()).unwrap();
+        assert_eq!(out.cost, 3);
+        assert_eq!(prep.pooled_states(), 0, "24 kills cross the share");
+        let fresh = PreparedQuery::new(q, db).solve(17, &greedy()).unwrap();
+        assert_eq!(out, fresh);
     }
 
     /// The lease is the pool's drop guard: a state whose solve unwound

@@ -112,6 +112,42 @@ fn delta_scored_on_pool(eval: &adp::engine::EvalResult) -> DeltaProvenance {
     d
 }
 
+/// Strategy: a random query, a small database for it, and random
+/// `(delete?, atom selector, tuple selector)` ops, grouped by the tests
+/// into batches of up to 3.
+type Op = (u8, usize, u64);
+fn arb_instance_and_ops() -> impl Strategy<Value = (Query, Database, Vec<Op>)> {
+    arb_query().prop_flat_map(|q| {
+        let db = arb_db(&q, 8, 3);
+        let ops = proptest::collection::vec((0u8..2, 0usize..8, 0u64..64), 0..=14);
+        (Just(q), db, ops)
+    })
+}
+
+/// Translates one batch of ops into a concrete delete batch and restore
+/// batch; restores pick from `deleted`, the currently deleted tuples.
+fn batch_of(
+    q: &Query,
+    db: &Database,
+    batch: &[Op],
+    deleted: &[TupleRef],
+) -> (Vec<TupleRef>, Vec<TupleRef>) {
+    let mut dels: Vec<TupleRef> = Vec::new();
+    let mut rests: Vec<TupleRef> = Vec::new();
+    for &(is_delete, a, i) in batch {
+        if is_delete == 1 {
+            let atom = a % q.atom_count();
+            let len = db.expect(q.atoms()[atom].name()).len() as u64;
+            if len > 0 {
+                dels.push(TupleRef::new(atom, (i % len) as u32));
+            }
+        } else if !deleted.is_empty() {
+            rests.push(deleted[(i as usize) % deleted.len()]);
+        }
+    }
+    (dels, rests)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -120,18 +156,7 @@ proptest! {
     /// the masked result — for the sequentially scored index and the
     /// 4-worker-scored index alike.
     #[test]
-    fn delta_batches_match_masked_reeval(
-        (q, db, ops) in arb_query().prop_flat_map(|q| {
-            let db = arb_db(&q, 8, 3);
-            // (delete?, atom selector, tuple selector) per op; ops are
-            // grouped into batches of up to 3.
-            let ops = proptest::collection::vec(
-                (0u8..2, 0usize..8, 0u64..64),
-                0..=14,
-            );
-            (Just(q), db, ops)
-        })
-    ) {
+    fn delta_batches_match_masked_reeval((q, db, ops) in arb_instance_and_ops()) {
         let plan = QueryPlan::new(&db, q.atoms(), q.head());
         let indexes = plan.build_indexes(&db);
         let eval = plan.execute(&db, &indexes);
@@ -141,21 +166,7 @@ proptest! {
         let mut deleted: Vec<TupleRef> = Vec::new();
 
         for batch in ops.chunks(3) {
-            // Translate ops into a concrete delete batch and restore
-            // batch; restores pick from the currently deleted set.
-            let mut dels: Vec<TupleRef> = Vec::new();
-            let mut rests: Vec<TupleRef> = Vec::new();
-            for &(is_delete, a, i) in batch {
-                if is_delete == 1 {
-                    let atom = a % q.atom_count();
-                    let len = db.expect(q.atoms()[atom].name()).len() as u64;
-                    if len > 0 {
-                        dels.push(TupleRef::new(atom, (i % len) as u32));
-                    }
-                } else if !deleted.is_empty() {
-                    rests.push(deleted[(i as usize) % deleted.len()]);
-                }
-            }
+            let (dels, rests) = batch_of(&q, &db, batch, &deleted);
             for &t in &dels {
                 if mask.kill(t.atom, t.index) {
                     deleted.push(t);
@@ -195,6 +206,51 @@ proptest! {
             prop_assert_eq!(delta_par.live_outputs(), delta.live_outputs());
             prop_assert_eq!(delta_par.profits(), delta.profits());
             prop_assert_eq!(delta_par.live_counts(), delta.live_counts());
+        }
+    }
+
+    /// A tuple's maintained scores are exactly what deleting it does, at
+    /// every state of a random delete/restore stream: the deletion
+    /// removes `profits()[atom][t]` outputs (0 when absent) and kills
+    /// `live_counts()[atom][t]` witnesses. The greedy reads its final
+    /// pick from the profit and the rollback rule counts it by the live
+    /// count instead of deleting it.
+    #[test]
+    fn a_tuples_scores_are_what_its_deletion_removes((q, db, ops) in arb_instance_and_ops()) {
+        let plan = QueryPlan::new(&db, q.atoms(), q.head());
+        let eval = plan.execute(&db, &plan.build_indexes(&db));
+        let mut delta = DeltaProvenance::try_new(&eval).unwrap();
+        let mut deleted: Vec<TupleRef> = Vec::new();
+
+        // The initial state, then the state after every batch.
+        for batch in std::iter::once(&[][..]).chain(ops.chunks(3)) {
+            let (dels, rests) = batch_of(&q, &db, batch, &deleted);
+            for &t in &dels {
+                if !deleted.contains(&t) {
+                    deleted.push(t);
+                }
+            }
+            deleted.retain(|t| !rests.contains(t));
+            delta.delete_batch(&dels);
+            delta.restore_batch(&rests);
+
+            for (atom, counts) in delta.live_counts().iter().enumerate() {
+                let profits = &delta.profits()[atom];
+                prop_assert!(profits.keys().all(|idx| counts.contains_key(idx)));
+                for (&idx, &count) in counts {
+                    let t = TupleRef::new(atom, idx);
+                    let mut probe = delta.clone();
+                    let died = probe.delete(t);
+                    prop_assert_eq!(
+                        died, profits.get(&idx).copied().unwrap_or(0),
+                        "{}: deleting {:?} vs its profit", q, t
+                    );
+                    prop_assert_eq!(
+                        delta.live_witnesses() - probe.live_witnesses(), count,
+                        "{}: deleting {:?} vs its live count", q, t
+                    );
+                }
+            }
         }
     }
 }
