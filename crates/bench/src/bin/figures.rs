@@ -1,5 +1,5 @@
-//! Runs every experiment (Figures 7-29 plus the streaming and serving
-//! figures). Pass `--quick` for CI sizes, `--threads N` to size the
+//! Runs every experiment (Figures 7-29 plus the streaming, subscription,
+//! HTAP, open-loop and scale figures). Pass `--quick` for CI sizes, `--threads N` to size the
 //! worker pool, `--seed S` to re-roll data.
 //!
 //! Each figure runs guarded: a panic (or a failed internal equality
@@ -19,7 +19,6 @@ fn main() {
     run_guarded("fig_zipf_hard", e::fig_zipf_hard);
     run_guarded("fig_zipf_easy", e::fig_zipf_easy);
     run_guarded("fig_stream", e::fig_stream);
-    run_guarded("fig_serve", e::fig_serve);
     run_guarded("fig_subscribe", e::fig_subscribe);
     run_guarded("fig_htap", e::fig_htap);
     run_guarded("fig_open_loop", e::fig_open_loop);

@@ -1,8 +1,8 @@
 //! Soft internal checks for the figure binaries.
 //!
 //! The harness asserts equalities while it measures (delta state vs the
-//! masked oracle in `fig_stream`, served responses vs direct solves in
-//! `fig_serve`, variant agreement in the ablations). A hard `assert!`
+//! masked oracle in `fig_stream`, pushed diffs vs fresh solves in
+//! `fig_subscribe`, variant agreement in the ablations). A hard `assert!`
 //! aborts the run at the first divergence and hides every later data
 //! point; a `println!` lets CI smoke jobs "pass" while printing
 //! garbage. These helpers take the third road: record the failure,

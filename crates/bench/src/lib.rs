@@ -15,6 +15,7 @@
 pub mod checks;
 pub mod cli;
 pub mod experiments;
+pub mod record;
 
 use adp_core::query::Query;
 use adp_core::solver::{AdpOptions, AdpOutcome, PreparedQuery};
@@ -43,18 +44,15 @@ pub struct Point {
 pub struct Figure {
     /// Figure identifier, e.g. "fig07".
     pub id: String,
-    /// What the figure shows.
-    pub title: String,
     points: Vec<Point>,
 }
 
 impl Figure {
-    /// Starts a figure.
+    /// Starts a figure, printing its title.
     pub fn new(id: &str, title: &str) -> Self {
         println!("\n=== {id}: {title} ===");
         Figure {
             id: id.to_owned(),
-            title: title.to_owned(),
             points: Vec::new(),
         }
     }
@@ -89,7 +87,6 @@ impl Figure {
                 );
             }
         }
-        let _ = self.title;
     }
 }
 
@@ -202,15 +199,25 @@ pub fn record_path(name: &str, quick: bool) -> PathBuf {
     }
 }
 
-/// Writes a figure's JSON record to its [`record_path`] for the current
-/// mode, creating the quick-run directory when needed.
-pub fn write_record(name: &str, json: &str) {
-    let path = record_path(name, quick_mode());
+/// Writes the record of `figure` (e.g. `"fig-open-loop"`) as
+/// `BENCH_open_loop.json` at its [`record_path`] for the current mode,
+/// creating the quick-run directory when needed. The writer fills in
+/// the `"figure"` and `"quick"` fields ([`record::render_record`]).
+pub fn write_record(figure: &str, body: record::Json) {
+    let json = record::render_record(figure, quick_mode(), body);
+    let path = record_path(&record_name(figure), quick_mode());
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
     }
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {} ({} bytes)", path.display(), json.len());
+}
+
+/// The file a figure's record goes to: `fig-open-loop` →
+/// `BENCH_open_loop.json`.
+fn record_name(figure: &str) -> String {
+    let stem = figure.strip_prefix("fig-").unwrap_or(figure);
+    format!("BENCH_{}.json", stem.replace('-', "_"))
 }
 
 /// Input size ladder: full mode walks further up the paper's 1k..10M
@@ -253,6 +260,34 @@ mod tests {
         let quick = record_path("BENCH_stream.json", true);
         assert_eq!(quick, Path::new("target/bench-quick/BENCH_stream.json"));
         assert!(quick.starts_with("target"));
+    }
+
+    #[test]
+    fn record_names_follow_the_figure_id() {
+        assert_eq!(record_name("fig-stream"), "BENCH_stream.json");
+        assert_eq!(record_name("fig-open-loop"), "BENCH_open_loop.json");
+    }
+
+    /// Every record checked in at the workspace root comes from a full
+    /// run; a `--quick` record belongs under `target/bench-quick/`.
+    #[test]
+    fn checked_in_records_are_full_runs() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut records = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            records += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(
+                text.contains("\"quick\": false"),
+                "{name} is not a full run: rerun its figure without --quick"
+            );
+        }
+        assert!(records > 0, "no BENCH_*.json at {}", root.display());
     }
 
     #[test]

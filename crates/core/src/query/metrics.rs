@@ -15,8 +15,8 @@
 //! The counters are monotone process-wide tallies (never reset, never
 //! used for synchronization); consumers assert on **deltas** around a
 //! region of interest. The `statement_hot_path` integration test pins
-//! the zero-work contract with them, and `fig_serve`'s statement arm
-//! reports the per-request text-path savings they expose. A relaxed
+//! the zero-work contract with them; the repository benchmark's
+//! `hot_read` workload times the statement path end to end. A relaxed
 //! `fetch_add` on an uncontended cache line is a nanosecond-scale cost,
 //! which is why they can stay always-on instead of feature-gated.
 //!

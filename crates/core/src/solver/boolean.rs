@@ -148,7 +148,7 @@ fn component_resilience(
             let Some(cost) = solved.min_cost(1)? else {
                 return Ok((None, solved.truncated));
             };
-            let tuples = solved.extract(1)?;
+            let (tuples, _) = solved.extract(1)?;
             Ok((Some((cost, tuples, false)), solved.truncated))
         }
     }
@@ -249,7 +249,7 @@ mod tests {
         let view = View::root(q, Arc::new(db));
         let s = solve_boolean(&view, &AdpOptions::default()).unwrap();
         let cost = s.min_cost(1).unwrap().unwrap();
-        let tuples = s.extract(1).unwrap();
+        let (tuples, _) = s.extract(1).unwrap();
         (cost, tuples, s.exact)
     }
 

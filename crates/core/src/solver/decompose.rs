@@ -17,7 +17,8 @@
 //!   cross products).
 
 use super::solved::{
-    cross_removed, required_right, DpNode, Extractor, PairNode, Repr, Solved, Step,
+    cross_removed, product_removed, required_right, Combine, DpNode, Extractor, PairNode, Repr,
+    Solved, Step,
 };
 use super::view::View;
 use super::{profile::CostProfile, AdpOptions, DecomposeStrategy, Mode};
@@ -200,6 +201,7 @@ fn improved_dp(
         profile,
         Extractor::Dp(DpNode {
             children,
+            combine: Combine::Product,
             choice: choices,
         }),
         exact,
@@ -226,15 +228,7 @@ fn naive_full(children: Vec<Solved>, cap: u64, total: u64) -> Result<Solved, Sol
     let mut best: Option<(u64, Vec<u64>)> = None;
     let mut ks: Vec<u64> = vec![0; children.len()];
     loop {
-        // removal of the whole vector
-        let mut removed_prefix = 0u64;
-        let mut prefix_m = 1u64;
-        for (i, &k) in ks.iter().enumerate() {
-            removed_prefix = cross_removed(removed_prefix, k, prefix_m, totals[i]);
-            prefix_m = u64::try_from((prefix_m as u128).saturating_mul(totals[i] as u128))
-                .unwrap_or(u64::MAX);
-        }
-        if removed_prefix >= cap {
+        if product_removed(totals.iter().copied().zip(ks.iter().copied())) >= cap {
             let mut cost = 0u64;
             let mut feasible = true;
             for (i, &k) in ks.iter().enumerate() {
@@ -271,14 +265,17 @@ fn naive_full(children: Vec<Solved>, cap: u64, total: u64) -> Result<Solved, Sol
     // every component's full budget, which meets any cap ≤ total.
     let (cost, ks) = best.expect("cap ≤ total is always feasible");
     let mut tuples = Vec::new();
+    let mut removed = Vec::with_capacity(ks.len());
     for (i, &k) in ks.iter().enumerate() {
-        tuples.extend(children[i].extract(k)?);
+        let (set, r) = children[i].extract(k)?;
+        tuples.extend(set);
+        removed.push(r);
     }
     Ok(Solved::eager(
         CostProfile::single(cost, cap),
         Extractor::Steps(vec![Step {
             tuples,
-            removed_cum: cap,
+            removed_cum: product_removed(totals.into_iter().zip(removed)),
             cost_cum: cost,
         }]),
         exact,
@@ -373,6 +370,7 @@ fn naive_pairs(
         profile,
         Extractor::Dp(DpNode {
             children,
+            combine: Combine::Product,
             choice: choices,
         }),
         exact,

@@ -515,7 +515,7 @@ mod tests {
         let view = View::root(q.clone(), Arc::new(chain_db()));
         let eval = evaluate(&view.db, q.atoms(), q.head());
         let s = solve_drastic(&view, &eval, 3).unwrap();
-        let sol = s.extract(3).unwrap();
+        let (sol, _) = s.extract(3).unwrap();
         let atoms: std::collections::HashSet<usize> = sol.iter().map(|t| t.atom).collect();
         assert_eq!(atoms.len(), 1, "drastic deletes from a single relation");
         assert!(!s.exact);

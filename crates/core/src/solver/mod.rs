@@ -172,7 +172,11 @@ pub struct AdpOutcome {
     /// Minimum number of input tuples to delete (heuristic upper bound on
     /// NP-hard queries).
     pub cost: u64,
-    /// Outputs actually removed by the chosen deletion set (≥ k).
+    /// Outputs removed by the chosen deletion set (≥ k). In report mode
+    /// this is exactly what [`AdpOutcome::solution`] removes. In count
+    /// mode it reads the cost profile, and on Universe and Decompose
+    /// shapes that profile is clamped at the target, so there it means
+    /// "at least k": the set behind it may remove more.
     pub achieved: u64,
     /// True if the answer is provably optimal (poly-time query shape).
     pub exact: bool,
@@ -199,8 +203,9 @@ pub struct AdpOutcome {
 /// runs. An instance with no outputs is answered with the empty set at
 /// cost 0. If the deadline cut the greedy rounds short of `k`, the
 /// answer is everything they removed, flagged truncated. `achieved` is
-/// the removal at the chosen profile point, and the report-mode set is
-/// sorted and deduplicated.
+/// what the report-mode set removes (counted by its extraction), or in
+/// count mode the removal at the chosen profile point; the report-mode
+/// set is sorted and deduplicated.
 pub(crate) fn outcome<S: Borrow<Solved>>(
     k: u64,
     mode: Mode,
@@ -249,23 +254,26 @@ pub(crate) fn outcome<S: Borrow<Solved>>(
             })
         }
     };
-    let solution = match mode {
-        Mode::Report => Some({
-            let mut s = solved.extract(target)?;
+    let (solution, achieved) = match mode {
+        Mode::Report => {
+            let (mut s, removed) = solved.extract(target)?;
             s.sort_unstable();
             s.dedup();
-            s
-        }),
-        Mode::Count => None,
-    };
-    // The first profile point reaching the target is the one
-    // `min_cost` chose; a lazy cross product only promises the target.
-    let achieved = match &solved.repr {
-        solved::Repr::Eager { profile, .. } => profile
-            .points_with_origin()
-            .find(|p| p.removed >= target)
-            .map_or(target, |p| p.removed),
-        solved::Repr::Pair(_) => target,
+            (Some(s), removed)
+        }
+        // The first profile point reaching the target is the one
+        // `min_cost` chose; a lazy cross product only promises the
+        // target.
+        Mode::Count => {
+            let achieved = match &solved.repr {
+                solved::Repr::Eager { profile, .. } => profile
+                    .points_with_origin()
+                    .find(|p| p.removed >= target)
+                    .map_or(target, |p| p.removed),
+                solved::Repr::Pair(_) => target,
+            };
+            (None, achieved)
+        }
     };
     Ok(AdpOutcome {
         cost,
@@ -483,6 +491,34 @@ mod tests {
         let r = Solve::new(&q2, &db2).resilience().run().unwrap();
         assert_eq!(r.outcome.output_count, 0);
         assert_eq!(r.explain.solver, "trivial");
+    }
+
+    /// The Universe DP and the lazy cross product below it clamp
+    /// removals at the target, so their profile reads 1 at k=1 and 2 at
+    /// k=2 for a set (`R1(1,7)`) that removes the three A=1 outputs.
+    /// Report mode counts what the set removes; count mode reports at
+    /// least k.
+    #[test]
+    fn achieved_counts_what_the_set_removes_on_clamped_profiles() {
+        let q = parse_query("Q(A,B,C) :- R0(A,B), R1(A,C)").unwrap();
+        let mut db = Database::new();
+        db.add_relation(
+            "R0",
+            attrs(&["A", "B"]),
+            &[&[1, 1], &[1, 2], &[1, 3], &[2, 1]],
+        );
+        db.add_relation("R1", attrs(&["A", "C"]), &[&[1, 7], &[2, 7], &[2, 8]]);
+        for k in [1, 2] {
+            let r = Solve::new(&q, &db).k(k).run().unwrap();
+            assert_eq!(r.explain.branch, Branch::Universe);
+            assert_eq!(r.outcome.cost, 1, "k={k}");
+            let sol = r.outcome.solution.as_ref().unwrap();
+            assert_eq!(verify::removed_outputs(&q, &db, sol), 3, "k={k}");
+            assert_eq!(r.outcome.achieved, 3, "k={k}");
+            let counted = Solve::new(&q, &db).k(k).counting().run().unwrap().outcome;
+            assert_eq!(counted.cost, 1, "k={k}");
+            assert!(counted.achieved >= k, "k={k}");
+        }
     }
 
     #[test]
@@ -728,6 +764,7 @@ mod tests {
                     let sol = out.solution.clone().unwrap();
                     let removed = verify::removed_outputs(&q, &db, &sol);
                     assert!(removed >= k, "{text} k={k}: infeasible solution");
+                    assert_eq!(out.achieved, removed, "{text} k={k}: achieved misreported");
                     assert!(
                         sol.len() as u64 <= out.cost,
                         "{text} k={k}: solution larger than reported cost"

@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(s.min_cost(1).unwrap(), Some(1));
         assert_eq!(s.min_cost(3).unwrap(), Some(1));
         assert_eq!(s.min_cost(4).unwrap(), Some(2));
-        let sol = s.extract(3).unwrap();
+        let (sol, _) = s.extract(3).unwrap();
         assert_eq!(sol, vec![TupleRef::new(0, 0)], "the A=1 tuple");
     }
 
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(s.min_cost(1).unwrap(), Some(1)); // kill a=1
         assert_eq!(s.min_cost(2).unwrap(), Some(3)); // + a=2
         assert_eq!(s.min_cost(3).unwrap(), Some(6)); // + a=3
-        let sol = s.extract(2).unwrap();
+        let (sol, _) = s.extract(2).unwrap();
         assert_eq!(sol.len(), 3);
     }
 
@@ -264,7 +264,7 @@ mod tests {
         let s = solve_singleton(&view, ri, 2).unwrap();
         assert_eq!(s.total_outputs, 3);
         assert_eq!(s.min_cost(2).unwrap(), Some(1));
-        assert_eq!(s.extract(2).unwrap(), vec![TupleRef::new(0, 0)]);
+        assert_eq!(s.extract(2).unwrap().0, vec![TupleRef::new(0, 0)]);
     }
 
     #[test]

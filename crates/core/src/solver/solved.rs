@@ -58,10 +58,20 @@ pub(crate) struct Step {
     pub cost_cum: u64,
 }
 
+/// How a DP's children's outputs combine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Combine {
+    /// Disjoint union (Universe): removals add up.
+    Disjoint,
+    /// Cross product (Decompose): see [`cross_removed`].
+    Product,
+}
+
 /// Choice tables of a layered DP over children.
 #[derive(Clone, Debug)]
 pub(crate) struct DpNode {
     pub children: Vec<Solved>,
+    pub combine: Combine,
     /// `choice[i][j]` = (outputs removed from child `i`, previous budget
     /// index) on the optimal path for `Opt[i][j]`. `u64::MAX` marks
     /// unreachable states. Empty in counting mode.
@@ -158,22 +168,25 @@ impl Solved {
         }
     }
 
-    /// Extracts a deletion set removing at least `m` outputs. Requires the
+    /// Extracts a deletion set removing at least `m` outputs, with the
+    /// number of outputs it does remove. DP and cross-product profiles
+    /// clamp removals at the cap, so their set can remove more than `m`;
+    /// the count comes from the children's own counts. Requires the
     /// result to have been computed in report mode (DP choice tables
     /// present) and `m ≤ max_removable()`.
-    pub fn extract(&self, m: u64) -> Result<Vec<TupleRef>, SolveError> {
+    pub fn extract(&self, m: u64) -> Result<(Vec<TupleRef>, u64), SolveError> {
         if m == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0));
         }
         match &self.repr {
             Repr::Eager { extract, .. } => match extract {
-                Extractor::Empty => Ok(Vec::new()),
+                Extractor::Empty => Ok((Vec::new(), 0)),
                 Extractor::Steps(steps) => {
                     let mut out = Vec::new();
                     for s in steps {
                         out.extend(s.tuples.iter().copied());
                         if s.removed_cum >= m {
-                            return Ok(out);
+                            return Ok((out, s.removed_cum));
                         }
                     }
                     Err(SolveError::KTooLarge {
@@ -188,15 +201,24 @@ impl Solved {
                         ));
                     }
                     let mut out = Vec::new();
+                    let mut removed = vec![0u64; dp.children.len()];
                     let mut j = m;
                     for i in (0..dp.children.len()).rev() {
                         let (mi, jprev) = dp.choice[i][j as usize];
                         assert_ne!(mi, u64::MAX, "extracting an unreachable DP state");
-                        out.extend(dp.children[i].extract(mi)?);
+                        let (tuples, r) = dp.children[i].extract(mi)?;
+                        out.extend(tuples);
+                        removed[i] = r;
                         j = jprev;
                     }
                     assert_eq!(j, 0);
-                    Ok(out)
+                    let removed = match dp.combine {
+                        Combine::Disjoint => removed.iter().sum(),
+                        Combine::Product => product_removed(
+                            dp.children.iter().map(|c| c.total_outputs).zip(removed),
+                        ),
+                    };
+                    Ok((out, removed))
                 }
             },
             Repr::Pair(p) => {
@@ -204,9 +226,11 @@ impl Solved {
                     k: m,
                     available: self.max_removable(),
                 })?;
-                let mut out = p.left.extract(r1)?;
-                out.extend(p.right.extract(r2)?);
-                Ok(out)
+                let (mut out, a1) = p.left.extract(r1)?;
+                let (right, a2) = p.right.extract(r2)?;
+                out.extend(right);
+                let removed = cross_removed(a1, a2, p.left.total_outputs, p.right.total_outputs);
+                Ok((out, removed))
             }
         }
     }
@@ -253,6 +277,18 @@ pub(crate) fn cross_removed(r1: u64, r2: u64, m1: u64, m2: u64) -> u64 {
     let right = (m2 - r2.min(m2)) as u128;
     let removed = total - left * right;
     u64::try_from(removed).unwrap_or(u64::MAX)
+}
+
+/// Outputs removed from a cross product of components given as
+/// `(outputs, removed)` pairs, folded left to right with
+/// [`cross_removed`].
+pub(crate) fn product_removed(components: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let (mut acc, mut prefix_total) = (0u64, 1u64);
+    for (total, r) in components {
+        acc = cross_removed(acc, r, prefix_total, total);
+        prefix_total = prefix_total.saturating_mul(total);
+    }
+    acc
 }
 
 /// Minimal `r2` such that removing (`r1`, `r2`) from an `m1 × m2` cross
@@ -372,17 +408,21 @@ mod tests {
             truncated: false,
             total_outputs: 6,
         };
-        let sol = pair.extract(4).unwrap();
+        let (sol, removed) = pair.extract(4).unwrap();
         let cost = pair.min_cost(4).unwrap().unwrap();
         assert_eq!(sol.len() as u64, cost);
+        assert!(removed >= 4);
     }
 
     #[test]
     fn steps_extract_prefix() {
         let s = steps_solved(&[(1, 2), (2, 5)], 5);
-        assert!(s.extract(0).unwrap().is_empty());
-        assert_eq!(s.extract(2).unwrap().len(), 1);
-        assert_eq!(s.extract(3).unwrap().len(), 2);
+        assert_eq!(s.extract(0).unwrap(), (vec![], 0));
+        assert_eq!(s.extract(2).unwrap().0.len(), 1);
+        assert_eq!(
+            s.extract(3).unwrap(),
+            (vec![TupleRef::new(0, 0), TupleRef::new(0, 1)], 5)
+        );
         assert!(s.extract(6).is_err());
     }
 

@@ -10,7 +10,7 @@
 //! one-at-a-time ablation is available through
 //! [`UniverseStrategy::OneByOne`](super::UniverseStrategy).
 
-use super::solved::{DpNode, Extractor, Solved};
+use super::solved::{Combine, DpNode, Extractor, Solved};
 use super::view::View;
 use super::{profile::CostProfile, AdpOptions, Mode, UniverseStrategy};
 use crate::error::SolveError;
@@ -178,6 +178,7 @@ pub(crate) fn combine_disjoint(
         profile,
         Extractor::Dp(DpNode {
             children,
+            combine: Combine::Disjoint,
             choice: choices,
         }),
         exact,

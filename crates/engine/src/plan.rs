@@ -17,9 +17,7 @@
 //!    serves every subsequent execution. Build sides at paper scale are
 //!    hash-partitioned and the per-partition tables are constructed
 //!    concurrently on the [`adp_runtime`] pool
-//!    ([`QueryPlan::build_indexes_on`]); an optional memory budget
-//!    degrades to fewer, larger partitions with a recorded note
-//!    ([`JoinIndexes::notes`]).
+//!    ([`QueryPlan::build_indexes_on`]).
 //! 3. [`QueryPlan::execute`] / [`QueryPlan::execute_masked`] — the
 //!    backtracking join. The masked variant skips tuples an
 //!    [`AliveMask`] marks dead, giving `Q(D − S)` for any deletion set
@@ -50,14 +48,6 @@ const PAR_BUILD_MIN_ROWS: usize = 1 << 13;
 /// Lead ranges smaller than this are probed sequentially; the
 /// deterministic merge is pure overhead for small joins.
 const PAR_EXEC_MIN_CANDS: usize = 1 << 12;
-
-/// Rough per-entry cost of one index posting: hash-table slot + boxed
-/// key header + `Vec<u32>` posting overhead, amortized.
-const INDEX_ENTRY_BYTES: usize = 48;
-
-/// Fixed per-partition table slack (allocation rounding, growth
-/// headroom). This is the term a smaller partition count saves.
-const PARTITION_SLACK_BYTES: usize = 4096;
 
 /// One atom's role in the join order: which tuple positions are already
 /// bound (and to which binding slots) and which bind fresh slots.
@@ -211,31 +201,6 @@ fn hash_values<I: IntoIterator<Item = Value>>(vals: I) -> u64 {
     h
 }
 
-/// Estimated resident bytes for one step index: postings dominate,
-/// partitions add fixed slack. Deliberately simple — the budget fallback
-/// only needs the right *shape* (monotone in both `rows` and `parts`).
-fn index_bytes_estimate(rows: usize, key_arity: usize, parts: usize) -> usize {
-    rows * (INDEX_ENTRY_BYTES + key_arity * std::mem::size_of::<Value>())
-        + parts * PARTITION_SLACK_BYTES
-}
-
-/// Knobs for [`QueryPlan::build_indexes_on`]. The default builds
-/// exactly like [`QueryPlan::build_indexes`]: partition count chosen
-/// from the pool size, no memory budget.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexBuildOptions {
-    /// Partition count per build side (rounded up to a power of two).
-    /// `None`: automatic — 1 for small build sides or single-worker
-    /// pools, otherwise ~2× the pool's workers.
-    pub partitions: Option<usize>,
-    /// Approximate byte budget across all build-side indexes. When the
-    /// estimate exceeds the per-step share, the builder halves that
-    /// step's partition count (fewer, larger partitions carry less
-    /// fixed table slack) and records what happened in
-    /// [`JoinIndexes::notes`].
-    pub memory_budget_bytes: Option<usize>,
-}
-
 /// Hash indexes for a plan's non-leading atoms, built once over the full
 /// relations by [`QueryPlan::build_indexes`] and reused across
 /// executions (masked or not).
@@ -244,18 +209,9 @@ pub struct JoinIndexes {
     /// Per join step: bound-attr key → tuple indices (leading step:
     /// `None`).
     per_step: Vec<Option<StepIndex>>,
-    /// Degradation notes recorded during the build (memory-budget
-    /// fallbacks). Empty when the build ran unconstrained.
-    notes: Vec<String>,
 }
 
 impl JoinIndexes {
-    /// Degradation notes recorded during the build — one entry per
-    /// budget-driven fallback, empty for unconstrained builds.
-    pub fn notes(&self) -> &[String] {
-        &self.notes
-    }
-
     /// Partition count per join step (0 for the un-indexed lead step).
     pub fn partition_counts(&self) -> Vec<usize> {
         self.per_step
@@ -452,32 +408,33 @@ impl QueryPlan {
         } else {
             None
         };
-        self.build_indexes_inner(db, pool, IndexBuildOptions::default())
+        self.build_indexes_inner(db, pool, None)
     }
 
-    /// Builds the join indexes on an explicit pool with explicit
-    /// options. Results are identical for every `(pool, partitions)`
-    /// combination — partitioning only changes *where* a key lives, and
-    /// per-key posting lists stay in ascending tuple-id order.
+    /// Builds the join indexes on an explicit pool. `partitions`
+    /// overrides the partition count per build side (rounded up to a
+    /// power of two); `None` chooses it from the pool size, as
+    /// [`QueryPlan::build_indexes`] does: 1 for small build sides or
+    /// single-worker pools, otherwise ~2× the pool's workers. Results
+    /// are identical for every `(pool, partitions)` combination —
+    /// partitioning only changes *where* a key lives, and per-key
+    /// posting lists stay in ascending tuple-id order.
     pub fn build_indexes_on(
         &self,
         db: &Database,
         pool: &ThreadPool,
-        opts: IndexBuildOptions,
+        partitions: Option<usize>,
     ) -> JoinIndexes {
-        self.build_indexes_inner(db, Some(pool), opts)
+        self.build_indexes_inner(db, Some(pool), partitions)
     }
 
     fn build_indexes_inner(
         &self,
         db: &Database,
         pool: Option<&ThreadPool>,
-        opts: IndexBuildOptions,
+        partitions: Option<usize>,
     ) -> JoinIndexes {
         let threads = pool.map_or(1, ThreadPool::threads);
-        let mut notes = Vec::new();
-        let non_lead = self.steps.len().saturating_sub(1).max(1);
-        let budget_share = opts.memory_budget_bytes.map(|b| b / non_lead);
         let per_step = self
             .steps
             .iter()
@@ -487,39 +444,15 @@ impl QueryPlan {
                     return None;
                 }
                 let inst = db.relation_by_id(self.rels[step.atom]);
-                let rows = inst.len();
-                let mut parts = match opts.partitions {
+                let parts = match partitions {
                     Some(p) => p.next_power_of_two().max(1),
-                    None if threads <= 1 || rows < PAR_BUILD_MIN_ROWS => 1,
+                    None if threads <= 1 || inst.len() < PAR_BUILD_MIN_ROWS => 1,
                     None => (threads * 2).next_power_of_two().min(64),
                 };
-                if let Some(budget) = budget_share {
-                    let arity = step.bound_pos.len();
-                    let before = parts;
-                    while parts > 1 && index_bytes_estimate(rows, arity, parts) > budget {
-                        parts /= 2;
-                    }
-                    if parts < before {
-                        notes.push(format!(
-                            "step {depth} ({}): partitions reduced {before} -> {parts} to fit \
-                             ~{budget}B budget share (estimate was {}B)",
-                            self.atom_names[step.atom],
-                            index_bytes_estimate(rows, arity, before),
-                        ));
-                    }
-                    let est = index_bytes_estimate(rows, arity, parts);
-                    if est > budget {
-                        notes.push(format!(
-                            "step {depth} ({}): estimate {est}B exceeds ~{budget}B budget share \
-                             even single-partition; building anyway",
-                            self.atom_names[step.atom],
-                        ));
-                    }
-                }
                 Some(build_step_index(inst, &step.bound_pos, parts, pool))
             })
             .collect();
-        JoinIndexes { per_step, notes }
+        JoinIndexes { per_step }
     }
 
     /// Evaluates over the full database (every tuple alive). Large lead
@@ -774,9 +707,10 @@ struct PartialEval {
 /// segment indexed once serves every epoch that contains it — plus a
 /// fresh map over the tail rows. Unsegmented stores get the flat
 /// representation with `parts` partitions (power of two):
-/// single-partition builds scan sequentially; partitioned builds scatter
-/// ids with [`adp_runtime::partition_ids`] and fill each partition's
-/// table on the pool. All paths yield probe-identical content.
+/// single-partition builds scan sequentially; partitioned builds (which
+/// only a pool asks for) scatter ids with [`adp_runtime::partition_ids`]
+/// and fill each partition's table on the pool. All paths yield
+/// probe-identical content.
 fn build_step_index(
     inst: &RelationInstance,
     bound_pos: &[u32],
@@ -819,34 +753,24 @@ fn build_step_index(
         }
         map
     };
-    if parts == 1 {
-        let ids: Vec<u32> = inst.indices().collect();
-        return StepIndex {
-            repr: StepRepr::Flat(vec![fill(&ids)]),
-        };
-    }
+    let pool = match pool {
+        Some(pool) if parts > 1 => pool,
+        _ => {
+            debug_assert_eq!(parts, 1, "partitioned builds run on a pool");
+            let ids: Vec<u32> = inst.indices().collect();
+            return StepIndex {
+                repr: StepRepr::Flat(vec![fill(&ids)]),
+            };
+        }
+    };
     let mask = parts - 1;
     let part_of = |idx: u32| {
         let t = inst.tuple(idx);
         hash_values(bound_pos.iter().map(|&p| t[p as usize])) as usize & mask
     };
-    match pool {
-        Some(pool) => {
-            let buckets = adp_runtime::partition_ids(pool, inst.len(), parts, part_of);
-            StepIndex {
-                repr: StepRepr::Flat(pool.par_indexed(parts, |p| fill(&buckets[p]))),
-            }
-        }
-        None => {
-            // Sequential partitioned build — same scatter, same tables.
-            let mut buckets = vec![Vec::new(); parts];
-            for idx in inst.indices() {
-                buckets[part_of(idx)].push(idx);
-            }
-            StepIndex {
-                repr: StepRepr::Flat(buckets.iter().map(|b| fill(b)).collect()),
-            }
-        }
+    let buckets = adp_runtime::partition_ids(pool, inst.len(), parts, part_of);
+    StepIndex {
+        repr: StepRepr::Flat(pool.par_indexed(parts, |p| fill(&buckets[p]))),
     }
 }
 
@@ -1084,23 +1008,9 @@ mod tests {
         let atoms = figure1_atoms();
         let plan = QueryPlan::new(&db, &atoms, &attrs(&["A", "E"]));
         let pool = ThreadPool::new(4);
-        let flat = plan.build_indexes_on(
-            &db,
-            &pool,
-            IndexBuildOptions {
-                partitions: Some(1),
-                ..Default::default()
-            },
-        );
+        let flat = plan.build_indexes_on(&db, &pool, Some(1));
         for parts in [2usize, 8, 16] {
-            let split = plan.build_indexes_on(
-                &db,
-                &pool,
-                IndexBuildOptions {
-                    partitions: Some(parts),
-                    ..Default::default()
-                },
-            );
+            let split = plan.build_indexes_on(&db, &pool, Some(parts));
             assert_eq!(split.partition_counts()[1], parts);
             // Identical results through either index.
             assert_eq!(plan.execute(&db, &flat), plan.execute(&db, &split));
@@ -1120,12 +1030,8 @@ mod tests {
     fn partitioned_build_is_pool_size_invariant() {
         let db = chain_db(300);
         let plan = QueryPlan::new(&db, &figure1_atoms(), &attrs(&["A", "E"]));
-        let opts = IndexBuildOptions {
-            partitions: Some(8),
-            ..Default::default()
-        };
-        let one = plan.build_indexes_on(&db, &ThreadPool::new(1), opts);
-        let four = plan.build_indexes_on(&db, &ThreadPool::new(4), opts);
+        let one = plan.build_indexes_on(&db, &ThreadPool::new(1), Some(8));
+        let four = plan.build_indexes_on(&db, &ThreadPool::new(4), Some(8));
         for (a, b) in one.per_step.iter().zip(&four.per_step) {
             match (a.as_ref(), b.as_ref()) {
                 (Some(a), Some(b)) => assert_eq!(a.flat_parts(), b.flat_parts()),
@@ -1154,7 +1060,7 @@ mod tests {
             let idx = plan.build_indexes(&sealed);
             assert_eq!(plan.execute(&sealed, &idx), baseline);
             // Pool-built segmented indexes answer identically too.
-            let idx_on = plan.build_indexes_on(&sealed, &pool, IndexBuildOptions::default());
+            let idx_on = plan.build_indexes_on(&sealed, &pool, None);
             assert_eq!(plan.execute_on(&sealed, &idx_on, None, &pool), baseline);
 
             // Tombstone a spread of every relation, then compare against
@@ -1186,14 +1092,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         for head in [attrs(&["A", "E"]), attrs(&["B"]), vec![]] {
             let plan = QueryPlan::new(&db, &atoms, &head);
-            let idx = plan.build_indexes_on(
-                &db,
-                &pool,
-                IndexBuildOptions {
-                    partitions: Some(4),
-                    ..Default::default()
-                },
-            );
+            let idx = plan.build_indexes_on(&db, &pool, Some(4));
             let seq = plan.execute_chunked(&db, &idx, None, &pool, 1);
             for chunks in [2usize, 3, 7, 64] {
                 let par = plan.execute_chunked(&db, &idx, None, &pool, chunks);
@@ -1219,57 +1118,10 @@ mod tests {
         let db = figure1_db();
         let plan = QueryPlan::new(&db, &figure1_atoms(), &attrs(&["A", "E"]));
         let pool = ThreadPool::new(2);
-        let idx = plan.build_indexes_on(&db, &pool, IndexBuildOptions::default());
+        let idx = plan.build_indexes_on(&db, &pool, None);
         let seq = plan.execute(&db, &idx);
         let par = plan.execute_chunked(&db, &idx, None, &pool, 1000);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn memory_budget_degrades_partitions_with_note() {
-        let db = chain_db(200);
-        let plan = QueryPlan::new(&db, &figure1_atoms(), &attrs(&["A", "E"]));
-        let pool = ThreadPool::new(2);
-        // Budget sized so 16 partitions overflow but 4 fit: rows cost is
-        // fixed, each partition adds PARTITION_SLACK_BYTES.
-        let rows = 200;
-        let budget_share = index_bytes_estimate(rows, 1, 4) + PARTITION_SLACK_BYTES;
-        let idx = plan.build_indexes_on(
-            &db,
-            &pool,
-            IndexBuildOptions {
-                partitions: Some(16),
-                memory_budget_bytes: Some(budget_share * 2),
-            },
-        );
-        assert!(idx.partition_counts().iter().all(|&p| p == 0 || p <= 4));
-        assert!(!idx.notes().is_empty());
-        assert!(idx.notes()[0].contains("partitions reduced 16 -> "));
-        // Degraded index still answers identically.
-        let flat = plan.build_indexes_on(&db, &pool, IndexBuildOptions::default());
-        assert_eq!(plan.execute(&db, &flat), plan.execute(&db, &idx));
-    }
-
-    #[test]
-    fn impossible_budget_records_note_but_still_builds() {
-        let db = chain_db(100);
-        let plan = QueryPlan::new(&db, &figure1_atoms(), &attrs(&["A"]));
-        let pool = ThreadPool::new(1);
-        let idx = plan.build_indexes_on(
-            &db,
-            &pool,
-            IndexBuildOptions {
-                partitions: None,
-                memory_budget_bytes: Some(16),
-            },
-        );
-        assert!(
-            idx.notes().iter().any(|n| n.contains("building anyway")),
-            "{:?}",
-            idx.notes()
-        );
-        let unconstrained = plan.build_indexes_on(&db, &pool, IndexBuildOptions::default());
-        assert_eq!(plan.execute(&db, &unconstrained), plan.execute(&db, &idx));
     }
 
     #[test]

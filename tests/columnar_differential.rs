@@ -21,7 +21,7 @@
 
 use adp::engine::delta::DeltaProvenance;
 use adp::engine::naive::evaluate_nested_loop;
-use adp::engine::plan::{AliveMask, IndexBuildOptions, QueryPlan};
+use adp::engine::plan::{AliveMask, QueryPlan};
 use adp::engine::relation::RelationInstance;
 use adp::engine::EvalResult;
 use adp::{parse_query, Database, Query, Value};
@@ -154,10 +154,7 @@ proptest! {
         // Byte-identity oracle: forced partitioned build + forced
         // chunked probes must reproduce the sequential result exactly.
         for parts in [2usize, 8] {
-            let pidx = plan.build_indexes_on(&db, pool, IndexBuildOptions {
-                partitions: Some(parts),
-                memory_budget_bytes: None,
-            });
+            let pidx = plan.build_indexes_on(&db, pool, Some(parts));
             for chunks in [1usize, 3, 7] {
                 let par = plan.execute_chunked(&db, &pidx, None, pool, chunks);
                 prop_assert_eq!(
@@ -183,14 +180,7 @@ fn pidx_default(
     db: &Database,
     pool: &adp::ThreadPool,
 ) -> adp::engine::plan::JoinIndexes {
-    plan.build_indexes_on(
-        db,
-        pool,
-        IndexBuildOptions {
-            partitions: Some(4),
-            memory_budget_bytes: None,
-        },
-    )
+    plan.build_indexes_on(db, pool, Some(4))
 }
 
 proptest! {
@@ -301,14 +291,7 @@ fn tpch_streaming_builder_feeds_parallel_plan() {
     let seq = plan.execute(&db, &plan.build_indexes(&db));
     assert!(seq.witness_count() > 1_000, "chain should join broadly");
 
-    let pidx = plan.build_indexes_on(
-        &db,
-        pool,
-        IndexBuildOptions {
-            partitions: Some(8),
-            memory_budget_bytes: None,
-        },
-    );
+    let pidx = plan.build_indexes_on(&db, pool, Some(8));
     for chunks in [2usize, 16] {
         let par = plan.execute_chunked(&db, &pidx, None, pool, chunks);
         assert_eq!(seq, par, "chunks={chunks} diverged on TPC-H chain");

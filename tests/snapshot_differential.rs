@@ -180,7 +180,7 @@ fn assert_views_identical(
     );
     // The pooled probe over segment-aware indexes must also be
     // byte-identical — per-segment index reuse cannot leak overlays.
-    let pidx = seg_plan.build_indexes_on(seg, pool, Default::default());
+    let pidx = seg_plan.build_indexes_on(seg, pool, None);
     for chunks in [2usize, 5] {
         let par = seg_plan.execute_chunked(seg, &pidx, None, pool, chunks);
         prop_assert_eq!(
