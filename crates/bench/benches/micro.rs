@@ -10,7 +10,7 @@
 
 use adp_bench::fresh_plan;
 use adp_core::analysis::{find_hard_structures, is_ptime};
-use adp_core::solver::{AdpOptions, CostProfile, PreparedQuery};
+use adp_core::solver::{verify, AdpOptions, CostProfile, PreparedQuery};
 use adp_datagen::queries;
 use adp_datagen::zipf::ZipfConfig;
 use adp_engine::database::Database;
@@ -202,22 +202,24 @@ fn bench_parallel_sweep(c: &mut Criterion) {
 /// The acceptance benchmark for the incremental delta maintenance
 /// layer: the same fig10-style hard workload (`Q_path` over skewed Zipf
 /// data), solved by greedy at ρ=75%, once per round-strategy —
-/// `greedy_rounds_masked` pays a full scoring rescan per round
-/// (`full_reeval`, the pre-delta oracle), `greedy_rounds_delta` runs on
-/// the incrementally maintained scores (`O(Δ)` per round). Outcomes are
-/// asserted byte-identical (cost, deletion set, outputs removed)
-/// **before** either variant is timed; the delta pair must be ≥5×
-/// faster (measured ~14–20× at this size, growing with n). The delta
-/// variant solves on a fresh plan per iteration, so it also pays its
-/// scoring pass: on the shared plan its repeat would be a memo lookup
-/// (the `full_reeval` oracle never reads the memo).
+/// `greedy_rounds_masked` pays a full scoring rescan per round (the
+/// sequential reference `verify::rescan_greedy`), `greedy_rounds_delta`
+/// runs on the incrementally maintained scores (`O(Δ)` per round).
+/// Outcomes are asserted byte-identical (cost, deletion set, outputs
+/// removed) **before** either variant is timed; the delta pair must be
+/// ≥5× faster (measured ~14–20× at this size, growing with n). The
+/// delta variant solves on a fresh plan per iteration, so it also pays
+/// its scoring pass: on the shared plan its repeat would be a memo
+/// lookup.
 fn bench_greedy_rounds(c: &mut Criterion) {
     let db = Arc::new(adp_datagen::zipf_pair(&ZipfConfig::new(
         4_000, 0.5, 21, true,
     )));
-    let prep = PreparedQuery::new(queries::qpath(), db);
+    let q = queries::qpath();
+    let prep = PreparedQuery::new(q.clone(), db);
     let total = prep.output_count();
     let k = adp_bench::k_for_ratio(total, 0.75);
+    let eval = prep.eval();
     // Sequential inner loops in both variants: the pair isolates the
     // per-round maintenance strategy, not the pool.
     let delta_opts = AdpOptions {
@@ -225,23 +227,26 @@ fn bench_greedy_rounds(c: &mut Criterion) {
         sequential: true,
         ..Default::default()
     };
-    let masked_opts = AdpOptions {
-        full_reeval: true,
-        ..delta_opts.clone()
-    };
 
     // Determinism gate: the incremental rounds must be byte-identical.
     let d = prep.solve(k, &delta_opts).unwrap();
-    let m = prep.solve(k, &masked_opts).unwrap();
-    assert_eq!(d.cost, m.cost, "delta rounds changed the cost");
-    assert_eq!(d.achieved, m.achieved, "delta rounds changed coverage");
+    let picks = verify::rescan_greedy(&q, &eval, k).unwrap();
+    let mut rescan_set: Vec<_> = picks.iter().map(|&(t, _)| t).collect();
+    rescan_set.sort_unstable(); // an outcome's deletion set is sorted
+    assert_eq!(d.cost, picks.len() as u64, "delta rounds changed the cost");
     assert_eq!(
-        d.solution, m.solution,
+        Some(d.achieved),
+        picks.last().map(|&(_, removed)| removed),
+        "delta rounds changed coverage"
+    );
+    assert_eq!(
+        d.solution,
+        Some(rescan_set),
         "delta rounds changed the deletion set"
     );
 
     c.bench_function("greedy_rounds_masked", |b| {
-        b.iter(|| black_box(prep.solve(k, &masked_opts).unwrap().cost))
+        b.iter(|| black_box(verify::rescan_greedy(&q, &eval, k).unwrap().len()))
     });
     c.bench_function("greedy_rounds_delta", |b| {
         b.iter_batched(

@@ -7,21 +7,6 @@
 //! * `solve_drastic` — `DrasticGreedyForFullCQ` (Algorithm 7): compute
 //!   profits once per endogenous relation, then delete a prefix of one
 //!   relation only. Much faster, full CQs only.
-//!
-//! ## Parallel candidate scoring
-//!
-//! Each greedy round spends almost all of its time scoring candidates —
-//! one pass over every live witness ([`ProvenanceIndex::profits`] /
-//! [`ProvenanceIndex::live_counts`]). When the global
-//! [`adp_runtime`] pool has more than one worker, the pass is split
-//! into contiguous output/witness ranges scored in parallel and merged
-//! by summation. Profits are additive over any partition of the
-//! outputs, so the merged maps are *equal* (not just equivalent) to the
-//! sequential ones, and the winning candidate — selected by the total
-//! order `(profit, Reverse((atom, idx)))` — is byte-identical to the
-//! sequential pick. Small instances (fewer than
-//! [`PAR_SCORING_MIN_WITNESSES`] live witnesses) stay on the sequential
-//! path; the fan-out would cost more than the scan.
 
 use super::prepared::GreedyLease;
 use super::profile::CostProfile;
@@ -33,75 +18,6 @@ use crate::error::SolveError;
 use adp_engine::delta::DeltaProvenance;
 use adp_engine::join::EvalResult;
 use adp_engine::provenance::{ProvenanceIndex, TupleRef};
-use adp_runtime::ThreadPool;
-use std::collections::HashMap;
-
-/// Minimum live-witness count before a greedy round fans its scoring
-/// pass out across the pool.
-pub const PAR_SCORING_MIN_WITNESSES: u64 = 1024;
-
-/// Sums per-range scoring maps into the full map. Addition is
-/// commutative and associative and ranges are disjoint, so the result
-/// equals the sequential single-pass map regardless of scheduling.
-fn merge_score_maps(n_atoms: usize, parts: Vec<Vec<HashMap<u32, u64>>>) -> Vec<HashMap<u32, u64>> {
-    let mut acc: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n_atoms];
-    for part in parts {
-        // adp-lint: allow(unordered-iter) -- merging disjoint partial
-        // sums by `+=`; addition commutes, so order cannot show.
-        for (atom, map) in part.into_iter().enumerate() {
-            for (t, c) in map {
-                *acc[atom].entry(t).or_insert(0) += c;
-            }
-        }
-    }
-    acc
-}
-
-/// `profits()` with the witness scan fanned out over `pool` (when
-/// present and worth it). Returns exactly the sequential maps.
-fn scored_profits(prov: &ProvenanceIndex, pool: Option<&ThreadPool>) -> Vec<HashMap<u32, u64>> {
-    scored(prov, pool, prov.output_slots(), |lo, hi| {
-        prov.profits_range(lo, hi)
-    })
-}
-
-/// `live_counts()` with the witness scan fanned out over `pool`.
-fn scored_live_counts(prov: &ProvenanceIndex, pool: Option<&ThreadPool>) -> Vec<HashMap<u32, u64>> {
-    scored(prov, pool, prov.witness_slots(), |lo, hi| {
-        prov.live_counts_range(lo, hi)
-    })
-}
-
-/// Shared fan-out shell of the two scoring passes: splits `0..slots`
-/// into per-worker ranges, scores them via `range_fn`, and merges by
-/// summation — or falls back to the single-pass `range_fn(0, slots)`
-/// when the pool is absent or the instance is below the witness
-/// threshold. Both passes go through here, so threshold and chunking
-/// tuning can never diverge between them.
-fn scored<F>(
-    prov: &ProvenanceIndex,
-    pool: Option<&ThreadPool>,
-    slots: usize,
-    range_fn: F,
-) -> Vec<HashMap<u32, u64>>
-where
-    F: Fn(usize, usize) -> Vec<HashMap<u32, u64>> + Sync,
-{
-    match pool {
-        Some(pool)
-            if pool.threads() > 1
-                && prov.live_witnesses() >= PAR_SCORING_MIN_WITNESSES
-                && slots > 1 =>
-        {
-            let chunk = slots.div_ceil(pool.threads() * 2).max(1);
-            let parts = pool.par_indexed(slots.div_ceil(chunk), |i| {
-                range_fn(i * chunk, ((i + 1) * chunk).min(slots))
-            });
-            merge_score_maps(prov.atom_count(), parts)
-        }
-        _ => range_fn(0, slots),
-    }
-}
 
 /// The greedy leaf of the dispatcher (Algorithm 2 line 5, and the
 /// `force_greedy` hook): `DrasticGreedyForFullCQ` when asked for on a
@@ -110,11 +26,11 @@ where
 /// An anchored root view
 /// ([`PreparedQuery::anchored`](super::PreparedQuery::anchored)) runs
 /// `GreedyForCQ` on a base state advanced to its epoch and never
-/// evaluates the epoch; the rescan oracle (`full_reeval`), the drastic
-/// variant, and views without a usable anchor evaluate it lazily.
+/// evaluates the epoch; the drastic variant and views without a usable
+/// anchor evaluate it lazily.
 pub(crate) fn solve_leaf(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, SolveError> {
     let drastic = opts.use_drastic && view.query.is_full();
-    if view.is_anchored() && !drastic && !opts.full_reeval {
+    if view.is_anchored() && !drastic {
         let endo = endogenous_atoms(&view.query);
         if let Some(lease) = view.anchored_state(&endo, !opts.sequential) {
             let total = lease.live_outputs();
@@ -137,12 +53,11 @@ pub(crate) fn solve_leaf(view: &View, cap: u64, opts: &AdpOptions) -> Result<Sol
     }
 }
 
-/// `GreedyForCQ` (Algorithm 6). The view's query must be connected and
-/// non-boolean... in fact any query works; it is simply not optimal.
-/// Unless `opts.sequential`, candidate scoring uses the global pool;
-/// unless `opts.full_reeval`, rounds run on the incremental
-/// [`DeltaProvenance`] instead of full rescans. All four combinations
-/// return byte-identical results.
+/// `GreedyForCQ` (Algorithm 6) on any query shape: feasible on every
+/// query, optimal on none in general. Rounds run on the incremental
+/// [`DeltaProvenance`] of [`delta_rounds`]; unless `opts.sequential`,
+/// the one-time scoring pass of a fresh state fans out over the global
+/// pool. Both settings return byte-identical results.
 pub(crate) fn solve_greedy(
     view: &View,
     eval: &EvalResult,
@@ -174,12 +89,8 @@ pub(crate) fn solve_greedy_filtered(
         .map(|(e, &d)| if policy_active { d } else { e })
         .collect();
     let cap = cap.min(total);
-    let (steps, truncated) = if opts.full_reeval {
-        rescan_rounds(view, eval, cap, &endo, !opts.sequential, opts.deadline)?
-    } else {
-        let lease = view.greedy_state(eval, &endo, !opts.sequential)?;
-        delta_rounds(view, lease, cap, opts.deadline)
-    };
+    let lease = view.greedy_state(eval, &endo, !opts.sequential)?;
+    let (steps, truncated) = delta_rounds(view, lease, cap, opts.deadline);
     Ok(greedy_solved(steps, truncated, total))
 }
 
@@ -203,11 +114,12 @@ fn deadline_expired(deadline: Option<std::time::Instant>, rounds_done: usize) ->
 /// [`DeltaProvenance`] across deletions, so each round costs `O(Δ)` in
 /// the affected witnesses plus a logarithmic argmax — instead of a full
 /// pass over every live witness. The candidate order is the same
-/// `(score, Reverse((atom, idx)))` total order as the rescan path, so the
-/// deletion sequence is byte-identical.
+/// `(score, Reverse((atom, idx)))` total order as the sequential rescan
+/// reference [`rescan_greedy`](super::verify::rescan_greedy), so the
+/// deletion sequence is byte-identical to it.
 ///
 /// The rounds run on `lease` — for root views of a prepared query a
-/// state checked out of a plan's pool ([`View::greedy_state`],
+/// state checked out of a plan ([`View::greedy_state`],
 /// [`View::anchored_state`]) — and the picks are handed back with it so
 /// the state can be rolled back and reused.
 fn delta_rounds(
@@ -277,95 +189,6 @@ pub(super) fn greedy_round_loop(
         picks.push((t, removed));
     }
     (picks, false)
-}
-
-/// The pre-delta greedy rounds: one full scoring pass over every live
-/// witness per round (fanned over the pool when allowed). Kept as the
-/// differential oracle behind `AdpOptions::full_reeval`.
-fn rescan_rounds(
-    view: &View,
-    eval: &EvalResult,
-    cap: u64,
-    endo: &[bool],
-    parallel: bool,
-    deadline: Option<std::time::Instant>,
-) -> Result<(Vec<Step>, bool), SolveError> {
-    let pool = if parallel {
-        let p = adp_runtime::global();
-        (p.threads() > 1).then_some(p)
-    } else {
-        None
-    };
-    let mut prov = ProvenanceIndex::try_new(eval)?;
-
-    let mut steps: Vec<Step> = Vec::new();
-    let (mut removed, mut cost) = (0u64, 0u64);
-    while removed < cap && prov.live_outputs() > 0 {
-        if deadline_expired(deadline, steps.len()) {
-            return Ok((steps, true));
-        }
-        // Profit of each endogenous tuple under the current deletions.
-        let profits = scored_profits(&prov, pool);
-        let mut best: Option<(u64, usize, u32)> = None; // (profit, atom, idx)
-        for (atom, map) in profits.iter().enumerate() {
-            if !endo[atom] {
-                continue;
-            }
-            for (&idx, &p) in map {
-                if p == 0 {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bp, ba, bi)) => {
-                        (p, std::cmp::Reverse((atom, idx))) > (bp, std::cmp::Reverse((ba, bi)))
-                    }
-                };
-                if better {
-                    best = Some((p, atom, idx));
-                }
-            }
-        }
-        let (atom, idx) = match best {
-            Some((_, a, i)) => (a, i),
-            None => {
-                // No sole killer exists: make progress by deleting the
-                // endogenous tuple on the most live witnesses.
-                let counts = scored_live_counts(&prov, pool);
-                let mut pick: Option<(u64, usize, u32)> = None;
-                for (atom, map) in counts.iter().enumerate() {
-                    if !endo[atom] {
-                        continue;
-                    }
-                    for (&idx, &c) in map {
-                        let better = match pick {
-                            None => true,
-                            Some((bc, ba, bi)) => {
-                                (c, std::cmp::Reverse((atom, idx)))
-                                    > (bc, std::cmp::Reverse((ba, bi)))
-                            }
-                        };
-                        if better {
-                            pick = Some((c, atom, idx));
-                        }
-                    }
-                }
-                match pick {
-                    Some((_, a, i)) => (a, i),
-                    None => break, // no deletable candidate remains
-                }
-            }
-        };
-        let died = prov.kill(TupleRef::new(atom, idx));
-        removed += died;
-        cost += 1;
-        steps.push(Step {
-            tuples: vec![view.to_original(atom, idx)],
-            removed_cum: removed,
-            cost_cum: cost,
-        });
-    }
-    Ok((steps, false))
 }
 
 /// `DrasticGreedyForFullCQ` (Algorithm 7). Requires a full CQ: witnesses
@@ -542,51 +365,5 @@ mod tests {
         let view = View::root(q.clone(), Arc::new(chain_db()));
         let eval = evaluate(&view.db, q.atoms(), q.head());
         let _ = solve_drastic(&view, &eval, 1);
-    }
-
-    /// A chain instance large enough to cross
-    /// [`PAR_SCORING_MIN_WITNESSES`]: the full 64×64 grid on R2.
-    fn grid_db() -> Database {
-        let dom = 64u64;
-        let mut db = Database::new();
-        let r1: Vec<Vec<u64>> = (0..dom).map(|a| vec![a]).collect();
-        let r3 = r1.clone();
-        let r2: Vec<Vec<u64>> = (0..dom * dom).map(|i| vec![i % dom, i / dom]).collect();
-        fn rows(v: &[Vec<u64>]) -> Vec<&[u64]> {
-            v.iter().map(|t| t.as_slice()).collect()
-        }
-        db.add_relation("R1", attrs(&["A"]), &rows(&r1));
-        db.add_relation("R2", attrs(&["A", "B"]), &rows(&r2));
-        db.add_relation("R3", attrs(&["B"]), &rows(&r3));
-        db
-    }
-
-    #[test]
-    fn parallel_scoring_equals_sequential_maps() {
-        let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
-        let view = View::root(q.clone(), Arc::new(grid_db()));
-        let eval = evaluate(&view.db, q.atoms(), q.head());
-        let mut prov = ProvenanceIndex::new(&eval);
-        assert!(prov.live_witnesses() >= PAR_SCORING_MIN_WITNESSES);
-        // Kill a few tuples so the deletion state is non-trivial.
-        prov.kill(TupleRef::new(1, 0));
-        prov.kill(TupleRef::new(0, 3));
-        let pool = ThreadPool::new(4);
-        assert_eq!(scored_profits(&prov, Some(&pool)), prov.profits());
-        assert_eq!(scored_live_counts(&prov, Some(&pool)), prov.live_counts());
-    }
-
-    #[test]
-    fn tiny_instances_stay_on_the_sequential_scan() {
-        // Below the witness threshold the pooled scorer must not fan out
-        // (and trivially matches the sequential maps).
-        let q = parse_query("Q(NK,SK,PK,OK) :- S(NK,SK), PS(SK,PK), L(OK,PK)").unwrap();
-        let view = View::root(q.clone(), Arc::new(chain_db()));
-        let eval = evaluate(&view.db, q.atoms(), q.head());
-        let prov = ProvenanceIndex::new(&eval);
-        assert!(prov.live_witnesses() < PAR_SCORING_MIN_WITNESSES);
-        let pool = ThreadPool::new(4);
-        assert_eq!(scored_profits(&prov, Some(&pool)), prov.profits());
-        assert_eq!(scored_live_counts(&prov, Some(&pool)), prov.live_counts());
     }
 }

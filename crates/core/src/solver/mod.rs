@@ -107,17 +107,6 @@ pub struct AdpOptions {
     /// tests and for apples-to-apples benchmarking, not for
     /// correctness.
     pub sequential: bool,
-    /// Opt out of the incremental delta maintenance layer
-    /// ([`adp_engine::delta`]) and pay a full scoring rescan per greedy
-    /// round instead — the pre-delta code path, kept as the
-    /// differential oracle. Delta and full-re-evaluation runs return
-    /// **byte-identical** results (enforced by the `delta_differential`
-    /// proptest suite and the `greedy_rounds_{masked,delta}` bench
-    /// pair); this switch exists for those checks and for
-    /// benchmarking, not for correctness. A `full_reeval` solve neither
-    /// reads nor writes the prepared plan's memo of root answers
-    /// ([`PreparedQuery::cached_answers`]): the oracle always computes.
-    pub full_reeval: bool,
     /// Wall-clock budget for the greedy rounds (the only open-ended
     /// loop in the solver): once the instant passes, the current
     /// best-so-far deletion set is returned with
@@ -129,8 +118,7 @@ pub struct AdpOptions {
     ///
     /// Note that where a deadline fires depends on wall-clock speed, so
     /// truncated results are **not** byte-identical across the
-    /// delta/full-re-evaluation or sequential/parallel variants — this
-    /// knob is for serving-layer latency bounds, not for the
+    /// sequential/parallel variants — this knob is for serving-layer latency bounds, not for the
     /// differential suites. A solve with a deadline neither reads nor
     /// writes the prepared plan's memo of root answers
     /// ([`PreparedQuery::cached_answers`]), so a truncated answer is
@@ -150,7 +138,6 @@ impl Default for AdpOptions {
             dense_limit: 16_000_000,
             pair_points_limit: 4_000_000,
             sequential: false,
-            full_reeval: false,
             deadline: None,
         }
     }
@@ -645,31 +632,28 @@ mod tests {
         db.add_relation("PS", attrs(&["SK", "PK"]), &[&[1, 1], &[1, 2], &[2, 1]]);
         db.add_relation("L", attrs(&["OK", "PK"]), &[&[7, 1], &[8, 2]]);
         let total = 3;
-        for full_reeval in [false, true] {
-            let opts = AdpOptions {
-                force_greedy: true,
-                full_reeval,
-                // Already in the past by the time the loop checks it.
-                deadline: Some(std::time::Instant::now()),
-                ..Default::default()
-            };
-            let out = solve_once(&q, &db, total, &opts).unwrap();
-            assert!(out.truncated, "full_reeval={full_reeval}");
-            assert!(!out.exact);
-            assert_eq!(out.output_count, total);
-            assert!(
-                out.achieved >= 1 && out.achieved < total,
-                "one round must run, but not all: achieved={} (full_reeval={full_reeval})",
-                out.achieved
-            );
-            let sol = out.solution.unwrap();
-            assert_eq!(sol.len() as u64, out.cost);
-            assert_eq!(
-                verify::removed_outputs(&q, &db, &sol),
-                out.achieved,
-                "best-so-far set must actually remove `achieved` outputs"
-            );
-        }
+        let opts = AdpOptions {
+            force_greedy: true,
+            // Already in the past by the time the loop checks it.
+            deadline: Some(std::time::Instant::now()),
+            ..Default::default()
+        };
+        let out = solve_once(&q, &db, total, &opts).unwrap();
+        assert!(out.truncated);
+        assert!(!out.exact);
+        assert_eq!(out.output_count, total);
+        assert!(
+            out.achieved >= 1 && out.achieved < total,
+            "one round must run, but not all: achieved={}",
+            out.achieved
+        );
+        let sol = out.solution.unwrap();
+        assert_eq!(sol.len() as u64, out.cost);
+        assert_eq!(
+            verify::removed_outputs(&q, &db, &sol),
+            out.achieved,
+            "best-so-far set must actually remove `achieved` outputs"
+        );
     }
 
     /// A deadline far in the future never truncates and returns exactly

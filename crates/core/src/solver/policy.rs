@@ -63,8 +63,8 @@ impl DeletionPolicy {
 }
 
 /// Solves `ADP(Q, D, k)` under a deletion policy on `view` (the
-/// prepared plan's root view, whose pooled greedy states are keyed by
-/// the selectable mask). Boolean queries are solved exactly (min-cut
+/// prepared plan's root view, whose idle greedy state is tagged with
+/// its selectable mask). Boolean queries are solved exactly (min-cut
 /// with infinite capacities on frozen atoms); non-boolean queries use
 /// the policy-aware greedy heuristic. With every atom frozen the
 /// profile is empty, so any target is infeasible.

@@ -27,16 +27,19 @@
 //! reading a profile point and a prefix of steps: the repeated targets
 //! of a serving workload at one epoch, or a ρ-sweep served from its
 //! largest ρ. A miss computes at exactly the requested target. Universe,
-//! decompose and drastic solves, the `full_reeval` oracle, and solves
-//! with a deadline always compute.
+//! decompose and drastic solves, and solves with a deadline, always
+//! compute.
 //!
-//! Greedy solves run on scored delta states pooled per plan. A plan for
-//! a later epoch of the same data can be
+//! Greedy solves run on a scored delta state, and each plan keeps one
+//! idle state between solves: a solve that rolls its picks back leaves
+//! its state in the plan's slot, and the next solve with the same
+//! selectable atoms takes it instead of cloning the template. A plan
+//! for a later epoch of the same data can be
 //! [`anchored`](PreparedQuery::anchored) on the epoch-0 plan: its greedy
-//! solves then borrow the base plan's pooled states, advanced by the
+//! solves then borrow the base plan's idle state, advanced by the
 //! difference of dead sets, and never join the epoch (the paper's
 //! `Q(D − S)`, Definition 1, with `S` the epoch's deletions).
-//! [`PreparedQuery::advance`] moves a pooled state between two dead sets
+//! [`PreparedQuery::advance`] moves the idle state between two dead sets
 //! ahead of the next solve and reports which outputs died or revived on
 //! the way: push subscriptions take their row transitions from it.
 //!
@@ -44,9 +47,9 @@
 //! caches via [`OnceLock`]), so one compiled plan can be shared
 //! read-only by every worker of an [`adp_runtime::ThreadPool`]: the
 //! parallel ρ-sweeps in `adp-bench` and the parallel inner loops in
-//! [`brute`](super::brute) and [`greedy`](super::greedy) all borrow the
-//! same `PreparedQuery`. A compile-time assertion in the test module
-//! keeps the bound from regressing.
+//! [`brute`](super::brute) all borrow the same `PreparedQuery`. A
+//! compile-time assertion in the test module keeps the bound from
+//! regressing.
 
 use super::view::View;
 use super::{AdpOptions, AdpOutcome, Branch, Solved};
@@ -62,12 +65,16 @@ use adp_engine::provenance::{ProvenanceIndex, TupleRef};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+/// Minimum witness count before [`build_delta_provenance`] fans its
+/// scoring pass out across the pool.
+const PAR_SCORING_MIN_WITNESSES: u64 = 1024;
+
 /// Builds a scored [`DeltaProvenance`] for an evaluation, fanning the
-/// initial scoring pass out over the global [`adp_runtime`] pool (the
-/// same range-partitioned scoring the parallel greedy rescan used)
-/// when `parallel` is set and the instance is large enough. Disjoint
-/// output ranges contribute additively, so the installed scores are
-/// equal to the sequential build's.
+/// initial scoring pass out over the global [`adp_runtime`] pool in
+/// contiguous output ranges when `parallel` is set and the instance has
+/// at least [`PAR_SCORING_MIN_WITNESSES`] witnesses. Disjoint output
+/// ranges contribute additively, so the installed scores are equal to
+/// the sequential build's.
 pub(crate) fn build_delta_provenance(
     eval: &EvalResult,
     parallel: bool,
@@ -77,7 +84,7 @@ pub(crate) fn build_delta_provenance(
     let pool = adp_runtime::global();
     if parallel
         && pool.threads() > 1
-        && eval.witness_count() >= super::greedy::PAR_SCORING_MIN_WITNESSES
+        && eval.witness_count() >= PAR_SCORING_MIN_WITNESSES
         && slots > 1
     {
         let chunk = slots.div_ceil(pool.threads() * 2).max(1);
@@ -99,7 +106,7 @@ pub(crate) fn build_delta_provenance(
 /// tuples in every later epoch.
 pub type DeadSet = Vec<BTreeSet<u32>>;
 
-/// What moving a pooled greedy state from one dead set to another did
+/// What moving a greedy state from one dead set to another did
 /// to the view ([`PreparedQuery::advance`]): the outputs whose last live
 /// witness went away, the outputs that came back, and `|Q(D − S)|` at
 /// the new dead set. Output ids index the plan's root evaluation.
@@ -120,9 +127,9 @@ struct Anchor {
     dead: Arc<DeadSet>,
 }
 
-/// An idle greedy state: a clone of the template with selection
-/// enabled on `mask`, advanced to the dead set `dead` (`None` =
-/// nothing deleted).
+/// The idle greedy state of a plan: a clone of the template with
+/// selection enabled on `mask`, advanced to the dead set `dead`
+/// (`None` = nothing deleted).
 struct Idle {
     mask: Vec<bool>,
     dead: Option<Arc<DeadSet>>,
@@ -143,15 +150,14 @@ pub struct PlannedEval {
     /// lookups without rebuilding the postings per solve.
     prov: OnceLock<Result<Arc<ProvenanceIndex>, AdpError>>,
     /// Pristine scored delta index, built once. Greedy solves never
-    /// mutate it: they run on states from `idle`, and only a checkout
+    /// mutate it: they run on the state in `idle`, and only a checkout
     /// that finds no state it can advance clones it.
     delta: OnceLock<Result<Arc<DeltaProvenance>, AdpError>>,
-    /// Idle greedy states, each tagged with its selectable mask and the
-    /// dead set it is advanced to. See [`GreedyLease`].
-    idle: Mutex<Vec<Idle>>,
+    /// At most one idle greedy state, tagged with its selectable mask
+    /// and the dead set it is advanced to. See [`GreedyLease`].
+    idle: Mutex<Option<Idle>>,
     /// Set on epoch plans ([`PreparedQuery::anchored`]): greedy solves
-    /// check a state out of the base plan's pool instead of joining this
-    /// epoch.
+    /// check a state out of the base plan instead of joining this epoch.
     anchor: Option<Anchor>,
     /// `|Q(D − S)|` read from an anchored state, computed once; `None`
     /// when the base state could not be built.
@@ -173,7 +179,7 @@ impl PlannedEval {
             eval: OnceLock::new(),
             prov: OnceLock::new(),
             delta: OnceLock::new(),
-            idle: Mutex::new(Vec::new()),
+            idle: Mutex::new(None),
             anchor: None,
             anchored_outputs: OnceLock::new(),
             answers: Mutex::new(Vec::new()),
@@ -232,7 +238,7 @@ impl PlannedEval {
     }
 
     /// The pristine scored [`DeltaProvenance`] template, computed once;
-    /// greedy solves clone it when the state pool has nothing to reuse.
+    /// greedy solves clone it when the idle slot has nothing to reuse.
     /// The first builder decides whether the one-time scoring pass may
     /// fan out over the global pool (`parallel`); either way the
     /// installed scores are equal, so later callers share the cached
@@ -244,32 +250,27 @@ impl PlannedEval {
     }
 
     /// Checks a greedy state with selection enabled on `selectable` out
-    /// of the pool, advanced to the dead set `dead` (`None` = nothing
+    /// of the plan, advanced to the dead set `dead` (`None` = nothing
     /// deleted; dead sets index this plan's database, see [`DeadSet`]).
     ///
-    /// An idle state already tagged with `dead` (the same `Arc`) is
-    /// taken as is. Otherwise an idle state with the same mask is
-    /// brought to `dead` by the set difference, unless that would touch
-    /// more than `1 / ROLLBACK_DIVISOR` of the witnesses; then, or when
-    /// no state has the mask, the template is cloned and the whole dead
-    /// set deleted. The state returns to the pool only through
-    /// [`GreedyLease::release`].
+    /// The idle state is taken only if its mask is `selectable`;
+    /// otherwise it stays in the slot. A taken state already tagged with
+    /// `dead` (the same `Arc`) is used as is, and one tagged with
+    /// another dead set is brought to `dead` by the set difference,
+    /// unless that would touch more than `1 / ROLLBACK_DIVISOR` of the
+    /// witnesses. Then, or when no state was taken, the template is
+    /// cloned and the whole dead set deleted. The state returns to the
+    /// slot only through [`GreedyLease::release`].
     pub(crate) fn checkout(
         &self,
         selectable: &[bool],
         dead: Option<&Arc<DeadSet>>,
         parallel: bool,
     ) -> Result<GreedyLease<'_>, AdpError> {
-        let pooled = {
-            let mut idle = self.idle_states();
-            let same_mask = |s: &Idle| s.mask.as_slice() == selectable;
-            let at = idle
-                .iter()
-                .rposition(|s| same_mask(s) && same_dead(s.dead.as_ref(), dead))
-                .or_else(|| idle.iter().rposition(same_mask));
-            at.map(|i| idle.swap_remove(i))
-        };
-        let advanced = pooled.and_then(|mut s| {
+        let taken = self
+            .idle_slot()
+            .take_if(|s| s.mask.as_slice() == selectable);
+        let advanced = taken.and_then(|mut s| {
             if same_dead(s.dead.as_ref(), dead) {
                 return Some(s.delta);
             }
@@ -298,7 +299,7 @@ impl PlannedEval {
         };
         Ok(GreedyLease {
             home: Some(Home {
-                pool: self,
+                owner: self,
                 mask: selectable.to_vec(),
                 dead: dead.cloned(),
                 live_witnesses: delta.live_witnesses(),
@@ -332,8 +333,8 @@ impl PlannedEval {
         self.anchor.is_some()
     }
 
-    /// An anchored plan's greedy state: checked out of the base plan's
-    /// pool at this epoch's dead set, with picks reported in this
+    /// An anchored plan's greedy state: checked out of the base plan
+    /// at this epoch's dead set, with picks reported in this
     /// epoch's dense coordinates. `None` on a plan without an anchor,
     /// or when the base cannot build its state (e.g. too many witnesses
     /// to index); the caller then evaluates the epoch itself.
@@ -356,8 +357,9 @@ impl PlannedEval {
 
     /// `|Q(D − S)|` of an anchored plan, read once from a base state
     /// advanced to this epoch (which the next greedy solve then takes
-    /// from the pool as is). `None` without an anchor, or when the base
-    /// state cannot be built: the caller evaluates the epoch instead.
+    /// from the idle slot as is). `None` without an anchor, or when the
+    /// base state cannot be built: the caller evaluates the epoch
+    /// instead.
     pub(crate) fn anchored_output_count(&self, selectable: &[bool]) -> Option<u64> {
         *self.anchored_outputs.get_or_init(|| {
             let lease = self.anchored_checkout(selectable, true)?;
@@ -367,20 +369,20 @@ impl PlannedEval {
         })
     }
 
-    /// Idle greedy states currently pooled, over every mask.
+    /// Idle greedy states currently kept: 0 or 1.
     pub(crate) fn pooled_states(&self) -> usize {
-        self.idle_states().len()
+        usize::from(self.idle_slot().is_some())
     }
 
-    fn idle_states(&self) -> MutexGuard<'_, Vec<Idle>> {
-        // A panic elsewhere cannot leave the list half-updated (it only
-        // ever pushes or removes whole entries), so a poisoned lock is
-        // safe to reuse.
+    fn idle_slot(&self) -> MutexGuard<'_, Option<Idle>> {
+        // A panic elsewhere cannot leave the slot half-updated (it is
+        // only ever taken or replaced whole), so a poisoned lock is safe
+        // to reuse.
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn answers(&self) -> MutexGuard<'_, Vec<Answer>> {
-        // As for `idle_states`: entries are pushed or replaced whole.
+        // As for `idle_slot`: entries are pushed or replaced whole.
         self.answers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -444,13 +446,12 @@ enum AnswerKey {
 
 impl AnswerKey {
     /// The key of a root solve, or `None` when its answer must not be
-    /// shared. `full_reeval` is the differential oracle and always
-    /// computes; a deadline makes the answer depend on wall-clock speed.
+    /// shared: a deadline makes the answer depend on wall-clock speed.
     /// Universe and Decompose size their DP tables by the cap (and keep
     /// none in count mode), and the drastic leaf (Algorithm 7) picks its
     /// relation by the cap, so none of them is memoized.
     fn of(query: &Query, opts: &AdpOptions) -> Option<AnswerKey> {
-        if opts.full_reeval || opts.deadline.is_some() {
+        if opts.deadline.is_some() {
             return None;
         }
         match Branch::of(query, opts) {
@@ -473,17 +474,17 @@ struct Answer {
 }
 
 /// Rounds may kill at most `1 / ROLLBACK_DIVISOR` of the witnesses for
-/// their state to be rolled back and pooled (a final pick read from its
-/// profit counts by the witnesses its deletion would kill), and a
-/// pooled state is advanced to another dead set only when the
-/// difference touches at most that share. Past it, undoing or redoing
+/// their state to be rolled back and kept idle (a final pick read from
+/// its profit counts by the witnesses its deletion would kill), and the
+/// idle state is advanced to another dead set only when the difference
+/// touches at most that share. Past it, undoing or redoing
 /// the deletions costs about as much as a template clone, and the state
 /// is dropped instead.
 const ROLLBACK_DIVISOR: usize = 4;
 
-/// Where a pooled lease returns to, and what it must look like then.
+/// Where a lease returns to, and what it must look like then.
 struct Home<'a> {
-    pool: &'a PlannedEval,
+    owner: &'a PlannedEval,
     mask: Vec<bool>,
     dead: Option<Arc<DeadSet>>,
     /// Live witnesses and outputs at checkout: the rollback must
@@ -497,10 +498,10 @@ struct Home<'a> {
 
 /// One greedy solve's scored [`DeltaProvenance`], selection enabled.
 ///
-/// Root views of a prepared query check it out of the plan's pool
-/// ([`PlannedEval::checkout`]), epoch plans out of their base plan's
-/// pool; derived views build a private one. The lease is also the
-/// pool's drop guard: the state left the pool at checkout and goes back
+/// Root views of a prepared query check it out of the plan
+/// ([`PlannedEval::checkout`]), epoch plans out of their base plan;
+/// derived views build a private one. The lease is also the idle
+/// slot's drop guard: the state left the slot at checkout and goes back
 /// only through [`release`](Self::release), so a solve that returns
 /// early or unwinds drops its state instead of returning it
 /// half-deleted.
@@ -510,7 +511,7 @@ pub(crate) struct GreedyLease<'a> {
 }
 
 impl<'a> GreedyLease<'a> {
-    /// A lease with no pool behind it: `release` just drops it.
+    /// A lease with no plan behind it: `release` just drops it.
     pub(crate) fn private(delta: DeltaProvenance) -> Self {
         GreedyLease { delta, home: None }
     }
@@ -542,7 +543,7 @@ impl<'a> GreedyLease<'a> {
     /// tie-break by `(atom, idx)` is the same in both.
     pub(crate) fn local(&self, t: TupleRef) -> TupleRef {
         let Some(Home {
-            pool,
+            owner,
             epoch: Some(db),
             ..
         }) = &self.home
@@ -550,7 +551,7 @@ impl<'a> GreedyLease<'a> {
             return t;
         };
         let index = db
-            .relation_by_id(pool.plan.rels()[t.atom])
+            .relation_by_id(owner.plan.rels()[t.atom])
             .dense_of_stable(t.index);
         // adp-lint: allow(panic-path) -- a pick has live witnesses, so
         // its tuple is alive in the epoch the state is advanced to.
@@ -565,8 +566,9 @@ impl<'a> GreedyLease<'a> {
     /// same as if every pick had been deleted. If they kill at most a
     /// `1 / ROLLBACK_DIVISOR` share of the witnesses, the deleted picks
     /// are restored and the state — again as it was checked out —
-    /// returns to its pool under the same tag; otherwise it is dropped
-    /// and a later checkout clones the template.
+    /// returns to its plan's idle slot under the same tag, replacing any
+    /// state already there; otherwise it is dropped and a later checkout
+    /// clones the template.
     pub(crate) fn release(self, picks: &[TupleRef]) {
         let GreedyLease { mut delta, home } = self;
         let Some(home) = home else {
@@ -587,7 +589,7 @@ impl<'a> GreedyLease<'a> {
             && delta.live_outputs() == home.live_outputs;
         debug_assert!(restored, "picks do not cover the rounds' deletions");
         if restored {
-            home.pool.idle_states().push(Idle {
+            *home.owner.idle_slot() = Some(Idle {
                 mask: home.mask,
                 dead: home.dead,
                 delta,
@@ -653,10 +655,10 @@ impl PreparedQuery {
     /// arm. A boolean, singleton or greedy root answer computed at cap
     /// `c` is kept and serves every later target `k ≤ c` (the boolean
     /// one any `k`); a miss computes at exactly `k`, outside the lock,
-    /// and keeps the larger-cap entry per leaf family. Requests with
-    /// `full_reeval` or a deadline neither read nor write the memo, so
-    /// a truncated answer is never kept. Each epoch is its own plan, so
-    /// entries never outlive the data they were computed on.
+    /// and keeps the larger-cap entry per leaf family. Requests with a
+    /// deadline neither read nor write the memo, so a truncated answer
+    /// is never kept. Each epoch is its own plan, so entries never
+    /// outlive the data they were computed on.
     pub(crate) fn solve_root(&self, k: u64, opts: &AdpOptions) -> Result<Arc<Solved>, SolveError> {
         let Some(key) = AnswerKey::of(&self.query, opts) else {
             return super::solve(&self.root_view(), k, opts).map(Arc::new);
@@ -683,34 +685,24 @@ impl PreparedQuery {
     /// Number of outputs removed by deleting `deletions`:
     /// `|Q(D)| − |Q(D − S)|`, answered in `O(Δ)` from the cached
     /// provenance postings (`killed_by_set`) — no re-join at all. Falls
-    /// back to [`removed_outputs_masked`](Self::removed_outputs_masked)
-    /// if the instance is too large to index.
+    /// back to masked re-execution of the cached plan if the instance is
+    /// too large to index.
     pub fn removed_outputs(&self, deletions: &[TupleRef]) -> u64 {
         if deletions.is_empty() {
             return 0;
         }
         match self.planned.provenance() {
             Ok(prov) => prov.killed_by_set(deletions),
-            Err(_) => self.removed_outputs_masked(deletions),
+            Err(_) => {
+                let mut mask = self.planned.fresh_mask(&self.query);
+                mask.kill_all(deletions);
+                self.eval().output_count() - self.planned.eval_masked(&mask).output_count()
+            }
         }
     }
 
-    /// [`removed_outputs`](Self::removed_outputs) by masked re-execution
-    /// of the cached plan — the full re-evaluation oracle the delta path
-    /// is differentially tested against.
-    pub fn removed_outputs_masked(&self, deletions: &[TupleRef]) -> u64 {
-        let before = self.eval().output_count();
-        if deletions.is_empty() {
-            return 0;
-        }
-        let mut mask = self.planned.fresh_mask(&self.query);
-        mask.kill_all(deletions);
-        before - self.planned.eval_masked(&mask).output_count()
-    }
-
-    /// Greedy states idle in this plan's pool, over every selectable
-    /// mask. Never more than the peak number of concurrent greedy solves
-    /// on this plan.
+    /// Greedy states idle on this plan: 0 or 1. A plan keeps at most one
+    /// between solves, whatever their selectable atoms.
     pub fn pooled_states(&self) -> usize {
         self.planned.pooled_states()
     }
@@ -734,7 +726,7 @@ impl PreparedQuery {
     /// base: a greedy solve of the returned plan (and its
     /// [`output_count`](Self::output_count), for queries whose dispatch
     /// reaches the greedy leaf) never joins `db`. It checks a state out
-    /// of the base plan's pool, brings it to `dead` by the difference
+    /// of the base plan, brings it to `dead` by the difference
     /// to the dead set the state was last advanced to, runs its rounds
     /// on it and returns it tagged with `dead`. Consecutive epochs cost
     /// `O(batch)` in the affected witnesses; solves that share the
@@ -760,7 +752,7 @@ impl PreparedQuery {
         }
     }
 
-    /// Moves one of this plan's pooled greedy states from the dead set
+    /// Moves a greedy state of this plan from the dead set
     /// `from` to `to` (both index this plan's database, see [`DeadSet`])
     /// and reports the outputs that crossed the live line on the way:
     /// the 1→0 and 0→1 live-witness crossings, so an output whose
@@ -826,7 +818,7 @@ mod tests {
     use super::*;
     use crate::analysis::roles::endogenous_atoms;
     use crate::query::parse_query;
-    use crate::solver::{removed_outputs, AdpOptions};
+    use crate::solver::{removed_outputs, AdpOptions, DeletionPolicy, Solve};
     use adp_engine::schema::attrs;
 
     /// Satellite requirement of the `Send + Sync` migration: the shared
@@ -1094,8 +1086,8 @@ mod tests {
     }
 
     /// Four threads solving one plan concurrently get exactly the
-    /// answers of fresh sequential solves, and the pool never holds more
-    /// states than there were concurrent solves.
+    /// answers of fresh sequential solves, and the plan keeps at most one
+    /// idle state however many solves ran at once.
     #[test]
     fn four_threads_on_one_plan_match_sequential_answers() {
         let (q, db) = grid(8);
@@ -1115,7 +1107,7 @@ mod tests {
                 let (shared, ks, expected, start) = (&shared, &ks, &expected, &start);
                 s.spawn(move || {
                     // All four check out their first state together, so
-                    // the pool starts empty under four concurrent solves.
+                    // three of them find the slot empty.
                     start.wait();
                     for round in 0..3 {
                         for i in 0..ks.len() {
@@ -1129,7 +1121,70 @@ mod tests {
                 });
             }
         });
-        assert!(shared.pooled_states() <= 4);
+        assert!(shared.pooled_states() <= 1);
+    }
+
+    /// The dead set and mask of `prep`'s idle state; panics on an empty
+    /// slot.
+    fn idle_tag(prep: &PreparedQuery) -> (Option<Arc<DeadSet>>, Vec<bool>) {
+        let slot = prep.planned.idle_slot();
+        let idle = slot.as_ref().expect("an idle state");
+        (idle.dead.clone(), idle.mask.clone())
+    }
+
+    fn idle_dead(prep: &PreparedQuery) -> Option<Arc<DeadSet>> {
+        idle_tag(prep).0
+    }
+
+    /// Two leases out on one plan at once: both roll back, and the slot
+    /// keeps one state, the one released last, in either release order.
+    #[test]
+    fn two_released_leases_keep_the_one_released_last() {
+        let (q, _, base) = sealed_grid(8);
+        let endo = endogenous_atoms(&q);
+        let (a, b) = (dead_r2(&[1]), dead_r2(&[2, 3]));
+        for (first, last) in [(&a, &b), (&b, &a)] {
+            let one = base.planned.checkout(&endo, Some(first), false).unwrap();
+            let two = base.planned.checkout(&endo, Some(last), false).unwrap();
+            one.release(&[]);
+            two.release(&[]);
+            assert_eq!(base.pooled_states(), 1);
+            assert!(same_dead(idle_dead(&base).as_ref(), Some(last)));
+        }
+    }
+
+    /// A checkout under another selectable mask leaves the idle state in
+    /// its slot and clones the template. A policy solve between two plain
+    /// greedy solves answers like a fresh plan, and so does the plain
+    /// solve after it, whose mask the slot then no longer holds.
+    #[test]
+    fn another_mask_leaves_the_idle_state_in_place() {
+        let (q, db) = grid(8);
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        let first = prep.solve(1, &greedy()).unwrap();
+        let endo = endogenous_atoms(&q);
+        let policy = DeletionPolicy::unrestricted().freeze("R1");
+        let other = policy.deletable_atoms(&q);
+        assert_ne!(other, endo);
+
+        let lease = prep.planned.checkout(&other, None, false).unwrap();
+        assert_eq!(prep.pooled_states(), 1, "the idle state stays in its slot");
+        assert_eq!(idle_tag(&prep).1, endo);
+        drop(lease);
+
+        let policy_solve = |p: &PreparedQuery| {
+            Solve::prepared(p)
+                .policy(policy.clone())
+                .k(3)
+                .run()
+                .unwrap()
+                .outcome
+        };
+        let fresh = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        assert_eq!(policy_solve(&prep), policy_solve(&fresh));
+        assert_eq!(idle_tag(&prep).1, other, "the last release is kept");
+        assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
+        assert_eq!(idle_tag(&prep).1, endo);
     }
 
     /// `db` without the tuples named in `dead` (stable ids per relation
@@ -1198,8 +1253,7 @@ mod tests {
                 "{ids:?}: an anchored greedy solve must not join its epoch"
             );
             assert_eq!(base.pooled_states(), 1, "{ids:?}: one state, advanced");
-            let idle = base.planned.idle_states();
-            assert!(same_dead(idle[0].dead.as_ref(), Some(&dead)), "{ids:?}");
+            assert!(same_dead(idle_dead(&base).as_ref(), Some(&dead)), "{ids:?}");
         }
         // Anchoring an epoch plan anchors on its base.
         let dead = dead_r2(&[5]);
@@ -1212,7 +1266,7 @@ mod tests {
             .solve(10, &greedy())
             .unwrap();
         assert_eq!(base.solve(10, &greedy()).unwrap(), fresh);
-        assert!(same_dead(base.planned.idle_states()[0].dead.as_ref(), None));
+        assert!(same_dead(idle_dead(&base).as_ref(), None));
     }
 
     /// A pooled state is advanced only when the difference touches at
@@ -1386,18 +1440,12 @@ mod tests {
                 assert_eq!(moved.revived, minus(&live_to, &live_from), "{at}");
                 assert_eq!(moved.live_outputs, live_to.len() as u64, "{at}");
                 assert_eq!(base.pooled_states(), 1, "{at}");
-                assert!(same_dead(
-                    base.planned.idle_states()[0].dead.as_ref(),
-                    Some(&to)
-                ));
+                assert!(same_dead(idle_dead(&base).as_ref(), Some(&to)));
 
                 let epoch = base.anchored(epoch_of(&db, &to), Arc::clone(&to));
                 assert_eq!(epoch.output_count(), moved.live_outputs, "{at}");
                 assert_eq!(base.pooled_states(), 1, "{at}: the solve took it as is");
-                assert!(same_dead(
-                    base.planned.idle_states()[0].dead.as_ref(),
-                    Some(&to)
-                ));
+                assert!(same_dead(idle_dead(&base).as_ref(), Some(&to)));
                 assert_anchored_matches_fresh(&q, &epoch, &[1, 3]);
 
                 let back = base.advance(&to, &from).unwrap();

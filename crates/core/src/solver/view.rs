@@ -85,7 +85,7 @@ impl View {
     /// `eval` (this view's already-computed evaluation) with selection
     /// enabled on `selectable`, for one greedy solve. Root views built
     /// from a [`PreparedQuery`](super::prepared::PreparedQuery) check a
-    /// state out of the plan's pool (postings and scores are derived at
+    /// state out of the plan (postings and scores are derived at
     /// most once per prepared query); derived views build one from the
     /// passed evaluation — never re-joining — fanning the scoring pass
     /// over the pool when `parallel` allows.

@@ -19,8 +19,9 @@
 //!   two scores every greedy round reads;
 //! * optionally ([`enable_selection`](DeltaProvenance::enable_selection))
 //!   two ordered candidate sets over the scores, so the greedy argmax —
-//!   under the same `(score, Reverse((atom, idx)))` total order as the
-//!   full-scan path — is an `O(log n)` lookup instead of a map scan.
+//!   under the same `(score, Reverse((atom, idx)))` total order as a
+//!   rescan of the [`ProvenanceIndex`](crate::provenance::ProvenanceIndex)
+//!   maps — is an `O(log n)` lookup instead of a map scan.
 //!
 //! A deletion batch of Δ tuples costs `O(Σ_{w affected} p + Σ_{o
 //! touched} |witnesses(o)| · p)` plus logarithmic selector updates:
@@ -36,9 +37,9 @@
 //! The initial scoring pass is the one full-scan the structure ever
 //! pays. It is exposed range-wise ([`score_range`](DeltaProvenance::score_range) /
 //! [`install_scores`](DeltaProvenance::install_scores)) so callers with
-//! a thread pool can fan it out over disjoint output ranges — the same
-//! partitioning contract as
-//! [`ProvenanceIndex::profits_range`](crate::provenance::ProvenanceIndex::profits_range).
+//! a thread pool can fan it out over disjoint output ranges: each
+//! output contributes its scores independently, so the merged ranges
+//! equal one sequential pass.
 //!
 //! Every maintained quantity is differentially testable against the
 //! masked full re-evaluation oracle

@@ -162,40 +162,16 @@ impl ProvenanceIndex {
         died
     }
 
-    /// Number of output slots (live or dead) in the underlying result.
-    /// Ranges passed to [`profits_range`](Self::profits_range) partition
-    /// `0..output_slots()`.
-    pub fn output_slots(&self) -> usize {
-        self.output_witnesses.len()
-    }
-
-    /// Number of witness slots (live or dead) in the underlying result.
-    /// Ranges passed to [`live_counts_range`](Self::live_counts_range)
-    /// partition `0..witness_slots()`.
-    pub fn witness_slots(&self) -> usize {
-        self.witness_tuples.len()
-    }
-
     /// Profit of every input tuple under the *current* deletion state:
     /// `profit(t) = #outputs all of whose live witnesses use t` — exactly
     /// `|Q(D−S)| − |Q(D−S−{t})|`. Returned as one map per atom.
     ///
     /// Cost: one pass over live witnesses, `O(live_witnesses · p)`.
     pub fn profits(&self) -> Vec<HashMap<u32, u64>> {
-        self.profits_range(0, self.output_witnesses.len())
-    }
-
-    /// [`profits`](Self::profits) restricted to the outputs in
-    /// `lo..hi`. Each output contributes its sole killers independently,
-    /// so summing the maps of any partition of `0..output_slots()`
-    /// reproduces `profits()` exactly — the contract the parallel greedy
-    /// scorer relies on.
-    pub fn profits_range(&self, lo: usize, hi: usize) -> Vec<HashMap<u32, u64>> {
         let mut profits: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.n_atoms];
         // For each output: find, per atom, whether all live witnesses agree
         // on the tuple used. Agreeing tuples are sole killers.
-        for (out, ws) in self.output_witnesses[lo..hi].iter().enumerate() {
-            let out = out + lo;
+        for (out, ws) in self.output_witnesses.iter().enumerate() {
             if self.output_live[out] == 0 {
                 continue;
             }
@@ -235,17 +211,9 @@ impl ProvenanceIndex {
     /// Number of live witnesses each input tuple participates in, per
     /// atom. Used as a greedy tie-breaker when no tuple is a sole killer.
     pub fn live_counts(&self) -> Vec<HashMap<u32, u64>> {
-        self.live_counts_range(0, self.witness_tuples.len())
-    }
-
-    /// [`live_counts`](Self::live_counts) restricted to the witnesses in
-    /// `lo..hi`. Counts are additive across any partition of
-    /// `0..witness_slots()`, mirroring
-    /// [`profits_range`](Self::profits_range).
-    pub fn live_counts_range(&self, lo: usize, hi: usize) -> Vec<HashMap<u32, u64>> {
         let mut counts: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.n_atoms];
-        for (w, tuples) in self.witness_tuples[lo..hi].iter().enumerate() {
-            if !self.witness_alive[w + lo] {
+        for (w, tuples) in self.witness_tuples.iter().enumerate() {
+            if !self.witness_alive[w] {
                 continue;
             }
             for (atom, &t) in tuples.iter().enumerate() {
@@ -446,41 +414,6 @@ mod tests {
         assert_eq!(p.killed_by_set(&all_r1), 3);
         assert_eq!(p.live_outputs(), 3, "no mutation");
         assert_eq!(p.killed_by_set(&[]), 0);
-    }
-
-    #[test]
-    fn range_scoring_partitions_sum_to_full_maps() {
-        let (db, mut p) = q2_index();
-        // Also check under a non-trivial deletion state.
-        let b2c2 = db.expect("R2").index_of(&[2, 2]).unwrap();
-        p.kill(TupleRef::new(1, b2c2));
-
-        let merge = |parts: Vec<Vec<HashMap<u32, u64>>>| {
-            let mut acc: Vec<HashMap<u32, u64>> = vec![HashMap::new(); p.atom_count()];
-            for part in parts {
-                for (atom, map) in part.into_iter().enumerate() {
-                    for (t, c) in map {
-                        *acc[atom].entry(t).or_insert(0) += c;
-                    }
-                }
-            }
-            acc
-        };
-
-        for chunk in 1..=p.output_slots() {
-            let parts: Vec<_> = (0..p.output_slots())
-                .step_by(chunk)
-                .map(|lo| p.profits_range(lo, (lo + chunk).min(p.output_slots())))
-                .collect();
-            assert_eq!(merge(parts), p.profits(), "profits chunk={chunk}");
-        }
-        for chunk in 1..=p.witness_slots() {
-            let parts: Vec<_> = (0..p.witness_slots())
-                .step_by(chunk)
-                .map(|lo| p.live_counts_range(lo, (lo + chunk).min(p.witness_slots())))
-                .collect();
-            assert_eq!(merge(parts), p.live_counts(), "live_counts chunk={chunk}");
-        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   index, and one scored delta template (all lazily built behind
 //!   `OnceLock`s). Plans for epochs after 0 are
 //!   [anchored](PreparedQuery::anchored) on the query's epoch-0 *base
-//!   plan*: their greedy solves advance one of the base plan's pooled
-//!   states by the difference between dead sets instead of joining the
+//!   plan*: their greedy solves advance the base plan's idle greedy
+//!   state by the difference between dead sets instead of joining the
 //!   epoch, so a greedy query pays its join and its scoring pass once
 //!   per service lifetime, and each epoch after that costs `O(batch)`.
 //! * **Request API** — [`SolveRequest`] (`k` or ρ target, solver

@@ -244,7 +244,7 @@ struct Group {
     fingerprint: u64,
     /// The statement's base (epoch-0) plan, held as a statement holds
     /// it. The epoch plans the group answers through are anchored on it,
-    /// and a row group advances one of its pooled greedy states per
+    /// and a row group advances its idle greedy state once per
     /// batch; its root evaluation names the transition rows.
     base: Arc<PreparedQuery>,
     /// `|Q(D − S)|` at the last pushed epoch: 0 or 1 for a boolean

@@ -11,8 +11,8 @@
 //! fresh `PreparedQuery`'s on every `AdpOutcome` field, on unanchored
 //! plans and on epoch plans anchored on a base. The memo holds at most
 //! one entry per leaf family, and none for the leaves whose answer
-//! depends on the cap (universe, decompose, drastic), for the
-//! `full_reeval` oracle, or for solves with a deadline.
+//! depends on the cap (universe, decompose, drastic), or for solves
+//! with a deadline.
 
 use adp::core::solver::{AdpOptions, Branch, DeadSet, Mode, PreparedQuery};
 use adp::engine::catalog::RelId;
@@ -215,7 +215,7 @@ impl Subject<'_> {
 /// Every memo check for one query on one plan kind: both target orders
 /// (with a repeat, so each order serves one answer from the memo), a
 /// count-mode solve followed by report-mode solves, and the
-/// `full_reeval` and deadline bypasses.
+/// deadline bypass.
 fn check(
     subject: &Subject<'_>,
     variants: &[(&str, AdpOptions, Family)],
@@ -266,31 +266,23 @@ fn check(
             );
         }
 
-        // The oracle and budgeted solves neither read nor write the memo
-        // (the deadline is an hour out, so it never fires).
+        // Budgeted solves neither read nor write the memo (the deadline
+        // is an hour out, so it never fires).
         let shared = (subject.plan)();
-        let bypass = [
-            AdpOptions {
-                full_reeval: true,
-                ..opts.clone()
-            },
-            AdpOptions {
-                deadline: Some(Instant::now() + Duration::from_secs(3600)),
-                ..opts.clone()
-            },
-        ];
-        for opts in &bypass {
-            for k in [k2, k1] {
-                let got = shared.solve(k, opts);
-                prop_assert_eq!(
-                    &got,
-                    &subject.fresh(k, opts),
-                    "{} [{}] bypass k={}",
-                    q,
-                    label,
-                    k
-                );
-            }
+        let bypass = AdpOptions {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            ..opts.clone()
+        };
+        for k in [k2, k1] {
+            let got = shared.solve(k, &bypass);
+            prop_assert_eq!(
+                &got,
+                &subject.fresh(k, &bypass),
+                "{} [{}] bypass k={}",
+                q,
+                label,
+                k
+            );
         }
         prop_assert_eq!(
             shared.cached_answers(),

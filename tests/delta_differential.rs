@@ -8,13 +8,13 @@
 //! fresh masked re-execution (plus a fresh `ProvenanceIndex` over it)
 //! reports **after every batch**, for the sequentially scored index and
 //! for one scored through a 4-worker range fan-out. On top of that, the
-//! delta-driven greedy solver must be byte-identical to the
-//! `full_reeval` rescan path, delta-based deletion-set verification
-//! must equal masked verification, and a prepared query serving solves
-//! from its pool of rolled-back greedy states must answer exactly like a
-//! fresh one.
+//! delta-driven greedy solver must be byte-identical to the sequential
+//! rescan reference `verify::rescan_greedy`, delta-based deletion-set
+//! verification must equal masked re-execution on an independently
+//! built plan, and a prepared query serving solves from its idle
+//! rolled-back greedy state must answer exactly like a fresh one.
 
-use adp::core::solver::{AdpOptions, PreparedQuery};
+use adp::core::solver::{verify, AdpOptions, PreparedQuery};
 use adp::engine::delta::{DeltaProvenance, RangeScores};
 use adp::engine::plan::{AliveMask, QueryPlan};
 use adp::engine::provenance::ProvenanceIndex;
@@ -259,11 +259,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The delta-driven greedy solver is byte-identical to the
-    /// `full_reeval` rescan oracle — sequentially and on the 4-worker
-    /// pool — and delta-based deletion-set verification equals masked
-    /// verification.
+    /// sequential rescan reference `rescan_greedy` — whether the solver
+    /// runs sequentially or on the 4-worker pool — and delta-based
+    /// deletion-set verification equals masked re-execution.
     #[test]
-    fn delta_solver_and_verifier_match_full_reeval(
+    fn delta_solver_and_verifier_match_rescan_greedy(
         (q, db) in arb_query().prop_flat_map(|q| {
             let db = arb_db(&q, 6, 3);
             (Just(q), db)
@@ -277,34 +277,35 @@ proptest! {
             .filter(|&k| k >= 1 && k <= total)
             .collect();
         for k in ks {
+            let picks = verify::rescan_greedy(&q, &prep.eval(), k).unwrap();
+            let rescan_cost = picks.len() as u64;
+            let rescan_achieved = picks.last().map_or(0, |&(_, removed)| removed);
+            // An outcome's deletion set is sorted.
+            let mut rescan_solution: Vec<TupleRef> = picks.into_iter().map(|(t, _)| t).collect();
+            rescan_solution.sort_unstable();
             for sequential in [true, false] {
-                let delta_out = prep.solve(k, &AdpOptions {
-                    force_greedy: true,
-                    sequential,
-                    ..Default::default()
-                }).unwrap();
-                let rescan_out = prep.solve(k, &AdpOptions {
-                    force_greedy: true,
-                    sequential,
-                    full_reeval: true,
-                    ..Default::default()
-                }).unwrap();
-                prop_assert_eq!(delta_out.cost, rescan_out.cost,
+                // A fresh plan per run: on the shared plan the second
+                // solve would be a memo lookup.
+                let delta_out = PreparedQuery::new(q.clone(), Arc::new(db.clone()))
+                    .solve(k, &AdpOptions {
+                        force_greedy: true,
+                        sequential,
+                        ..Default::default()
+                    }).unwrap();
+                prop_assert_eq!(delta_out.cost, rescan_cost,
                     "{} k={} seq={}: cost diverged", q, k, sequential);
-                prop_assert_eq!(delta_out.achieved, rescan_out.achieved,
+                prop_assert_eq!(delta_out.achieved, rescan_achieved,
                     "{} k={} seq={}: coverage diverged", q, k, sequential);
-                prop_assert_eq!(&delta_out.solution, &rescan_out.solution,
+                prop_assert_eq!(delta_out.solution.as_ref(), Some(&rescan_solution),
                     "{} k={} seq={}: deletion set diverged", q, k, sequential);
-
-                // Verification: O(Δ) postings-based == masked re-eval.
-                if let Some(sol) = &delta_out.solution {
-                    prop_assert_eq!(
-                        prep.removed_outputs(sol),
-                        prep.removed_outputs_masked(sol),
-                        "{} k={}: verification paths diverged", q, k
-                    );
-                }
             }
+
+            // Verification: O(Δ) postings-based == masked re-eval.
+            prop_assert_eq!(
+                prep.removed_outputs(&rescan_solution),
+                verify::removed_outputs(&q, &db, &rescan_solution),
+                "{} k={}: verification paths diverged", q, k
+            );
         }
     }
 }
