@@ -1454,7 +1454,7 @@ pub fn fig_htap() {
 ///    process that holds the t=1 evaluation measured several times
 ///    slower), the chunk-parallel
 ///    probe ([`QueryPlan::execute_on`]), and one delta greedy scoring
-///    round (`score_range` fan-out) at each count;
+///    round ([`DeltaProvenance::try_new_on`]) at each count;
 /// 3. checks — not just reports — that every parallel result is
 ///    **byte-identical** to the single-worker run (eval results and
 ///    profit maps alike);
@@ -1467,9 +1467,10 @@ pub fn fig_htap() {
 /// [`Database::memory_report`]: adp_engine::database::Database::memory_report
 /// [`QueryPlan::build_indexes_on`]: adp_engine::plan::QueryPlan::build_indexes_on
 /// [`QueryPlan::execute_on`]: adp_engine::plan::QueryPlan::execute_on
+/// [`DeltaProvenance::try_new_on`]: adp_engine::delta::DeltaProvenance::try_new_on
 pub fn fig_scale() {
     use adp_datagen::tpch::TpchConfig;
-    use adp_engine::delta::{DeltaProvenance, RangeScores};
+    use adp_engine::delta::DeltaProvenance;
     use adp_engine::plan::QueryPlan;
     use adp_engine::provenance::ProvenanceIndex;
     use adp_runtime::ThreadPool;
@@ -1554,18 +1555,12 @@ pub fn fig_scale() {
             // One greedy scoring round: the per-round cost the solvers
             // pay, fanned out over this pool.
             let start = Instant::now();
-            let mut delta = DeltaProvenance::new_unscored(&eval).expect("fits u32 ids");
-            let slots = delta.output_slots();
-            let chunk = slots.div_ceil(pool.threads() * 4).max(1);
-            let parts: Vec<RangeScores> = pool.par_indexed(slots.div_ceil(chunk), |i| {
-                delta.score_range(i * chunk, ((i + 1) * chunk).min(slots))
-            });
-            delta.install_scores(parts);
+            let delta = DeltaProvenance::try_new_on(&eval, &pool).expect("fits u32 ids");
             let score_ms = start.elapsed().as_secs_f64() * 1e3;
 
             if t == 1 {
-                // Provenance incidence build, timed once per size on the
-                // sequential path for the JSON record.
+                // The rescan reference's incidence build (no solver path
+                // builds it), timed once per size for the JSON record.
                 let start = Instant::now();
                 let prov = ProvenanceIndex::try_new(&eval).expect("fits u32 ids");
                 prov_ms = start.elapsed().as_secs_f64() * 1e3;

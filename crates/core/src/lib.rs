@@ -20,8 +20,6 @@
 //!   fluent [`solver::Solve`] builder: exact on poly-time queries,
 //!   greedy heuristic on NP-hard ones, with counting and reporting
 //!   modes and an explain trace on every [`solver::Report`];
-//! * [`approx`] — the Partial-Set-Cover approximation algorithms for
-//!   full CQs (Theorem 5);
 //! * [`selection`] — CQs with selection predicates (§7.5, Lemma 12).
 //!
 //! ## Quick start
@@ -58,7 +56,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod approx;
 pub mod error;
 pub mod query;
 pub mod selection;

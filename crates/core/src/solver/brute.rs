@@ -2,10 +2,10 @@
 //! increasing size until one removes at least `k` outputs.
 //!
 //! The paper's implementation issued one SQL query per subset (up to
-//! `2^500`); ours evaluates candidate sets against an in-memory
-//! [`ProvenanceIndex`], with the same search order (increasing size,
-//! first feasible set wins), so the *answers* coincide while probes are
-//! micro-seconds. Restricting candidates to endogenous relations is sound
+//! `2^500`); ours counts each candidate set on the plan's pristine delta
+//! template ([`DeltaProvenance::killed_by_set`]), with the same search
+//! order (increasing size, first feasible set wins), so the *answers*
+//! coincide while probes are micro-seconds. Restricting candidates to endogenous relations is sound
 //! by Lemma 13 and matches the optimized baseline.
 //!
 //! ## Parallel subset search
@@ -28,7 +28,8 @@ use super::solved::{Extractor, Solved, Step};
 use super::{AdpOutcome, Mode};
 use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
-use adp_engine::provenance::{ProvenanceIndex, TupleRef};
+use adp_engine::delta::DeltaProvenance;
+use adp_engine::provenance::TupleRef;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum number of subsets at one size before the search fans out
@@ -93,7 +94,7 @@ pub(crate) fn search(
             total,
         ));
     }
-    let prov = ProvenanceIndex::try_new(&eval)?;
+    let template = prep.delta_template(!opts.sequential)?;
 
     let query = prep.query();
     let endo = endogenous_atoms(query);
@@ -128,13 +129,13 @@ pub(crate) fn search(
         }
         let found = match pool {
             Some(pool) if size >= 2 && combos >= PAR_MIN_SUBSETS => {
-                search_size_parallel(pool, &prov, &candidates, size, k)
+                search_size_parallel(pool, &template, &candidates, size, k)
             }
-            _ => search_size_sequential(&prov, &candidates, size, k),
+            _ => search_size_sequential(&template, &candidates, size, k),
         };
         if let Some(subset) = found {
             let cost = size as u64;
-            let removed = prov.killed_by_set(&subset);
+            let removed = template.killed_by_set(&subset);
             return Ok(Solved::eager(
                 CostProfile::single(cost, removed),
                 Extractor::Steps(vec![Step {
@@ -156,7 +157,7 @@ pub(crate) fn search(
 /// The sequential size-`size` stage: lexicographic enumeration, first
 /// feasible subset wins.
 fn search_size_sequential(
-    prov: &ProvenanceIndex,
+    delta: &DeltaProvenance,
     candidates: &[TupleRef],
     size: usize,
     k: u64,
@@ -167,7 +168,7 @@ fn search_size_sequential(
     loop {
         subset.clear();
         subset.extend(idx.iter().map(|&i| candidates[i]));
-        if prov.killed_by_set(&subset) >= k {
+        if delta.killed_by_set(&subset) >= k {
             return Some(subset);
         }
         if !next_combination(&mut idx, n) {
@@ -182,7 +183,7 @@ fn search_size_sequential(
 /// [`search_size_sequential`] would return (see the module docs).
 fn search_size_parallel(
     pool: &adp_runtime::ThreadPool,
-    prov: &ProvenanceIndex,
+    delta: &DeltaProvenance,
     candidates: &[TupleRef],
     size: usize,
     k: u64,
@@ -207,7 +208,7 @@ fn search_size_parallel(
             subset.clear();
             subset.push(candidates[first]);
             subset.extend(idx.iter().map(|&i| candidates[i]));
-            if prov.killed_by_set(&subset) >= k {
+            if delta.killed_by_set(&subset) >= k {
                 winner.fetch_min(first, Ordering::Relaxed);
                 return Some(subset);
             }
@@ -336,7 +337,7 @@ mod tests {
         let q = parse_query("Q(A,B) :- R1(A), R2(A,B), R3(B)").unwrap();
         let db = db();
         let eval = evaluate(&db, q.atoms(), q.head());
-        let prov = ProvenanceIndex::new(&eval);
+        let delta = DeltaProvenance::try_new(&eval).unwrap();
         let candidates: Vec<TupleRef> = q
             .atoms()
             .iter()
@@ -349,8 +350,8 @@ mod tests {
         let total = eval.output_count();
         for size in 2..=candidates.len().min(5) {
             for k in 1..=total + 1 {
-                let seq = search_size_sequential(&prov, &candidates, size, k);
-                let par = search_size_parallel(&pool, &prov, &candidates, size, k);
+                let seq = search_size_sequential(&delta, &candidates, size, k);
+                let par = search_size_parallel(&pool, &delta, &candidates, size, k);
                 assert_eq!(seq, par, "size={size} k={k}");
             }
         }

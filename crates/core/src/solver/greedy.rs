@@ -17,7 +17,7 @@ use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
 use adp_engine::delta::DeltaProvenance;
 use adp_engine::join::EvalResult;
-use adp_engine::provenance::{ProvenanceIndex, TupleRef};
+use adp_engine::provenance::TupleRef;
 
 /// The greedy leaf of the dispatcher (Algorithm 2 line 5, and the
 /// `force_greedy` hook): `DrasticGreedyForFullCQ` when asked for on a
@@ -47,7 +47,7 @@ pub(crate) fn solve_leaf(view: &View, cap: u64, opts: &AdpOptions) -> Result<Sol
         return Ok(Solved::empty());
     }
     if drastic {
-        solve_drastic(view, &eval, cap)
+        Ok(solve_drastic(view, &eval, cap))
     } else {
         solve_greedy(view, &eval, cap, opts)
     }
@@ -193,20 +193,15 @@ pub(super) fn greedy_round_loop(
 
 /// `DrasticGreedyForFullCQ` (Algorithm 7). Requires a full CQ: witnesses
 /// and outputs coincide, so profits within one relation are additive.
-pub(crate) fn solve_drastic(
-    view: &View,
-    eval: &EvalResult,
-    cap: u64,
-) -> Result<Solved, SolveError> {
+pub(crate) fn solve_drastic(view: &View, eval: &EvalResult, cap: u64) -> Solved {
     assert!(
         view.query.is_full(),
         "DrasticGreedyForFullCQ requires a full CQ (paper §7.4)"
     );
-    let prov = ProvenanceIndex::try_new(eval)?;
     let total = eval.output_count();
     let cap = cap.min(total);
     let endo = endogenous_atoms(&view.query);
-    let counts = prov.live_counts(); // witness count per tuple = profit
+    let counts = eval.tuple_degrees(); // witness count per tuple = profit
 
     // For each endogenous relation: sort by profit, find the prefix
     // reaching the cap; pick the relation with the smallest prefix.
@@ -236,7 +231,7 @@ pub(crate) fn solve_drastic(
         }
     }
     let Some((_, atom, order)) = best else {
-        return Ok(Solved::empty());
+        return Solved::empty();
     };
 
     let mut steps = Vec::new();
@@ -254,12 +249,7 @@ pub(crate) fn solve_drastic(
         }
     }
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Ok(Solved::eager(
-        profile,
-        Extractor::Steps(steps),
-        false,
-        total,
-    ))
+    Solved::eager(profile, Extractor::Steps(steps), false, total)
 }
 
 #[cfg(test)]
@@ -337,7 +327,7 @@ mod tests {
         let q = parse_query("Q(NK,SK,PK,OK) :- S(NK,SK), PS(SK,PK), L(OK,PK)").unwrap();
         let view = View::root(q.clone(), Arc::new(chain_db()));
         let eval = evaluate(&view.db, q.atoms(), q.head());
-        let s = solve_drastic(&view, &eval, 3).unwrap();
+        let s = solve_drastic(&view, &eval, 3);
         let (sol, _) = s.extract(3).unwrap();
         let atoms: std::collections::HashSet<usize> = sol.iter().map(|t| t.atom).collect();
         assert_eq!(atoms.len(), 1, "drastic deletes from a single relation");
@@ -350,7 +340,7 @@ mod tests {
         let view = View::root(q.clone(), Arc::new(chain_db()));
         let eval = evaluate(&view.db, q.atoms(), q.head());
         let g = solve_greedy(&view, &eval, 2, &seq_opts()).unwrap();
-        let d = solve_drastic(&view, &eval, 2).unwrap();
+        let d = solve_drastic(&view, &eval, 2);
         assert_eq!(
             g.min_cost(2).unwrap(),
             d.min_cost(2).unwrap(),

@@ -383,7 +383,7 @@ pub(crate) fn solve(view: &View, cap: u64, opts: &AdpOptions) -> Result<Solved, 
             // adp-lint: allow(panic-path) -- `Branch::of` found the
             // singleton atom a line above.
             let i = singleton_atom(&view.query).expect("singleton branch has its atom");
-            singleton::solve_singleton(view, i, cap)
+            Ok(singleton::solve_singleton(view, i, cap))
         }
         Branch::Universe => universe::solve_universe(view, cap, opts),
         Branch::Decompose => decompose::solve_decompose(view, cap, opts),

@@ -15,9 +15,11 @@
 //!
 //! [`PreparedQuery::solve`] then runs `ComputeADP` (Algorithm 2) on
 //! the plan's root view: every solve after the first starts from the
-//! cached evaluation, and
-//! [`PreparedQuery::removed_outputs`] verifies deletion sets by masked
-//! re-execution ([`AliveMask`]) instead of rebuilding the database.
+//! cached evaluation. The plan's one incidence is its pristine scored
+//! [`DeltaProvenance`] template:
+//! [`PreparedQuery::removed_outputs`] verifies deletion sets from its
+//! postings, and only an instance too large to index falls back to
+//! masked re-execution ([`AliveMask`]).
 //!
 //! The plan also memoizes its root answers
 //! ([`PreparedQuery::cached_answers`]). `ComputeADP` returns a whole
@@ -61,7 +63,7 @@ use adp_engine::delta::DeltaProvenance;
 use adp_engine::error::AdpError;
 use adp_engine::join::EvalResult;
 use adp_engine::plan::{AliveMask, JoinIndexes, QueryPlan};
-use adp_engine::provenance::{ProvenanceIndex, TupleRef};
+use adp_engine::provenance::TupleRef;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -70,33 +72,19 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 const PAR_SCORING_MIN_WITNESSES: u64 = 1024;
 
 /// Builds a scored [`DeltaProvenance`] for an evaluation, fanning the
-/// initial scoring pass out over the global [`adp_runtime`] pool in
-/// contiguous output ranges when `parallel` is set and the instance has
-/// at least [`PAR_SCORING_MIN_WITNESSES`] witnesses. Disjoint output
-/// ranges contribute additively, so the installed scores are equal to
-/// the sequential build's.
+/// initial scoring pass out over the global [`adp_runtime`] pool
+/// ([`DeltaProvenance::try_new_on`]) when `parallel` is set and the
+/// instance has at least [`PAR_SCORING_MIN_WITNESSES`] witnesses. The
+/// installed scores are equal either way.
 pub(crate) fn build_delta_provenance(
     eval: &EvalResult,
     parallel: bool,
 ) -> Result<DeltaProvenance, AdpError> {
-    let mut delta = DeltaProvenance::new_unscored(eval)?;
-    let slots = delta.output_slots();
-    let pool = adp_runtime::global();
-    if parallel
-        && pool.threads() > 1
-        && eval.witness_count() >= PAR_SCORING_MIN_WITNESSES
-        && slots > 1
-    {
-        let chunk = slots.div_ceil(pool.threads() * 2).max(1);
-        let parts = pool.par_indexed(slots.div_ceil(chunk), |i| {
-            delta.score_range(i * chunk, ((i + 1) * chunk).min(slots))
-        });
-        delta.install_scores(parts);
+    if parallel && eval.witness_count() >= PAR_SCORING_MIN_WITNESSES {
+        DeltaProvenance::try_new_on(eval, adp_runtime::global())
     } else {
-        let scores = delta.score_range(0, slots);
-        delta.install_scores(vec![scores]);
+        DeltaProvenance::try_new(eval)
     }
-    Ok(delta)
 }
 
 /// Base tuples absent from one epoch of a database, per base relation
@@ -145,13 +133,11 @@ pub struct PlannedEval {
     plan: QueryPlan,
     indexes: OnceLock<Arc<JoinIndexes>>,
     eval: OnceLock<Arc<EvalResult>>,
-    /// Pristine (all-alive) provenance over the root evaluation, for
-    /// O(Δ) set verification (`killed_by_set`) and participating-tuple
-    /// lookups without rebuilding the postings per solve.
-    prov: OnceLock<Result<Arc<ProvenanceIndex>, AdpError>>,
-    /// Pristine scored delta index, built once. Greedy solves never
-    /// mutate it: they run on the state in `idle`, and only a checkout
-    /// that finds no state it can advance clones it.
+    /// Pristine scored delta index, built once: the plan's one
+    /// incidence. Greedy solves never mutate it: they run on the state
+    /// in `idle`, and only a checkout that finds no state it can advance
+    /// clones it. Deletion-set verification and brute force read
+    /// `killed_by_set` from it.
     delta: OnceLock<Result<Arc<DeltaProvenance>, AdpError>>,
     /// At most one idle greedy state, tagged with its selectable mask
     /// and the dead set it is advanced to. See [`GreedyLease`].
@@ -177,7 +163,6 @@ impl PlannedEval {
             plan,
             indexes: OnceLock::new(),
             eval: OnceLock::new(),
-            prov: OnceLock::new(),
             delta: OnceLock::new(),
             idle: Mutex::new(None),
             anchor: None,
@@ -228,17 +213,9 @@ impl PlannedEval {
         self.plan.execute_masked(&self.db, &self.indexes(), mask)
     }
 
-    /// The pristine provenance index over the root evaluation, computed
-    /// once and shared. Used for `O(Δ)` deletion-set verification and
-    /// participating-tuple lookups.
-    pub fn provenance(&self) -> Result<Arc<ProvenanceIndex>, AdpError> {
-        self.prov
-            .get_or_init(|| ProvenanceIndex::try_new(&self.eval()).map(Arc::new))
-            .clone()
-    }
-
     /// The pristine scored [`DeltaProvenance`] template, computed once;
-    /// greedy solves clone it when the idle slot has nothing to reuse.
+    /// greedy solves clone it when the idle slot has nothing to reuse,
+    /// and deletion-set counts read it in place.
     /// The first builder decides whether the one-time scoring pass may
     /// fan out over the global pool (`parallel`); either way the
     /// installed scores are equal, so later callers share the cached
@@ -676,6 +653,12 @@ impl PreparedQuery {
         Ok(solved)
     }
 
+    /// The plan's pristine scored delta template
+    /// ([`PlannedEval::delta_template`]).
+    pub(crate) fn delta_template(&self, parallel: bool) -> Result<Arc<DeltaProvenance>, AdpError> {
+        self.planned.delta_template(parallel)
+    }
+
     /// Root answers memoized on this plan: at most one per leaf family
     /// (boolean, singleton, greedy), so never more than 3.
     pub fn cached_answers(&self) -> usize {
@@ -683,16 +666,17 @@ impl PreparedQuery {
     }
 
     /// Number of outputs removed by deleting `deletions`:
-    /// `|Q(D)| − |Q(D − S)|`, answered in `O(Δ)` from the cached
-    /// provenance postings (`killed_by_set`) — no re-join at all. Falls
+    /// `|Q(D)| − |Q(D − S)|`, answered in `O(Δ)` from the postings of
+    /// the plan's delta template
+    /// ([`DeltaProvenance::killed_by_set`]) — no re-join at all. Falls
     /// back to masked re-execution of the cached plan if the instance is
     /// too large to index.
     pub fn removed_outputs(&self, deletions: &[TupleRef]) -> u64 {
         if deletions.is_empty() {
             return 0;
         }
-        match self.planned.provenance() {
-            Ok(prov) => prov.killed_by_set(deletions),
+        match self.delta_template(true) {
+            Ok(template) => template.killed_by_set(deletions),
             Err(_) => {
                 let mut mask = self.planned.fresh_mask(&self.query);
                 mask.kill_all(deletions);

@@ -13,12 +13,11 @@
 use super::profile::CostProfile;
 use super::solved::{Extractor, Solved, Step};
 use super::view::View;
-use crate::error::SolveError;
 use adp_engine::value::Value;
 use std::collections::HashMap;
 
 /// Solves a singleton query with witness atom `ri`.
-pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Result<Solved, SolveError> {
+pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Solved {
     let q = &view.query;
     let atom = &q.atoms()[ri];
     let head = q.head();
@@ -27,9 +26,9 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Result<Solved
     if atom.is_vacuum() {
         let total = super::count_outputs(view);
         if total == 0 {
-            return Ok(Solved::empty());
+            return Solved::empty();
         }
-        return Ok(Solved::eager(
+        return Solved::eager(
             CostProfile::single(1, total),
             Extractor::Steps(vec![Step {
                 tuples: vec![view.to_original(ri, 0)],
@@ -38,7 +37,7 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Result<Solved
             }]),
             true,
             total,
-        ));
+        );
     }
 
     // Non-vacuum singleton queries are connected: evaluate once, via
@@ -46,20 +45,18 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Result<Solved
     let eval = view.eval();
     let total = eval.output_count();
     if total == 0 {
-        return Ok(Solved::empty());
+        return Solved::empty();
     }
     let case1 = atom.attrs().iter().all(|a| head.contains(a));
     let steps = if case1 {
         case1_steps(view, ri, &eval, cap)
     } else {
-        // Non-dangling Ri tuples come from the (possibly cached) pristine
-        // provenance: planned root views share one postings build across
-        // every solve instead of re-deriving it here.
-        let participating = view.pristine_provenance(&eval)?.participating_tuples();
-        case2_steps(view, ri, cap, &participating[ri])
+        // The non-dangling Ri tuples are the ones on some witness.
+        let participating: Vec<u32> = eval.tuple_degrees().swap_remove(ri).into_keys().collect();
+        case2_steps(view, ri, cap, &participating)
     };
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Ok(Solved::eager(profile, Extractor::Steps(steps), true, total))
+    Solved::eager(profile, Extractor::Steps(steps), true, total)
 }
 
 /// Case 1: sort `Ri` tuples by decreasing profit (outputs owned).
@@ -183,7 +180,7 @@ mod tests {
         let q = parse_query(qtext).unwrap();
         let ri = singleton_atom(&q).expect("test query must be singleton");
         let view = View::root(q, Arc::new(db));
-        solve_singleton(&view, ri, cap).unwrap()
+        solve_singleton(&view, ri, cap)
     }
 
     #[test]
@@ -261,7 +258,7 @@ mod tests {
         let ri = singleton_atom(&q).unwrap();
         assert_eq!(q.atoms()[ri].name(), "V");
         let view = View::root(q, Arc::new(db));
-        let s = solve_singleton(&view, ri, 2).unwrap();
+        let s = solve_singleton(&view, ri, 2);
         assert_eq!(s.total_outputs, 3);
         assert_eq!(s.min_cost(2).unwrap(), Some(1));
         assert_eq!(s.extract(2).unwrap().0, vec![TupleRef::new(0, 0)]);

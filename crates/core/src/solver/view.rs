@@ -20,7 +20,7 @@ use crate::error::SolveError;
 use crate::query::Query;
 use adp_engine::database::Database;
 use adp_engine::join::{evaluate, EvalResult};
-use adp_engine::provenance::{ProvenanceIndex, TupleRef};
+use adp_engine::provenance::TupleRef;
 use std::sync::Arc;
 
 /// A query over a transformed database with provenance back to the
@@ -134,19 +134,6 @@ impl View {
         self.planned
             .as_ref()?
             .anchored_output_count(&endogenous_atoms(&self.query))
-    }
-
-    /// The pristine (all-alive) provenance index over `eval` (this
-    /// view's already-computed evaluation), shared via the planned
-    /// cache for root views.
-    pub(crate) fn pristine_provenance(
-        &self,
-        eval: &EvalResult,
-    ) -> Result<Arc<ProvenanceIndex>, SolveError> {
-        match &self.planned {
-            Some(p) => Ok(p.provenance()?),
-            None => Ok(Arc::new(ProvenanceIndex::try_new(eval)?)),
-        }
     }
 
     /// Translates a view-local tuple reference into original coordinates.

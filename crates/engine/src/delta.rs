@@ -1,17 +1,13 @@
 //! Incremental delta maintenance of witnesses, outputs, and scores.
 //!
-//! The ADP solvers are iterative: each greedy round, boolean fallback
-//! round, and streaming deletion batch changes only a handful of input
-//! tuples, yet the pre-delta code paths re-derived the full scoring
-//! state — a pass over *every* live witness per round
-//! ([`ProvenanceIndex::profits`](crate::provenance::ProvenanceIndex::profits))
-//! — or re-ran the masked join. [`DeltaProvenance`] keeps all of that
-//! state **live** instead, updating it in time proportional to the
-//! witnesses actually affected by a batch:
+//! Every ADP algorithm reads the same fact about `Q(D)`: which input
+//! tuples each witness uses. [`DeltaProvenance`] is the one incidence
+//! the solvers build over an evaluation, and it keeps the state derived
+//! from it **live** across deletions, updating it in time proportional
+//! to the witnesses actually affected by a batch:
 //!
-//! * witness liveness, via a per-witness *dead-tuple refcount* — unlike
-//!   [`ProvenanceIndex`](crate::provenance::ProvenanceIndex), deletions
-//!   can be **undone** ([`restore_batch`](DeltaProvenance::restore_batch)),
+//! * witness liveness, via a per-witness *dead-tuple refcount*, so
+//!   deletions can be **undone** ([`restore_batch`](DeltaProvenance::restore_batch)),
 //!   which is what solver backtracking and streaming re-insertions need;
 //! * per-output live-witness counts and the global `|Q(D − S)|`;
 //! * the *profit* map (sole killers per output, maintained through a
@@ -21,7 +17,12 @@
 //!   two ordered candidate sets over the scores, so the greedy argmax —
 //!   under the same `(score, Reverse((atom, idx)))` total order as a
 //!   rescan of the [`ProvenanceIndex`](crate::provenance::ProvenanceIndex)
-//!   maps — is an `O(log n)` lookup instead of a map scan.
+//!   reference — is an `O(log n)` lookup instead of a map scan.
+//!
+//! [`killed_by_set`](DeltaProvenance::killed_by_set) answers what a
+//! whole deletion set would remove on top of the current state without
+//! mutating it: deletion-set verification and brute-force probes read
+//! it from a pristine state.
 //!
 //! A deletion batch of Δ tuples costs `O(Σ_{w affected} p + Σ_{o
 //! touched} |witnesses(o)| · p)` plus logarithmic selector updates:
@@ -34,12 +35,10 @@
 //! (flat vectors and hash maps, no per-witness allocation), so a solver
 //! can keep several independent states over one evaluation cheaply.
 //!
-//! The initial scoring pass is the one full-scan the structure ever
-//! pays. It is exposed range-wise ([`score_range`](DeltaProvenance::score_range) /
-//! [`install_scores`](DeltaProvenance::install_scores)) so callers with
-//! a thread pool can fan it out over disjoint output ranges: each
-//! output contributes its scores independently, so the merged ranges
-//! equal one sequential pass.
+//! The initial scoring pass is the one full scan the structure ever
+//! pays. [`try_new_on`](DeltaProvenance::try_new_on) fans it out over a
+//! thread pool in contiguous output ranges: each output contributes its
+//! scores independently, so the merged ranges equal one sequential pass.
 //!
 //! Every maintained quantity is differentially testable against the
 //! masked full re-evaluation oracle
@@ -49,6 +48,7 @@
 use crate::error::AdpError;
 use crate::join::EvalResult;
 use crate::provenance::TupleRef;
+use adp_runtime::ThreadPool;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ struct Selector {
 /// [`DeltaProvenance::install_scores`]. Contributions are additive
 /// across any partition of `0..output_slots()`.
 #[derive(Clone, Debug, Default)]
-pub struct RangeScores {
+struct RangeScores {
     /// First output of the range.
     lo: usize,
     profits: Vec<HashMap<u32, u64>>,
@@ -165,30 +165,41 @@ impl DeltaProvenance {
     /// Builds the index and scores it sequentially. Fails with
     /// [`AdpError::TooManyWitnesses`] instead of truncating witness ids.
     pub fn try_new(result: &EvalResult) -> Result<Self, AdpError> {
-        let mut d = Self::new_unscored(result)?;
-        let scores = d.score_range(0, d.output_slots());
-        d.install_scores(vec![scores]);
-        Ok(d)
+        Self::try_new_with_cap(result, u32::MAX as u64)
     }
 
     /// [`try_new`](Self::try_new) with an injected witness-id cap, for
     /// testing the overflow guard without materializing 4B witnesses.
     pub fn try_new_with_cap(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
-        let mut d = Self::new_unscored_capped(result, cap)?;
+        let mut d = Self::new_unscored(result, cap)?;
         let scores = d.score_range(0, d.output_slots());
         d.install_scores(vec![scores]);
         Ok(d)
     }
 
-    /// Builds the incidence structure without the initial scoring pass.
-    /// Callers with a thread pool fan [`score_range`](Self::score_range)
-    /// out over output ranges and then [`install_scores`](Self::install_scores);
-    /// mutation is rejected until scores are installed.
-    pub fn new_unscored(result: &EvalResult) -> Result<Self, AdpError> {
-        Self::new_unscored_capped(result, u32::MAX as u64)
+    /// [`try_new`](Self::try_new), with the scoring pass fanned out over
+    /// `pool` in contiguous output ranges (two per worker). Disjoint
+    /// ranges contribute additively, so the installed scores equal the
+    /// sequential build's for every worker count.
+    pub fn try_new_on(result: &EvalResult, pool: &ThreadPool) -> Result<Self, AdpError> {
+        let mut d = Self::new_unscored(result, u32::MAX as u64)?;
+        let slots = d.output_slots();
+        let parts = if pool.threads() > 1 && slots > 1 {
+            let chunk = slots.div_ceil(pool.threads() * 2);
+            pool.par_indexed(slots.div_ceil(chunk), |i| {
+                d.score_range(i * chunk, ((i + 1) * chunk).min(slots))
+            })
+        } else {
+            vec![d.score_range(0, slots)]
+        };
+        d.install_scores(parts);
+        Ok(d)
     }
 
-    fn new_unscored_capped(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
+    /// Builds the incidence structure without the initial scoring pass;
+    /// mutation is rejected until [`install_scores`](Self::install_scores)
+    /// ran.
+    fn new_unscored(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
         let witnesses = result.witnesses.len() as u64;
         if witnesses > cap {
             return Err(AdpError::TooManyWitnesses { witnesses, cap });
@@ -199,7 +210,7 @@ impl DeltaProvenance {
         for (wid, w) in result.witnesses.iter().enumerate() {
             for (atom, &t) in w.tuples.iter().enumerate() {
                 // adp-lint: allow(truncating-cast) -- wid enumerates
-                // result.witnesses, cap-checked by try_new_with_cap above.
+                // result.witnesses, cap-checked above.
                 tuple_witnesses[atom].entry(t).or_default().push(wid as u32);
             }
             witness_tuples.extend_from_slice(&w.tuples);
@@ -237,8 +248,7 @@ impl DeltaProvenance {
         self.inc.n_atoms
     }
 
-    /// Output slots (live or dead); [`score_range`](Self::score_range)
-    /// ranges partition `0..output_slots()`.
+    /// Output slots (live or dead), `|Q(D)|`.
     pub fn output_slots(&self) -> usize {
         self.inc.output_witnesses.len()
     }
@@ -282,25 +292,37 @@ impl DeltaProvenance {
             .map_or(0, Vec::len)
     }
 
-    /// The input tuples participating in at least one witness (dead or
-    /// alive), per atom, sorted.
-    pub fn participating_tuples(&self) -> Vec<Vec<u32>> {
-        self.inc
-            .tuple_witnesses
+    /// How many live outputs would die if every tuple of `set` were
+    /// deleted on top of the current state, without mutating it:
+    /// `|Q(D − S)| − |Q(D − S − set)|` for the current deletion set `S`.
+    /// Costs the postings of `set`, not a pass over the witnesses.
+    pub fn killed_by_set(&self, set: &[TupleRef]) -> u64 {
+        let mut newly_dead: Vec<u32> = set
             .iter()
-            .map(|m| {
-                let mut v: Vec<u32> = m.keys().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect()
+            .filter_map(|t| self.inc.tuple_witnesses[t.atom].get(&t.index))
+            .flatten()
+            .copied()
+            .filter(|&w| self.witness_dead[w as usize] == 0)
+            .collect();
+        newly_dead.sort_unstable();
+        newly_dead.dedup();
+        let mut outputs: Vec<u32> = newly_dead
+            .iter()
+            .map(|&w| self.inc.witness_output[w as usize])
+            .collect();
+        outputs.sort_unstable();
+        // An output dies iff the set kills every one of its live witnesses.
+        outputs
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() == self.output_live[run[0] as usize] as usize)
+            .count() as u64
     }
 
     /// Computes profit/count/agreement contributions of the outputs in
     /// `lo..hi` under the **current** witness liveness. Pure; disjoint
     /// ranges may be scored from multiple threads and merged with
     /// [`install_scores`](Self::install_scores).
-    pub fn score_range(&self, lo: usize, hi: usize) -> RangeScores {
+    fn score_range(&self, lo: usize, hi: usize) -> RangeScores {
         let n = self.inc.n_atoms;
         let mut scores = RangeScores {
             lo,
@@ -336,7 +358,7 @@ impl DeltaProvenance {
     /// Installs the merged scores of a full partition of
     /// `0..output_slots()`. Must be called exactly once, before any
     /// mutation or selection.
-    pub fn install_scores(&mut self, parts: Vec<RangeScores>) {
+    fn install_scores(&mut self, parts: Vec<RangeScores>) {
         assert!(!self.scored, "scores already installed");
         assert!(self.selector.is_none());
         let n = self.inc.n_atoms;
@@ -886,7 +908,7 @@ mod tests {
         let (_, eval) = q2_eval();
         let seq = DeltaProvenance::try_new(&eval).unwrap();
         for chunk in 1..=seq.output_slots() {
-            let mut par = DeltaProvenance::new_unscored(&eval).unwrap();
+            let mut par = DeltaProvenance::new_unscored(&eval, u32::MAX as u64).unwrap();
             let parts: Vec<RangeScores> = (0..par.output_slots())
                 .step_by(chunk)
                 .map(|lo| par.score_range(lo, (lo + chunk).min(par.output_slots())))
@@ -895,6 +917,30 @@ mod tests {
             assert_eq!(par.profits(), seq.profits(), "chunk={chunk}");
             assert_eq!(par.live_counts(), seq.live_counts(), "chunk={chunk}");
         }
+        for threads in [1, 2, 4] {
+            let pooled = DeltaProvenance::try_new_on(&eval, &ThreadPool::new(threads)).unwrap();
+            assert_eq!(pooled.profits(), seq.profits(), "threads={threads}");
+            assert_eq!(pooled.live_counts(), seq.live_counts(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn killed_by_set_is_pure() {
+        let (db, eval) = q2_eval();
+        let mut d = DeltaProvenance::try_new(&eval).unwrap();
+        let r1 = db.expect("R1");
+        let all_r1: Vec<TupleRef> = (0..r1.len() as u32).map(|i| TupleRef::new(0, i)).collect();
+        assert_eq!(d.killed_by_set(&all_r1), 3);
+        assert_eq!(d.live_outputs(), 3, "no mutation");
+        assert_eq!(d.killed_by_set(&[]), 0);
+        // On a non-pristine state it counts only outputs still live: with
+        // R2(2,2) deleted, (a2,e3) hangs on its witness through c3.
+        let b2c2 = db.expect("R2").index_of(&[2, 2]).unwrap();
+        d.delete(TupleRef::new(1, b2c2));
+        let c3e3 = db.expect("R3").index_of(&[3, 3]).unwrap();
+        assert_eq!(d.killed_by_set(&[TupleRef::new(2, c3e3)]), 2);
+        assert_eq!(d.killed_by_set(&all_r1), 3);
+        assert_eq!(d.live_outputs(), 3);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::database::Database;
 use crate::plan::QueryPlan;
 use crate::schema::{Attr, RelationSchema};
 use crate::value::Value;
+use std::collections::BTreeMap;
 
 /// One full-join row: the index of the participating tuple in every atom,
 /// in *query atom order* (not join order).
@@ -57,6 +58,20 @@ impl EvalResult {
     /// Number of full-join rows.
     pub fn witness_count(&self) -> u64 {
         self.witnesses.len() as u64
+    }
+
+    /// Per atom: every tuple on at least one witness (the non-dangling
+    /// tuples, ascending) mapped to the number of witnesses it is on.
+    /// On a full CQ that degree is the outputs deleting the tuple
+    /// removes.
+    pub fn tuple_degrees(&self) -> Vec<BTreeMap<u32, u64>> {
+        let mut degrees = vec![BTreeMap::new(); self.atom_names.len()];
+        for w in &self.witnesses {
+            for (atom, &t) in w.tuples.iter().enumerate() {
+                *degrees[atom].entry(t).or_insert(0) += 1;
+            }
+        }
+        degrees
     }
 }
 

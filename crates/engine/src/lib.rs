@@ -17,8 +17,11 @@
 //! * [`join`] — multiway natural join with *witness* (full-join row)
 //!   provenance and distinct head projection (one-shot wrapper over
 //!   [`plan`]),
-//! * [`provenance`] — the witness/output/input incidence structure with
-//!   `kill` semantics used by the greedy ADP heuristics,
+//! * [`delta`] — [`DeltaProvenance`], the witness/output/input incidence
+//!   the solvers build, with reversible batch deletions, live-maintained
+//!   greedy scores and deletion-set counts,
+//! * [`provenance`] — [`TupleRef`] and the rescan reference incidence
+//!   ([`ProvenanceIndex`]) the delta layer is tested against,
 //! * [`semijoin`] — GYO ear decomposition and a Yannakakis-style full
 //!   reducer for dangling-tuple removal.
 //!

@@ -12,14 +12,16 @@
 //! tuples is deleted. For queries with projection an input tuple is a
 //! *sole killer* of an output iff every live witness of that output uses
 //! the tuple — computed by a per-output agreement scan (`profits`).
+//!
+//! Every pass here is a full rescan of the live witnesses. The solvers
+//! run on the incrementally maintained
+//! [`DeltaProvenance`](crate::delta::DeltaProvenance) instead; this index
+//! is the sequential reference they are tested against (and the home of
+//! [`TupleRef`]).
 
 use crate::error::AdpError;
 use crate::join::EvalResult;
-use std::collections::{BTreeMap, HashMap};
-
-/// Below this many witnesses the incidence maps are built sequentially;
-/// the parallel chunk merge only pays off at paper scale.
-const PAR_BUILD_MIN_WITNESSES: usize = 1 << 14;
+use std::collections::HashMap;
 
 /// A reference to an input tuple: query atom position + tuple index within
 /// that atom's relation instance.
@@ -84,7 +86,14 @@ impl ProvenanceIndex {
             return Err(AdpError::TooManyWitnesses { witnesses, cap });
         }
         let n_atoms = result.atom_names.len();
-        let tuple_witnesses = build_tuple_witnesses(result, n_atoms);
+        let mut tuple_witnesses: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
+        for (wid, w) in result.witnesses.iter().enumerate() {
+            for (atom, &t) in w.tuples.iter().enumerate() {
+                // adp-lint: allow(truncating-cast) -- wid enumerates
+                // result.witnesses, cap-checked above.
+                tuple_witnesses[atom].entry(t).or_default().push(wid as u32);
+            }
+        }
         Ok(ProvenanceIndex {
             witness_tuples: result.witnesses.iter().map(|w| w.tuples.clone()).collect(),
             witness_output: result.witness_output.clone(),
@@ -103,11 +112,6 @@ impl ProvenanceIndex {
         })
     }
 
-    /// Number of atoms in the underlying query.
-    pub fn atom_count(&self) -> usize {
-        self.n_atoms
-    }
-
     /// Outputs still alive (`|Q(D − deleted)|`).
     pub fn live_outputs(&self) -> u64 {
         self.live_outputs
@@ -116,27 +120,6 @@ impl ProvenanceIndex {
     /// Witnesses still alive.
     pub fn live_witnesses(&self) -> u64 {
         self.witness_alive.iter().filter(|&&a| a).count() as u64
-    }
-
-    /// Is the given input tuple used by at least one live witness?
-    pub fn is_live(&self, t: TupleRef) -> bool {
-        self.tuple_witnesses[t.atom]
-            .get(&t.index)
-            .map(|ws| ws.iter().any(|&w| self.witness_alive[w as usize]))
-            .unwrap_or(false)
-    }
-
-    /// The input tuples that participate in at least one witness (the
-    /// *non-dangling* tuples), per atom.
-    pub fn participating_tuples(&self) -> Vec<Vec<u32>> {
-        self.tuple_witnesses
-            .iter()
-            .map(|m| {
-                let mut v: Vec<u32> = m.keys().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect()
     }
 
     /// Deletes an input tuple: kills every live witness using it. Returns
@@ -222,101 +205,6 @@ impl ProvenanceIndex {
         }
         counts
     }
-
-    /// How many outputs would die if the whole `set` were removed at once,
-    /// without mutating the index. Used by the brute-force baseline.
-    pub fn killed_by_set(&self, set: &[TupleRef]) -> u64 {
-        // BTreeMap, not HashMap: the final filter iterates this map, and
-        // counting must not depend on hash order (adp-lint unordered-iter).
-        let mut dead_live: BTreeMap<u32, u32> = BTreeMap::new(); // output -> newly dead witnesses
-        let mut seen: Vec<bool> = vec![false; self.witness_tuples.len()];
-        for t in set {
-            if let Some(ws) = self.tuple_witnesses[t.atom].get(&t.index) {
-                for &w in ws {
-                    let wi = w as usize;
-                    if !self.witness_alive[wi] || seen[wi] {
-                        continue;
-                    }
-                    seen[wi] = true;
-                    *dead_live
-                        .entry(self.witness_output[w as usize])
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        dead_live
-            .into_iter()
-            .filter(|&(out, dead)| self.output_live[out as usize] == dead)
-            .count() as u64
-    }
-}
-
-/// Per atom: tuple index → witness ids using it, ascending.
-///
-/// At paper scale (millions of witnesses) the scan is fanned out over
-/// the global pool in contiguous witness chunks, then the per-chunk maps
-/// are appended **in chunk order** — every posting list comes out in the
-/// same ascending witness-id order the sequential loop produces, for any
-/// worker count.
-fn build_tuple_witnesses(result: &EvalResult, n_atoms: usize) -> Vec<HashMap<u32, Vec<u32>>> {
-    // Check the threshold before consulting the pool: small results
-    // stay sequential and never lazily initialize the global pool.
-    if result.witnesses.len() < PAR_BUILD_MIN_WITNESSES {
-        return scan_tuple_witnesses(result, n_atoms, 0, result.witnesses.len());
-    }
-    build_tuple_witnesses_on(
-        result,
-        n_atoms,
-        adp_runtime::global(),
-        PAR_BUILD_MIN_WITNESSES,
-    )
-}
-
-/// The sequential incidence scan over witnesses `lo..hi` (global ids).
-fn scan_tuple_witnesses(
-    result: &EvalResult,
-    n_atoms: usize,
-    lo: usize,
-    hi: usize,
-) -> Vec<HashMap<u32, Vec<u32>>> {
-    let mut maps: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
-    for (wid, w) in result.witnesses[lo..hi].iter().enumerate() {
-        // adp-lint: allow(truncating-cast) -- wid + lo indexes
-        // result.witnesses, cap-checked by the caller's try_new.
-        let wid = (wid + lo) as u32;
-        for (atom, &t) in w.tuples.iter().enumerate() {
-            maps[atom].entry(t).or_default().push(wid);
-        }
-    }
-    maps
-}
-
-fn build_tuple_witnesses_on(
-    result: &EvalResult,
-    n_atoms: usize,
-    pool: &adp_runtime::ThreadPool,
-    min_witnesses: usize,
-) -> Vec<HashMap<u32, Vec<u32>>> {
-    let n = result.witnesses.len();
-    let scan = |lo: usize, hi: usize| scan_tuple_witnesses(result, n_atoms, lo, hi);
-    if pool.threads() <= 1 || n < min_witnesses {
-        return scan(0, n);
-    }
-    let n_chunks = pool.threads() * 4;
-    let chunk_size = n.div_ceil(n_chunks).max(1);
-    let n_chunks = n.div_ceil(chunk_size);
-    let partials = pool.par_indexed(n_chunks, |c| {
-        scan(c * chunk_size, ((c + 1) * chunk_size).min(n))
-    });
-    let mut merged: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
-    for partial in partials {
-        for (atom, map) in partial.into_iter().enumerate() {
-            for (t, wids) in map {
-                merged[atom].entry(t).or_default().extend_from_slice(&wids);
-            }
-        }
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -325,6 +213,7 @@ mod tests {
     use crate::database::Database;
     use crate::join::evaluate;
     use crate::schema::{attrs, RelationSchema};
+    use std::collections::BTreeMap;
 
     /// Figure 1 database with Q2(A,E) (projection query).
     fn q2_index() -> (Database, ProvenanceIndex) {
@@ -407,16 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn killed_by_set_is_pure() {
-        let (db, p) = q2_index();
-        let r1 = db.expect("R1");
-        let all_r1: Vec<TupleRef> = (0..r1.len() as u32).map(|i| TupleRef::new(0, i)).collect();
-        assert_eq!(p.killed_by_set(&all_r1), 3);
-        assert_eq!(p.live_outputs(), 3, "no mutation");
-        assert_eq!(p.killed_by_set(&[]), 0);
-    }
-
-    #[test]
     fn witness_cap_guard_surfaces_too_many_witnesses() {
         // Regression: witness ids used to be truncated with `wid as u32`,
         // silently aliasing witnesses past the id space. The guard must
@@ -448,49 +327,30 @@ mod tests {
         assert!(ProvenanceIndex::try_new(&r).is_ok());
     }
 
-    #[test]
-    fn parallel_incidence_build_matches_sequential() {
-        // Synthetic result with colliding tuples across many witnesses, so
-        // posting lists span chunk boundaries.
-        let n = 5000u32;
-        let mut r = EvalResult {
-            atom_names: vec!["R1".into(), "R2".into()],
-            ..Default::default()
-        };
-        for w in 0..n {
-            r.outputs.push(vec![w as u64 % 7].into_boxed_slice());
-            r.witnesses.push(crate::join::Witness {
-                tuples: vec![w % 13, w % 31].into_boxed_slice(),
-            });
-            r.witness_output.push(w % 7);
-        }
-        r.output_witnesses = vec![Vec::new(); n as usize];
-        let seq = build_tuple_witnesses_on(&r, 2, &adp_runtime::ThreadPool::new(1), usize::MAX);
-        for threads in [2usize, 4] {
-            let par = build_tuple_witnesses_on(&r, 2, &adp_runtime::ThreadPool::new(threads), 1);
-            assert_eq!(seq, par, "threads={threads}");
-        }
-        // Ascending posting lists (ordering contract).
-        for map in &seq {
-            for list in map.values() {
-                assert!(list.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
+    /// The participating tuples are the keys of the evaluation's tuple
+    /// degrees, and the degrees are the pristine index's live counts.
     #[test]
     fn participating_tuples_reports_non_dangling() {
         let mut db = Database::new();
         db.add_relation("R1", attrs(&["A"]), &[&[1], &[2], &[9]]); // 9 dangles
-        db.add_relation("R2", attrs(&["A", "B"]), &[&[1, 5], &[2, 6]]);
+        db.add_relation("R2", attrs(&["A", "B"]), &[&[1, 5], &[2, 6], &[2, 7]]);
         let atoms = vec![
             RelationSchema::new("R1", attrs(&["A"])),
             RelationSchema::new("R2", attrs(&["A", "B"])),
         ];
-        let r = evaluate(&db, &atoms, &attrs(&["A", "B"]));
-        let p = ProvenanceIndex::new(&r);
-        let parts = p.participating_tuples();
-        assert_eq!(parts[0], vec![0, 1]);
-        assert_eq!(parts[1], vec![0, 1]);
+        let r = evaluate(&db, &atoms, &attrs(&["A"]));
+        let degrees = r.tuple_degrees();
+        let parts: Vec<Vec<u32>> = degrees
+            .iter()
+            .map(|m| m.keys().copied().collect())
+            .collect();
+        assert_eq!(parts, vec![vec![0, 1], vec![0, 1, 2]]);
+        assert_eq!(degrees[0][&1], 2, "R1(2) joins two R2 tuples");
+        let counts = ProvenanceIndex::new(&r).live_counts();
+        for (atom, map) in degrees.iter().enumerate() {
+            let reference: BTreeMap<u32, u64> =
+                counts[atom].iter().map(|(&t, &c)| (t, c)).collect();
+            assert_eq!(map, &reference, "atom {atom}");
+        }
     }
 }

@@ -12,7 +12,6 @@
 
 use crate::database::Database;
 use crate::join::evaluate;
-use crate::provenance::ProvenanceIndex;
 use crate::relation::RelationInstance;
 use crate::schema::{Attr, RelationSchema};
 use crate::value::Value;
@@ -179,10 +178,11 @@ fn semijoin(
 /// Witness-based reduction for cyclic queries: evaluate the full join and
 /// keep the participating tuples.
 pub fn reduce_by_witnesses(db: &Database, atoms: &[RelationSchema]) -> Reduced {
-    let result = evaluate(db, atoms, &[]);
-    let prov = ProvenanceIndex::new(&result);
-    let parts = prov.participating_tuples();
-    let keep: Vec<HashSet<u32>> = parts.into_iter().map(|v| v.into_iter().collect()).collect();
+    let keep: Vec<HashSet<u32>> = evaluate(db, atoms, &[])
+        .tuple_degrees()
+        .into_iter()
+        .map(|m| m.into_keys().collect())
+        .collect();
     materialize(db, atoms, &keep)
 }
 
@@ -209,9 +209,7 @@ fn materialize(db: &Database, atoms: &[RelationSchema], keep: &[HashSet<u32>]) -
 /// Checks pairwise-consistency bookkeeping used by tests: every remaining
 /// tuple participates in at least one witness.
 pub fn is_fully_reduced(db: &Database, atoms: &[RelationSchema]) -> bool {
-    let result = evaluate(db, atoms, &[]);
-    let prov = ProvenanceIndex::new(&result);
-    let parts = prov.participating_tuples();
+    let parts = evaluate(db, atoms, &[]).tuple_degrees();
     atoms
         .iter()
         .enumerate()

@@ -7,15 +7,16 @@
 //! live witnesses, profit maps, live-count maps — must equal what a
 //! fresh masked re-execution (plus a fresh `ProvenanceIndex` over it)
 //! reports **after every batch**, for the sequentially scored index and
-//! for one scored through a 4-worker range fan-out. On top of that, the
-//! delta-driven greedy solver must be byte-identical to the sequential
-//! rescan reference `verify::rescan_greedy`, delta-based deletion-set
+//! for one scored through a 4-worker range fan-out, and so must the
+//! outputs a random probe set would remove on top of each state. On top
+//! of that, the delta-driven greedy solver must be byte-identical to the
+//! sequential rescan reference `verify::rescan_greedy`, delta-based deletion-set
 //! verification must equal masked re-execution on an independently
 //! built plan, and a prepared query serving solves from its idle
 //! rolled-back greedy state must answer exactly like a fresh one.
 
 use adp::core::solver::{verify, AdpOptions, PreparedQuery};
-use adp::engine::delta::{DeltaProvenance, RangeScores};
+use adp::engine::delta::DeltaProvenance;
 use adp::engine::plan::{AliveMask, QueryPlan};
 use adp::engine::provenance::ProvenanceIndex;
 use adp::{parse_query, Database, Query, TupleRef};
@@ -101,15 +102,7 @@ fn arb_db(q: &Query, max_rows: usize, dom: u64) -> impl Strategy<Value = Databas
 /// Builds a delta index scored through a 4-worker range fan-out, so the
 /// parallel install path is exercised regardless of chunk heuristics.
 fn delta_scored_on_pool(eval: &adp::engine::EvalResult) -> DeltaProvenance {
-    let pool = four_workers();
-    let mut d = DeltaProvenance::new_unscored(eval).unwrap();
-    let slots = d.output_slots();
-    let chunk = slots.div_ceil(pool.threads()).max(1);
-    let parts: Vec<RangeScores> = pool.par_indexed(slots.div_ceil(chunk), |i| {
-        d.score_range(i * chunk, ((i + 1) * chunk).min(slots))
-    });
-    d.install_scores(parts);
-    d
+    DeltaProvenance::try_new_on(eval, four_workers()).unwrap()
 }
 
 /// Strategy: a random query, a small database for it, and random
@@ -154,9 +147,17 @@ proptest! {
     /// Delta maintenance ≡ masked full re-evaluation after every batch,
     /// with maintained scores equal to a fresh `ProvenanceIndex` over
     /// the masked result — for the sequentially scored index and the
-    /// 4-worker-scored index alike.
+    /// 4-worker-scored index alike. A random probe set counted on top
+    /// of each state (`killed_by_set`) removes what the masked
+    /// re-evaluation with the probe also killed removes.
     #[test]
-    fn delta_batches_match_masked_reeval((q, db, ops) in arb_instance_and_ops()) {
+    fn delta_batches_match_masked_reeval(
+        ((q, db, ops), probe) in (
+            arb_instance_and_ops(),
+            proptest::collection::vec((Just(1u8), 0usize..8, 0u64..64), 1..=4),
+        )
+    ) {
+        let (probe, _) = batch_of(&q, &db, &probe, &[]);
         let plan = QueryPlan::new(&db, q.atoms(), q.head());
         let indexes = plan.build_indexes(&db);
         let eval = plan.execute(&db, &indexes);
@@ -200,6 +201,16 @@ proptest! {
                 delta.live_counts(), &oracle.live_counts()[..],
                 "{}: maintained live counts diverged", q
             );
+
+            let mut probe_mask = mask.clone();
+            probe_mask.kill_all(&probe);
+            let killed = masked.output_count()
+                - plan.execute_masked(&db, &indexes, &probe_mask).output_count();
+            prop_assert_eq!(
+                delta.killed_by_set(&probe), killed,
+                "{}: killed_by_set({:?}) diverged from masked re-eval", q, probe
+            );
+            prop_assert_eq!(delta_par.killed_by_set(&probe), killed);
 
             // The 4-worker-scored index must track the sequential one
             // exactly at every state.
