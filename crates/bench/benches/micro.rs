@@ -207,10 +207,10 @@ fn bench_parallel_sweep(c: &mut Criterion) {
 /// runs on the incrementally maintained scores (`O(Δ)` per round).
 /// Outcomes are asserted byte-identical (cost, deletion set, outputs
 /// removed) **before** either variant is timed; the delta pair must be
-/// ≥5× faster (measured ~14–20× at this size, growing with n). The
-/// delta variant solves on a fresh plan per iteration, so it also pays
-/// its scoring pass: on the shared plan its repeat would be a memo
-/// lookup.
+/// ≥5× faster (measured ~75× at this size on a 2-vCPU host, growing
+/// with n). The delta variant solves on a fresh plan per iteration, so
+/// it also pays its scoring pass: on the shared plan its repeat would
+/// be a memo lookup.
 fn bench_greedy_rounds(c: &mut Criterion) {
     let db = Arc::new(adp_datagen::zipf_pair(&ZipfConfig::new(
         4_000, 0.5, 21, true,

@@ -1568,12 +1568,12 @@ pub fn fig_scale() {
             }
 
             match &baseline {
-                None => baseline = Some((eval, delta.profits().to_vec())),
+                None => baseline = Some((eval, delta.profits())),
                 Some((base_eval, base_profits)) => {
                     crate::checks::check(*base_eval == eval, || {
                         format!("fig_scale n={n} t={t}: parallel eval diverged from t=1")
                     });
-                    crate::checks::check(base_profits.as_slice() == delta.profits(), || {
+                    crate::checks::check(*base_profits == delta.profits(), || {
                         format!("fig_scale n={n} t={t}: parallel profits diverged from t=1")
                     });
                 }

@@ -554,7 +554,7 @@ impl<'a> GreedyLease<'a> {
         let would_kill: u64 = picks
             .iter()
             .filter(|&&t| !delta.is_deleted(t))
-            .filter_map(|t| delta.live_counts()[t.atom].get(&t.index))
+            .map(|&t| delta.live_count(t))
             .sum();
         let killed = home.live_witnesses - delta.live_witnesses() + would_kill;
         if killed as usize > delta.witness_slots() / ROLLBACK_DIVISOR {
@@ -1020,6 +1020,43 @@ mod tests {
         prep.solve(total, &greedy()).unwrap();
         assert_eq!(prep.pooled_states(), 0, "a full solve drops its state");
         assert_eq!(prep.solve(1, &greedy_unmemoized()).unwrap(), first);
+    }
+
+    /// 200 solve-and-rollback cycles at ρ = 0.1 on one plan: every
+    /// rollback's restores push selector entries, yet the idle state's
+    /// heaps stay within their rebuild bound after each cycle, and every
+    /// answer equals a fresh plan's.
+    #[test]
+    fn rollback_cycles_keep_the_idle_heaps_bounded() {
+        // 256 witnesses; k = 26 takes one applied `R1` pick (16 kills)
+        // and an unapplied second, so every solve rolls back.
+        let (q, db) = grid(16);
+        let prep = PreparedQuery::new(q.clone(), Arc::clone(&db));
+        let k = prep.output_count().div_ceil(10);
+        let idle_load = || {
+            let slot = prep.planned.idle_slot();
+            let idle = slot.as_ref().expect("the solve rolled back");
+            idle.delta.selection_load().expect("selection is enabled")
+        };
+        let mut loads = Vec::new();
+        for cycle in 0..200 {
+            let out = prep.solve(k, &greedy_unmemoized()).unwrap();
+            let fresh = PreparedQuery::new(q.clone(), Arc::clone(&db))
+                .solve(k, &greedy())
+                .unwrap();
+            assert_eq!(out, fresh, "cycle {cycle}");
+            let (entries, bound) = idle_load();
+            assert!(
+                entries <= bound,
+                "cycle {cycle}: {entries} entries > {bound}"
+            );
+            loads.push(entries);
+        }
+        // The restores pushed entries, and settles cut them back.
+        assert!(
+            loads.windows(2).any(|w| w[1] < w[0]),
+            "no rebuild in 200 cycles"
+        );
     }
 
     /// The rollback rule counts a final pick read from its profit by the

@@ -10,35 +10,51 @@
 //!   deletions can be **undone** ([`restore_batch`](DeltaProvenance::restore_batch)),
 //!   which is what solver backtracking and streaming re-insertions need;
 //! * per-output live-witness counts and the global `|Q(D − S)|`;
-//! * the *profit* map (sole killers per output, maintained through a
-//!   cached per-output agreement vector) and the *live-count* map — the
-//!   two scores every greedy round reads;
+//! * the *profit* of every tuple (sole killers per output, maintained
+//!   through a cached per-output agreement vector) and its *live count*
+//!   — the two scores every greedy round reads;
 //! * optionally ([`enable_selection`](DeltaProvenance::enable_selection))
-//!   two ordered candidate sets over the scores, so the greedy argmax —
-//!   under the same `(score, Reverse((atom, idx)))` total order as a
-//!   rescan of the [`ProvenanceIndex`](crate::provenance::ProvenanceIndex)
-//!   reference — is an `O(log n)` lookup instead of a map scan.
+//!   two lazy max-heaps over the scores, so the greedy argmax — under
+//!   the same `(score, Reverse((atom, idx)))` total order as a rescan
+//!   of the [`ProvenanceIndex`](crate::provenance::ProvenanceIndex)
+//!   reference — is an `O(1)` peek instead of a scan.
 //!
 //! [`killed_by_set`](DeltaProvenance::killed_by_set) answers what a
 //! whole deletion set would remove on top of the current state without
 //! mutating it: deletion-set verification and brute-force probes read
 //! it from a pristine state.
 //!
+//! Tuple indices are dense per relation, so everything keyed by a tuple
+//! is a flat array indexed by it: the inverse postings are one CSR per
+//! atom (offsets plus witness ids, built by counting sort) and the two
+//! scores are one `u32` per tuple. Each atom's arrays cover its largest
+//! participating index; a tuple past that joins no witness, has empty
+//! postings and scores 0.
+//!
+//! The heaps hold upper bounds, not exact scores: a score increase
+//! pushes an entry, a decrease only writes the array, and every batch
+//! ends by popping the stale entries off the top (re-pushing the
+//! current score where it is still positive). The invariant is that
+//! every selectable tuple with score `s > 0` has an entry `≥ s`, so a
+//! top entry that matches its tuple's current score is the exact
+//! maximum. A heap that grows past twice its atoms' tuple slots is
+//! rebuilt from the arrays.
+//!
 //! A deletion batch of Δ tuples costs `O(Σ_{w affected} p + Σ_{o
-//! touched} |witnesses(o)| · p)` plus logarithmic selector updates:
+//! touched} |witnesses(o)| · p)` plus logarithmic heap pushes and pops:
 //! `O(Δ)` in the affected incidence, independent of `|Q(D)|`.
 //!
 //! The state splits in two. The *incidence* — which tuples each witness
 //! joins, which output it supports, and the inverse postings — never
 //! changes after construction and is shared by `Arc`: cloning a
-//! [`DeltaProvenance`] copies only the per-state scores and liveness
-//! (flat vectors and hash maps, no per-witness allocation), so a solver
-//! can keep several independent states over one evaluation cheaply.
+//! [`DeltaProvenance`] copies only the per-state scores, heaps and
+//! liveness (flat vectors, no per-witness allocation), so a solver can
+//! keep several independent states over one evaluation cheaply.
 //!
 //! The initial scoring pass is the one full scan the structure ever
 //! pays. [`try_new_on`](DeltaProvenance::try_new_on) fans it out over a
 //! thread pool in contiguous output ranges: each output contributes its
-//! scores independently, so the merged ranges equal one sequential pass.
+//! scores independently, so the summed ranges equal one sequential pass.
 //!
 //! Every maintained quantity is differentially testable against the
 //! masked full re-evaluation oracle
@@ -50,36 +66,68 @@ use crate::join::EvalResult;
 use crate::provenance::TupleRef;
 use adp_runtime::ThreadPool;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Candidate key ordered like the greedy pick: highest score first,
-/// then smallest `(atom, idx)`. The set's maximum element is the round
-/// winner.
-type Candidate = (u64, Reverse<(usize, u32)>);
+/// Heap entry ordered like the greedy pick: highest score first, then
+/// smallest `(atom, idx)`. The score is an upper bound on the tuple's
+/// current one (see the module docs).
+type Entry = (u32, Reverse<(u32, u32)>);
 
-/// Ordered candidate sets over the maintained scores, restricted to the
-/// atoms a solver may delete from.
+/// A heap holding more than this many entries per selectable tuple slot
+/// is rebuilt from the score arrays when its batch settles.
+const HEAP_SLACK: usize = 2;
+
+/// Lazy max-heaps over the maintained scores, restricted to the atoms a
+/// solver may delete from.
 #[derive(Clone, Debug)]
 struct Selector {
     selectable: Vec<bool>,
-    by_profit: BTreeSet<Candidate>,
-    by_count: BTreeSet<Candidate>,
+    /// Tuple slots of the selectable atoms: the heaps' rebuild bound is
+    /// `HEAP_SLACK` times this.
+    slots: usize,
+    by_profit: BinaryHeap<Entry>,
+    by_count: BinaryHeap<Entry>,
 }
 
 /// Partial scores over one output range, produced by
-/// [`DeltaProvenance::score_range`] and merged by
+/// [`DeltaProvenance::score_range`] and summed by
 /// [`DeltaProvenance::install_scores`]. Contributions are additive
 /// across any partition of `0..output_slots()`.
 #[derive(Clone, Debug, Default)]
 struct RangeScores {
     /// First output of the range.
     lo: usize,
-    profits: Vec<HashMap<u32, u64>>,
-    counts: Vec<HashMap<u32, u64>>,
+    profits: Vec<Vec<u32>>,
+    counts: Vec<Vec<u32>>,
     /// Agreement vectors of the range's outputs, `atom_count()` slots
     /// each (all `None` for dead outputs).
     agreed: Vec<Option<u32>>,
+}
+
+/// One atom's inverse postings in CSR form: the witnesses containing
+/// tuple `i` are `witnesses[offsets[i]..offsets[i + 1]]`, ascending.
+#[derive(Debug)]
+struct Postings {
+    /// `slots() + 1` entries; `offsets[0] == 0`.
+    offsets: Vec<u32>,
+    witnesses: Vec<u32>,
+}
+
+impl Postings {
+    /// Tuple indices covered: the largest participating index + 1.
+    fn slots(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Witnesses containing tuple `idx`; empty past the covered range.
+    fn of(&self, idx: u32) -> &[u32] {
+        let i = idx as usize;
+        if i >= self.slots() {
+            return &[];
+        }
+        &self.witnesses[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 /// The immutable incidence of one evaluation, shared by every state
@@ -92,7 +140,7 @@ struct Incidence {
     witness_output: Vec<u32>,
     output_witnesses: Vec<Vec<u32>>,
     /// per atom: tuple index → witnesses containing it.
-    tuple_witnesses: Vec<HashMap<u32, Vec<u32>>>,
+    postings: Vec<Postings>,
     n_atoms: usize,
 }
 
@@ -129,6 +177,56 @@ impl Incidence {
             dst.fill(None);
         }
     }
+
+    /// One zeroed score per covered tuple slot, per atom.
+    fn zero_scores(&self) -> Vec<Vec<u32>> {
+        self.postings.iter().map(|p| vec![0; p.slots()]).collect()
+    }
+}
+
+/// Builds one atom's CSR postings over the flat witness → tuple array
+/// (`n_atoms` slots per witness) by counting sort on the tuple index.
+fn build_postings(witness_tuples: &[u32], n_atoms: usize, atom: usize) -> Postings {
+    let column = || witness_tuples.iter().skip(atom).step_by(n_atoms);
+    let slots = column().max().map_or(0, |&t| t as usize + 1);
+    let mut offsets = vec![0u32; slots + 1];
+    for &t in column() {
+        offsets[t as usize + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut next = offsets[..slots].to_vec();
+    let mut witnesses = vec![0u32; witness_tuples.len() / n_atoms];
+    for (&t, w) in column().zip(0u32..) {
+        let at = &mut next[t as usize];
+        witnesses[*at as usize] = w;
+        *at += 1;
+    }
+    Postings { offsets, witnesses }
+}
+
+/// Adds `src` into `dst` slot by slot.
+fn add_scores(dst: &mut [Vec<u32>], src: &[Vec<u32>]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        for (a, b) in d.iter_mut().zip(s) {
+            *a += b;
+        }
+    }
+}
+
+/// The non-zero scores of `scores` as per-atom maps.
+fn score_maps(scores: &[Vec<u32>]) -> Vec<HashMap<u32, u64>> {
+    scores
+        .iter()
+        .map(|atom| {
+            atom.iter()
+                .zip(0u32..)
+                .filter(|&(&s, _)| s > 0)
+                .map(|(&s, i)| (i, u64::from(s)))
+                .collect()
+        })
+        .collect()
 }
 
 /// Incidence structure over an [`EvalResult`] with **incremental**
@@ -147,12 +245,13 @@ pub struct DeltaProvenance {
     deleted: Vec<HashSet<u32>>,
     live_outputs: u64,
     live_witnesses: u64,
-    /// Maintained profit map (sole killers), no zero entries — equal to
-    /// `ProvenanceIndex::profits()` at every deletion state.
-    profits: Vec<HashMap<u32, u64>>,
-    /// Maintained live-witness counts, no zero entries — equal to
-    /// `ProvenanceIndex::live_counts()` at every deletion state.
-    counts: Vec<HashMap<u32, u64>>,
+    /// per atom: tuple index → profit (sole killers). The non-zero
+    /// entries are `ProvenanceIndex::profits()` at every deletion state.
+    profits: Vec<Vec<u32>>,
+    /// per atom: tuple index → live witnesses containing it. The
+    /// non-zero entries are `ProvenanceIndex::live_counts()` at every
+    /// deletion state.
+    counts: Vec<Vec<u32>>,
     /// output → cached agreement vector (its current profit
     /// contribution), `n_atoms` slots per output; all `None` for dead
     /// outputs.
@@ -170,6 +269,8 @@ impl DeltaProvenance {
 
     /// [`try_new`](Self::try_new) with an injected witness-id cap, for
     /// testing the overflow guard without materializing 4B witnesses.
+    /// Caps above `u32::MAX` act as `u32::MAX`: witness ids and scores
+    /// are `u32`.
     pub fn try_new_with_cap(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
         let mut d = Self::new_unscored(result, cap)?;
         let scores = d.score_range(0, d.output_slots());
@@ -201,29 +302,27 @@ impl DeltaProvenance {
     /// ran.
     fn new_unscored(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
         let witnesses = result.witnesses.len() as u64;
+        let cap = cap.min(u32::MAX as u64);
         if witnesses > cap {
             return Err(AdpError::TooManyWitnesses { witnesses, cap });
         }
         let n_atoms = result.atom_names.len();
-        let mut tuple_witnesses: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
         let mut witness_tuples = Vec::with_capacity(result.witnesses.len() * n_atoms);
-        for (wid, w) in result.witnesses.iter().enumerate() {
-            for (atom, &t) in w.tuples.iter().enumerate() {
-                // adp-lint: allow(truncating-cast) -- wid enumerates
-                // result.witnesses, cap-checked above.
-                tuple_witnesses[atom].entry(t).or_default().push(wid as u32);
-            }
+        for w in &result.witnesses {
             witness_tuples.extend_from_slice(&w.tuples);
         }
+        let postings = (0..n_atoms)
+            .map(|atom| build_postings(&witness_tuples, n_atoms, atom))
+            .collect();
+        let inc = Incidence {
+            witness_tuples,
+            witness_output: result.witness_output.clone(),
+            output_witnesses: result.output_witnesses.clone(),
+            postings,
+            n_atoms,
+        };
         let outputs = result.outputs.len();
         Ok(DeltaProvenance {
-            inc: Arc::new(Incidence {
-                witness_tuples,
-                witness_output: result.witness_output.clone(),
-                output_witnesses: result.output_witnesses.clone(),
-                tuple_witnesses,
-                n_atoms,
-            }),
             witness_dead: vec![0; result.witnesses.len()],
             output_live: result
                 .output_witnesses
@@ -235,11 +334,12 @@ impl DeltaProvenance {
             deleted: vec![HashSet::new(); n_atoms],
             live_outputs: outputs as u64,
             live_witnesses: witnesses,
-            profits: vec![HashMap::new(); n_atoms],
-            counts: vec![HashMap::new(); n_atoms],
+            profits: inc.zero_scores(),
+            counts: inc.zero_scores(),
             agreed: vec![None; outputs * n_atoms],
             scored: false,
             selector: None,
+            inc: Arc::new(inc),
         })
     }
 
@@ -287,9 +387,7 @@ impl DeltaProvenance {
     /// [`delete`](Self::delete) or [`restore`](Self::restore) of it
     /// costs.
     pub fn witness_degree(&self, t: TupleRef) -> usize {
-        self.inc.tuple_witnesses[t.atom]
-            .get(&t.index)
-            .map_or(0, Vec::len)
+        self.inc.postings[t.atom].of(t.index).len()
     }
 
     /// How many live outputs would die if every tuple of `set` were
@@ -299,8 +397,7 @@ impl DeltaProvenance {
     pub fn killed_by_set(&self, set: &[TupleRef]) -> u64 {
         let mut newly_dead: Vec<u32> = set
             .iter()
-            .filter_map(|t| self.inc.tuple_witnesses[t.atom].get(&t.index))
-            .flatten()
+            .flat_map(|t| self.inc.postings[t.atom].of(t.index))
             .copied()
             .filter(|&w| self.witness_dead[w as usize] == 0)
             .collect();
@@ -320,14 +417,14 @@ impl DeltaProvenance {
 
     /// Computes profit/count/agreement contributions of the outputs in
     /// `lo..hi` under the **current** witness liveness. Pure; disjoint
-    /// ranges may be scored from multiple threads and merged with
+    /// ranges may be scored from multiple threads and summed with
     /// [`install_scores`](Self::install_scores).
     fn score_range(&self, lo: usize, hi: usize) -> RangeScores {
         let n = self.inc.n_atoms;
         let mut scores = RangeScores {
             lo,
-            profits: vec![HashMap::new(); n],
-            counts: vec![HashMap::new(); n],
+            profits: self.inc.zero_scores(),
+            counts: self.inc.zero_scores(),
             agreed: vec![None; (hi - lo) * n],
         };
         for out in lo..hi {
@@ -340,22 +437,22 @@ impl DeltaProvenance {
                 if self.witness_dead[w as usize] != 0 {
                     continue;
                 }
-                for (atom, &t) in self.inc.tuples(w as usize).iter().enumerate() {
-                    *scores.counts[atom].entry(t).or_insert(0) += 1;
+                for (counts, &t) in scores.counts.iter_mut().zip(self.inc.tuples(w as usize)) {
+                    counts[t as usize] += 1;
                 }
             }
             let slot = &mut scores.agreed[(out - lo) * n..(out - lo + 1) * n];
             self.inc.agreement_into(&self.witness_dead, out, slot);
-            for (atom, t) in slot.iter().enumerate() {
+            for (profits, t) in scores.profits.iter_mut().zip(slot.iter()) {
                 if let Some(t) = t {
-                    *scores.profits[atom].entry(*t).or_insert(0) += 1;
+                    profits[*t as usize] += 1;
                 }
             }
         }
         scores
     }
 
-    /// Installs the merged scores of a full partition of
+    /// Installs the summed scores of a full partition of
     /// `0..output_slots()`. Must be called exactly once, before any
     /// mutation or selection.
     fn install_scores(&mut self, parts: Vec<RangeScores>) {
@@ -363,65 +460,80 @@ impl DeltaProvenance {
         assert!(self.selector.is_none());
         let n = self.inc.n_atoms;
         for part in parts {
-            for (atom, map) in part.profits.into_iter().enumerate() {
-                // adp-lint: allow(unordered-iter) -- merging partial sums
-                // by `+=`; addition commutes, so order cannot show.
-                for (t, c) in map {
-                    *self.profits[atom].entry(t).or_insert(0) += c;
-                }
-            }
-            for (atom, map) in part.counts.into_iter().enumerate() {
-                // adp-lint: allow(unordered-iter) -- merging partial sums
-                // by `+=`; addition commutes, so order cannot show.
-                for (t, c) in map {
-                    *self.counts[atom].entry(t).or_insert(0) += c;
-                }
-            }
+            add_scores(&mut self.profits, &part.profits);
+            add_scores(&mut self.counts, &part.counts);
             let at = part.lo * n;
             self.agreed[at..at + part.agreed.len()].copy_from_slice(&part.agreed);
         }
         self.scored = true;
     }
 
-    /// The maintained profit maps (`ProvenanceIndex::profits()` at the
-    /// current deletion state), one per atom. No zero entries.
-    pub fn profits(&self) -> &[HashMap<u32, u64>] {
+    /// The tuple's profit: how many live outputs its deletion alone
+    /// would remove (`ProvenanceIndex::profits()` at the current
+    /// deletion state, 0 where that map has no entry).
+    pub fn profit(&self, t: TupleRef) -> u64 {
         assert!(self.scored, "scores not installed");
-        &self.profits
+        self.profits[t.atom]
+            .get(t.index as usize)
+            .map_or(0, |&p| u64::from(p))
     }
 
-    /// The maintained live-count maps (`ProvenanceIndex::live_counts()`
-    /// at the current deletion state), one per atom. No zero entries.
-    pub fn live_counts(&self) -> &[HashMap<u32, u64>] {
+    /// The live witnesses containing the tuple
+    /// (`ProvenanceIndex::live_counts()` at the current deletion state,
+    /// 0 where that map has no entry).
+    pub fn live_count(&self, t: TupleRef) -> u64 {
         assert!(self.scored, "scores not installed");
-        &self.counts
+        self.counts[t.atom]
+            .get(t.index as usize)
+            .map_or(0, |&c| u64::from(c))
     }
 
-    /// Builds the ordered candidate sets over the atoms in `selectable`,
-    /// turning [`best_profit_candidate`](Self::best_profit_candidate) /
-    /// [`best_count_candidate`](Self::best_count_candidate) into
-    /// `O(log n)` lookups that stay current across batches.
+    /// The profit maps (`ProvenanceIndex::profits()` at the current
+    /// deletion state), one per atom. No zero entries. Builds the maps:
+    /// a round reads [`profit`](Self::profit) instead.
+    pub fn profits(&self) -> Vec<HashMap<u32, u64>> {
+        assert!(self.scored, "scores not installed");
+        score_maps(&self.profits)
+    }
+
+    /// The live-count maps (`ProvenanceIndex::live_counts()` at the
+    /// current deletion state), one per atom. No zero entries. Builds
+    /// the maps: a round reads [`live_count`](Self::live_count) instead.
+    pub fn live_counts(&self) -> Vec<HashMap<u32, u64>> {
+        assert!(self.scored, "scores not installed");
+        score_maps(&self.counts)
+    }
+
+    /// Builds the selector heaps over the atoms in `selectable`, turning
+    /// [`best_profit_candidate`](Self::best_profit_candidate) /
+    /// [`best_count_candidate`](Self::best_count_candidate) into `O(1)`
+    /// peeks that stay current across batches.
     pub fn enable_selection(&mut self, selectable: Vec<bool>) {
         assert!(self.scored, "scores not installed");
         assert_eq!(selectable.len(), self.inc.n_atoms);
-        // Collected rather than inserted one by one: the set is
-        // bulk-built from the sorted candidates.
-        let candidates = |maps: &[HashMap<u32, u64>]| -> BTreeSet<Candidate> {
-            maps.iter()
-                .enumerate()
-                .filter(|&(atom, _)| selectable[atom])
-                // adp-lint: allow(unordered-iter) -- feeds a BTreeSet;
-                // the selector's order is the set's total order.
-                .flat_map(|(atom, map)| map.iter().map(move |(&i, &s)| (s, Reverse((atom, i)))))
-                .collect()
-        };
-        let by_profit = candidates(&self.profits);
-        let by_count = candidates(&self.counts);
+        let slots = (self.inc.postings.iter().zip(&selectable))
+            .filter(|&(_, &s)| s)
+            .map(|(p, _)| p.slots())
+            .sum();
         self.selector = Some(Selector {
+            by_profit: exact_heap(&self.profits, &selectable),
+            by_count: exact_heap(&self.counts, &selectable),
             selectable,
-            by_profit,
-            by_count,
+            slots,
         });
+    }
+
+    /// Entries held by the larger selector heap and the bound past which
+    /// a settling batch rebuilds a heap; `None` before
+    /// [`enable_selection`](Self::enable_selection). Between batches the
+    /// entries never exceed the bound.
+    pub fn selection_load(&self) -> Option<(usize, usize)> {
+        self.selector.as_ref().map(|sel| {
+            (
+                sel.by_profit.len().max(sel.by_count.len()),
+                HEAP_SLACK * sel.slots,
+            )
+        })
     }
 
     /// The selectable tuple with the highest profit, ties broken toward
@@ -430,10 +542,7 @@ impl DeltaProvenance {
         // adp-lint: allow(panic-path) -- documented precondition: callers
         // enable selection first; misuse is a programming error.
         let sel = self.selector.as_ref().expect("selection not enabled");
-        sel.by_profit
-            .iter()
-            .next_back()
-            .map(|&(p, Reverse((atom, idx)))| (p, atom, idx))
+        top(&sel.by_profit)
     }
 
     /// The selectable tuple on the most live witnesses (the greedy
@@ -442,10 +551,7 @@ impl DeltaProvenance {
         // adp-lint: allow(panic-path) -- documented precondition: callers
         // enable selection first; misuse is a programming error.
         let sel = self.selector.as_ref().expect("selection not enabled");
-        sel.by_count
-            .iter()
-            .next_back()
-            .map(|&(c, Reverse((atom, idx)))| (c, atom, idx))
+        top(&sel.by_count)
     }
 
     /// Deletes one tuple. Returns the number of outputs that died.
@@ -487,18 +593,19 @@ impl DeltaProvenance {
             if !self.deleted[t.atom].insert(t.index) {
                 continue;
             }
-            let Some(ws) = inc.tuple_witnesses[t.atom].get(&t.index) else {
-                continue;
-            };
-            for &w in ws {
+            for &w in inc.postings[t.atom].of(t.index) {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd += 1;
                 if *wd != 1 {
                     continue; // was already dead through another tuple
                 }
                 self.live_witnesses -= 1;
-                for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
-                    self.count_sub(atom, tt);
+                for (counts, &tt) in self.counts.iter_mut().zip(inc.tuples(w as usize)) {
+                    let c = &mut counts[tt as usize];
+                    // adp-lint: allow(panic-path) -- incidence-structure
+                    // invariant: a count is only subtracted where it was
+                    // added; a miss means the index is corrupt.
+                    *c = c.checked_sub(1).expect("count underflow");
                 }
                 let out = inc.witness_output[w as usize];
                 let live = &mut self.output_live[out as usize];
@@ -543,10 +650,7 @@ impl DeltaProvenance {
             if !self.deleted[t.atom].remove(&t.index) {
                 continue;
             }
-            let Some(ws) = inc.tuple_witnesses[t.atom].get(&t.index) else {
-                continue;
-            };
-            for &w in ws {
+            for &w in inc.postings[t.atom].of(t.index) {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd -= 1;
                 if *wd != 0 {
@@ -554,7 +658,11 @@ impl DeltaProvenance {
                 }
                 self.live_witnesses += 1;
                 for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
-                    self.count_add(atom, tt);
+                    let c = &mut self.counts[atom][tt as usize];
+                    *c += 1;
+                    if let Some(sel) = &mut self.selector {
+                        sel.raised(Score::Count, atom, tt, *c);
+                    }
                 }
                 let out = inc.witness_output[w as usize];
                 let live = &mut self.output_live[out as usize];
@@ -574,86 +682,65 @@ impl DeltaProvenance {
     }
 
     /// Re-derives the profit contribution of every output whose witness
-    /// set changed in this batch.
+    /// set changed in this batch, then settles the selector heaps.
     fn rescore_touched(&mut self, inc: &Incidence, mut touched: Vec<u32>) {
         touched.sort_unstable();
         touched.dedup();
         let n = inc.n_atoms;
+        let mut fresh = vec![None; n];
         for out in touched {
             let out = out as usize;
-            let slot = out * n..(out + 1) * n;
-            for atom in 0..n {
-                if let Some(t) = self.agreed[slot.start + atom].take() {
-                    self.profit_sub(atom, t);
+            inc.agreement_into(&self.witness_dead, out, &mut fresh);
+            let cached = &mut self.agreed[out * n..(out + 1) * n];
+            for (atom, (old, &new)) in cached.iter_mut().zip(&fresh).enumerate() {
+                if *old == new {
+                    continue;
                 }
-            }
-            if self.output_live[out] == 0 {
-                continue;
-            }
-            inc.agreement_into(&self.witness_dead, out, &mut self.agreed[slot.clone()]);
-            for atom in 0..n {
-                if let Some(t) = self.agreed[slot.start + atom] {
-                    self.profit_add(atom, t);
+                if let Some(t) = *old {
+                    let p = &mut self.profits[atom][t as usize];
+                    // adp-lint: allow(panic-path) -- incidence-structure
+                    // invariant: a profit is only subtracted where it was
+                    // added; a miss means the index is corrupt.
+                    *p = p.checked_sub(1).expect("profit underflow");
                 }
+                if let Some(t) = new {
+                    let p = &mut self.profits[atom][t as usize];
+                    *p += 1;
+                    if let Some(sel) = &mut self.selector {
+                        sel.raised(Score::Profit, atom, t, *p);
+                    }
+                }
+                *old = new;
             }
         }
-    }
-
-    fn profit_add(&mut self, atom: usize, idx: u32) {
-        let e = self.profits[atom].entry(idx).or_insert(0);
-        let old = *e;
-        *e += 1;
-        let new = *e;
         if let Some(sel) = &mut self.selector {
-            sel.changed(Score::Profit, atom, idx, old, new);
+            sel.settle(Score::Profit, &self.profits);
+            sel.settle(Score::Count, &self.counts);
         }
     }
+}
 
-    fn profit_sub(&mut self, atom: usize, idx: u32) {
-        let e = self.profits[atom]
-            .get_mut(&idx)
-            // adp-lint: allow(panic-path) -- incidence-structure
-            // invariant: a profit is only subtracted where it was added;
-            // a miss means the index is corrupt and must not limp on.
-            .expect("profit underflow: contribution was never added");
-        let old = *e;
-        *e -= 1;
-        let new = *e;
-        if new == 0 {
-            self.profits[atom].remove(&idx);
-        }
-        if let Some(sel) = &mut self.selector {
-            sel.changed(Score::Profit, atom, idx, old, new);
-        }
-    }
+/// The heap's top as `(score, atom, idx)`. Exact between batches: every
+/// batch ends with a settle.
+fn top(heap: &BinaryHeap<Entry>) -> Option<(u64, usize, u32)> {
+    heap.peek()
+        .map(|&(s, Reverse((atom, idx)))| (u64::from(s), atom as usize, idx))
+}
 
-    fn count_add(&mut self, atom: usize, idx: u32) {
-        let e = self.counts[atom].entry(idx).or_insert(0);
-        let old = *e;
-        *e += 1;
-        let new = *e;
-        if let Some(sel) = &mut self.selector {
-            sel.changed(Score::Count, atom, idx, old, new);
-        }
-    }
-
-    fn count_sub(&mut self, atom: usize, idx: u32) {
-        let e = self.counts[atom]
-            .get_mut(&idx)
-            // adp-lint: allow(panic-path) -- incidence-structure
-            // invariant: a count is only subtracted where it was added;
-            // a miss means the index is corrupt and must not limp on.
-            .expect("count underflow: witness was never counted");
-        let old = *e;
-        *e -= 1;
-        let new = *e;
-        if new == 0 {
-            self.counts[atom].remove(&idx);
-        }
-        if let Some(sel) = &mut self.selector {
-            sel.changed(Score::Count, atom, idx, old, new);
-        }
-    }
+/// One entry per selectable tuple with a positive score: the exact
+/// heap, built by heapify.
+fn exact_heap(scores: &[Vec<u32>], selectable: &[bool]) -> BinaryHeap<Entry> {
+    let entries: Vec<Entry> = (scores.iter().zip(selectable))
+        .zip(0u32..)
+        .filter(|&((_, &selectable), _)| selectable)
+        .flat_map(|((atom, _), a)| {
+            atom.iter()
+                .zip(0u32..)
+                .filter(|&(&s, _)| s > 0)
+                .map(move |(&s, i)| (s, Reverse((a, i))))
+        })
+        .collect();
+    BinaryHeap::from(entries)
 }
 
 #[derive(Clone, Copy)]
@@ -663,19 +750,43 @@ enum Score {
 }
 
 impl Selector {
-    fn changed(&mut self, which: Score, atom: usize, idx: u32, old: u64, new: u64) {
-        if !self.selectable[atom] {
-            return;
-        }
-        let set = match which {
+    fn heap(&mut self, which: Score) -> &mut BinaryHeap<Entry> {
+        match which {
             Score::Profit => &mut self.by_profit,
             Score::Count => &mut self.by_count,
-        };
-        if old > 0 {
-            set.remove(&(old, Reverse((atom, idx))));
         }
-        if new > 0 {
-            set.insert((new, Reverse((atom, idx))));
+    }
+
+    /// Records that the tuple's score rose to `score`: the new value
+    /// becomes an upper-bound entry.
+    fn raised(&mut self, which: Score, atom: usize, idx: u32, score: u32) {
+        if self.selectable[atom] {
+            // adp-lint: allow(truncating-cast) -- atom indexes the
+            // query's body atoms, a handful.
+            self.heap(which).push((score, Reverse((atom as u32, idx))));
+        }
+    }
+
+    /// Ends a batch: rebuilds an overgrown heap, or pops stale entries
+    /// off its top until the top matches its tuple's score. A popped
+    /// entry above a still-positive score is re-pushed at that score;
+    /// one below it is covered by the entry pushed when the score rose.
+    fn settle(&mut self, which: Score, scores: &[Vec<u32>]) {
+        if self.heap(which).len() > HEAP_SLACK * self.slots {
+            let exact = exact_heap(scores, &self.selectable);
+            *self.heap(which) = exact;
+            return;
+        }
+        let heap = self.heap(which);
+        while let Some(&(stored, Reverse((atom, idx)))) = heap.peek() {
+            let current = scores[atom as usize][idx as usize];
+            if stored == current {
+                break;
+            }
+            heap.pop();
+            if stored > current && current > 0 {
+                heap.push((current, Reverse((atom, idx))));
+            }
         }
     }
 }
@@ -711,8 +822,8 @@ mod tests {
     /// same kill sequence: the maintained scores must be *equal*, not
     /// just equivalent.
     fn assert_scores_match(d: &DeltaProvenance, p: &ProvenanceIndex) {
-        assert_eq!(d.profits(), &p.profits()[..], "profit maps diverged");
-        assert_eq!(d.live_counts(), &p.live_counts()[..], "count maps diverged");
+        assert_eq!(d.profits(), p.profits(), "profit maps diverged");
+        assert_eq!(d.live_counts(), p.live_counts(), "count maps diverged");
         assert_eq!(d.live_outputs(), p.live_outputs());
         assert_eq!(d.live_witnesses(), p.live_witnesses());
     }
@@ -849,6 +960,69 @@ mod tests {
         assert_eq!(d.restore(TupleRef::new(0, 99)), 0, "unknown tuple");
         assert_eq!(d.restore(t), died);
         assert_eq!(d.restore(t), 0, "double restore is a no-op");
+    }
+
+    /// Tuples the CSR does not cover — a dangling tuple inside an atom's
+    /// range and indices past its largest participating tuple — have no
+    /// postings and score 0: deleting or restoring one toggles
+    /// `is_deleted` and changes nothing else.
+    #[test]
+    fn tuples_outside_the_postings_only_toggle_deletion() {
+        let mut db = Database::new();
+        // R(1,5) joins nothing; R(7,7) sits past every joining R tuple.
+        db.add_relation(
+            "R",
+            attrs(&["A", "B"]),
+            &[&[1, 1], &[1, 5], &[2, 2], &[7, 7]],
+        );
+        db.add_relation("S", attrs(&["B", "C"]), &[&[1, 1], &[2, 1], &[2, 2]]);
+        let atoms = vec![
+            RelationSchema::new("R", attrs(&["A", "B"])),
+            RelationSchema::new("S", attrs(&["B", "C"])),
+        ];
+        let eval = evaluate(&db, &atoms, &attrs(&["A"]));
+        let mut d = DeltaProvenance::try_new(&eval).unwrap();
+        d.enable_selection(vec![true; 2]);
+        let r = db.expect("R");
+        let outside = [
+            TupleRef::new(0, r.index_of(&[1, 5]).unwrap()),
+            TupleRef::new(0, r.index_of(&[7, 7]).unwrap()),
+            TupleRef::new(0, 1_000),
+            TupleRef::new(1, 1_000),
+        ];
+        assert!(outside[1].index > r.index_of(&[2, 2]).unwrap());
+        let snapshot = |d: &DeltaProvenance| {
+            (
+                d.profits(),
+                d.live_counts(),
+                d.live_outputs(),
+                d.live_witnesses(),
+                d.best_profit_candidate(),
+                d.best_count_candidate(),
+            )
+        };
+        let load = d.selection_load();
+        let before = snapshot(&d);
+        for t in outside {
+            assert_eq!(d.witness_degree(t), 0, "{t:?}");
+            assert_eq!(d.killed_by_set(&[t]), 0, "{t:?}");
+            assert_eq!((d.profit(t), d.live_count(t)), (0, 0), "{t:?}");
+            assert_eq!(d.delete(t), 0, "{t:?}");
+            assert!(d.is_deleted(t), "{t:?}");
+            assert_eq!(snapshot(&d), before, "{t:?}: delete changed the state");
+            assert_eq!(d.restore(t), 0, "{t:?}");
+            assert!(!d.is_deleted(t), "{t:?}");
+            assert_eq!(snapshot(&d), before, "{t:?}: restore changed the state");
+            assert_eq!(d.selection_load(), load, "{t:?}: heap entries pushed");
+        }
+        // A batch mixing them with a joining tuple kills only that
+        // tuple's witnesses, and the outside tuples stay deleted with it.
+        let mut batch = outside.to_vec();
+        batch.push(TupleRef::new(0, r.index_of(&[2, 2]).unwrap()));
+        assert_eq!(d.delete_batch(&batch), 1);
+        assert!(batch.iter().all(|&t| d.is_deleted(t)));
+        assert_eq!(d.restore_batch(&batch), 1);
+        assert_eq!(snapshot(&d), before);
     }
 
     #[test]

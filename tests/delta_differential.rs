@@ -13,7 +13,10 @@
 //! sequential rescan reference `verify::rescan_greedy`, delta-based deletion-set
 //! verification must equal masked re-execution on an independently
 //! built plan, and a prepared query serving solves from its idle
-//! rolled-back greedy state must answer exactly like a fresh one.
+//! rolled-back greedy state must answer exactly like a fresh one. The
+//! lazy-heap selector's picks must equal a brute-force argmax over the
+//! maintained scores after every batch, across heap rebuilds and on a
+//! clone evolving on its own.
 
 use adp::core::solver::{verify, AdpOptions, PreparedQuery};
 use adp::engine::delta::DeltaProvenance;
@@ -21,6 +24,8 @@ use adp::engine::plan::{AliveMask, QueryPlan};
 use adp::engine::provenance::ProvenanceIndex;
 use adp::{parse_query, Database, Query, TupleRef};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -250,6 +255,8 @@ proptest! {
                 prop_assert!(profits.keys().all(|idx| counts.contains_key(idx)));
                 for (&idx, &count) in counts {
                     let t = TupleRef::new(atom, idx);
+                    prop_assert_eq!(delta.live_count(t), count);
+                    prop_assert_eq!(delta.profit(t), profits.get(&idx).copied().unwrap_or(0));
                     let mut probe = delta.clone();
                     let died = probe.delete(t);
                     prop_assert_eq!(
@@ -317,6 +324,102 @@ proptest! {
                 verify::removed_outputs(&q, &db, &rescan_solution),
                 "{} k={}: verification paths diverged", q, k
             );
+        }
+    }
+}
+
+/// The greedy pick under `selectable`, by brute force over score maps:
+/// the highest score, ties to the smallest `(atom, idx)`.
+fn argmax(maps: &[HashMap<u32, u64>], selectable: &[bool]) -> Option<(u64, usize, u32)> {
+    maps.iter()
+        .enumerate()
+        .filter(|&(atom, _)| selectable[atom])
+        .flat_map(|(atom, map)| map.iter().map(move |(&idx, &s)| (s, atom, idx)))
+        .max_by_key(|&(s, atom, idx)| (s, Reverse((atom, idx))))
+}
+
+/// Cases of `selector_picks_the_brute_force_argmax`; the last one checks
+/// that some batch forced a heap rebuild.
+const SELECTOR_CASES: u32 = 64;
+static SELECTOR_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static SELECTOR_REBUILDS: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SELECTOR_CASES))]
+
+    /// After every random delete/restore batch, both candidates of the
+    /// lazy-heap selector equal the brute-force argmax over `profits()`
+    /// and `live_counts()` under a random selectable mask, and neither
+    /// heap holds more entries than its rebuild bound. Every batch is
+    /// followed by restore churn (restore every deleted tuple, check,
+    /// delete them again, check), whose pushes cross the bound. A clone
+    /// taken mid-sequence replays the later batches with delete and
+    /// restore swapped, and the same checks hold on both states.
+    #[test]
+    fn selector_picks_the_brute_force_argmax(
+        ((q, db, ops), mask, split) in (
+            arb_instance_and_ops(),
+            proptest::collection::vec(0u8..2, 4),
+            0usize..6,
+        )
+    ) {
+        let plan = QueryPlan::new(&db, q.atoms(), q.head());
+        let eval = plan.execute(&db, &plan.build_indexes(&db));
+        let selectable: Vec<bool> = mask[..q.atom_count()].iter().map(|&b| b == 1).collect();
+        let n_sel = selectable.iter().filter(|&&s| s).count() as u64;
+        let check = |d: &DeltaProvenance, what: &str| -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                d.best_profit_candidate(), argmax(&d.profits(), &selectable),
+                "{}: {}: profit pick", q, what
+            );
+            prop_assert_eq!(
+                d.best_count_candidate(), argmax(&d.live_counts(), &selectable),
+                "{}: {}: count pick", q, what
+            );
+            let (entries, bound) = d.selection_load().unwrap();
+            prop_assert!(entries <= bound, "{}: {}: {} entries > {}", q, what, entries, bound);
+            Ok(())
+        };
+        let mut delta = DeltaProvenance::try_new(&eval).unwrap();
+        delta.enable_selection(selectable.clone());
+        check(&delta, "enabled")?;
+        // (state, its deleted tuples, flip delete/restore?)
+        let mut states = vec![(delta, Vec::<TupleRef>::new(), false)];
+        for (i, batch) in ops.chunks(3).enumerate() {
+            if i == split {
+                let (d, deleted, _) = states[0].clone();
+                states.push((d, deleted, true));
+            }
+            for (d, deleted, flip) in &mut states {
+                let batch: Vec<Op> = batch.iter().map(|&(del, a, t)| (del ^ *flip as u8, a, t)).collect();
+                let (dels, rests) = batch_of(&q, &db, &batch, deleted);
+                for &t in &dels {
+                    if !deleted.contains(&t) {
+                        deleted.push(t);
+                    }
+                }
+                deleted.retain(|t| !rests.contains(t));
+                d.delete_batch(&dels);
+                check(d, "delete")?;
+                d.restore_batch(&rests);
+                check(d, "restore")?;
+
+                // Restore churn: each revived witness pushes one count
+                // entry per selectable atom, with no pop before the
+                // batch settles; past the bound the settle rebuilds.
+                let before = d.live_witnesses();
+                d.restore_batch(deleted);
+                let (_, bound) = d.selection_load().unwrap();
+                if (d.live_witnesses() - before) * n_sel > bound as u64 {
+                    SELECTOR_REBUILDS.fetch_add(1, Ordering::Relaxed);
+                }
+                check(d, "churn restore")?;
+                d.delete_batch(deleted);
+                check(d, "churn delete")?;
+            }
+        }
+        if SELECTOR_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == SELECTOR_CASES {
+            prop_assert!(SELECTOR_REBUILDS.load(Ordering::Relaxed) > 0, "no batch crossed the bound");
         }
     }
 }
