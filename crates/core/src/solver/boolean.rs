@@ -1,18 +1,25 @@
 //! The boolean base case: resilience via linearization and min-cut
 //! (paper §7.1, building on Freire et al. \[11\]).
 //!
-//! Pipeline: reduce the instance to its non-dangling tuples, split the
-//! query into connected components (making any one component false makes
-//! the query false), arrange each component's atoms in a *linear order*
-//! (every attribute contiguous), and build the flow network whose edges
-//! are tuples — endogenous tuples with capacity 1, exogenous tuples with
-//! capacity ∞ (they never need to be deleted, Lemma 13). The min cut is
-//! the component's resilience; the query's resilience is the component
-//! minimum.
+//! Pipeline: split the query into connected components (making any one
+//! component false makes the query false) and evaluate each; a
+//! component without witnesses makes the whole query false. Each
+//! component's witnesses name its non-dangling tuples — on a one-
+//! component root view this is the evaluation the plan already cached
+//! for `|Q(D)|`, so the instance is never re-reduced or copied. Arrange
+//! each component's atoms in a *linear order* (every attribute
+//! contiguous) and build the flow network straight over the view's
+//! database: one edge per non-dangling tuple, in (position, ascending
+//! index) order — endogenous tuples with capacity 1, exogenous tuples
+//! with capacity ∞ (they never need to be deleted, Lemma 13) — between
+//! nodes interned by boundary values in first-seen order. The min cut
+//! is the component's resilience; the query's resilience is the
+//! component minimum.
 //!
 //! Triad-free boolean queries are linearizable after these steps; if no
 //! linear order exists (the NP-hard triad case) we fall back to the
-//! greedy heuristic and mark the result inexact.
+//! greedy heuristic over the component's evaluation and mark the result
+//! inexact.
 
 use super::profile::CostProfile;
 use super::solved::{Extractor, Solved, Step};
@@ -21,12 +28,13 @@ use super::AdpOptions;
 use crate::analysis::linear::find_linear_order;
 use crate::analysis::roles::endogenous_atoms;
 use crate::error::SolveError;
+use adp_engine::join::EvalResult;
+use adp_engine::keytable::KeyTable;
 use adp_engine::provenance::TupleRef;
 use adp_engine::schema::Attr;
-use adp_engine::semijoin::remove_dangling;
 use adp_engine::value::Value;
 use adp_flow::{FlowNetwork, INF};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Solves the boolean ADP (= resilience when the query is true).
 pub(crate) fn solve_boolean(view: &View, opts: &AdpOptions) -> Result<Solved, SolveError> {
@@ -43,25 +51,27 @@ pub(crate) fn solve_boolean_with_policy(
     opts: &AdpOptions,
     deletable: &[bool],
 ) -> Result<Solved, SolveError> {
-    let atoms = view.query.atoms();
-    let reduced = remove_dangling(&view.db, atoms);
-    if reduced.db.relations().iter().any(|r| r.is_empty()) {
-        // Query is false: |Q(D)| = 0, nothing to remove.
-        return Ok(Solved::empty());
+    let comps = view.query.connected_components();
+    let single = comps.len() == 1;
+    let mut parts: Vec<(View, Arc<EvalResult>)> = Vec::with_capacity(comps.len());
+    for comp in &comps {
+        let sub = view.subview(comp);
+        // The one component is the whole query: the view's (cached)
+        // evaluation is the component's.
+        let eval = if single { view.eval() } else { sub.eval() };
+        if eval.witness_count() == 0 {
+            // Query is false: |Q(D)| = 0, nothing to remove.
+            return Ok(Solved::empty());
+        }
+        parts.push((sub, eval));
     }
-    let rview = view.rebased(
-        view.query.clone(),
-        reduced.db,
-        reduced.backmap.into_iter().map(Some).collect(),
-    );
 
     let mut best: Option<(u64, Vec<TupleRef>, bool)> = None;
     let mut all_exact = true;
     let mut truncated = false;
-    for comp in rview.query.connected_components() {
-        let sub = rview.subview(&comp);
+    for (comp, (sub, eval)) in comps.iter().zip(&parts) {
         let sub_deletable: Vec<bool> = comp.iter().map(|&i| deletable[i]).collect();
-        let (res, comp_truncated) = component_resilience(&sub, opts, &sub_deletable)?;
+        let (res, comp_truncated) = component_resilience(sub, eval, opts, &sub_deletable)?;
         truncated |= comp_truncated;
         // A budget-truncated component is not a proven "no finite cut":
         // its (possibly cheaper) resilience is simply unknown, so any
@@ -120,20 +130,21 @@ pub(crate) fn solve_boolean_with_policy(
 /// the search.
 type ComponentCut = (Option<(u64, Vec<TupleRef>, bool)>, bool);
 
-/// Resilience of one connected boolean component over a reduced view.
-/// The first slot is `None` when the deletion policy admits no finite
+/// Resilience of one connected boolean component, from its evaluation
+/// `eval` (non-empty). The first slot is `None` when the deletion policy admits no finite
 /// cut (or, on the triad path, when the wall-clock budget expired
 /// before the component could be made false); the second reports that
 /// budget truncation so the caller can distinguish "proven infinite"
 /// from "ran out of time".
 fn component_resilience(
     sub: &View,
+    eval: &EvalResult,
     opts: &AdpOptions,
     deletable: &[bool],
 ) -> Result<ComponentCut, SolveError> {
     match find_linear_order(sub.query.atoms()) {
         Some(order) => {
-            let (cost, tuples) = min_cut_resilience(sub, &order, deletable);
+            let (cost, tuples) = min_cut_resilience(sub, eval, &order, deletable);
             if cost >= INF {
                 return Ok((None, false));
             }
@@ -142,9 +153,9 @@ fn component_resilience(
         None => {
             // Triad case (NP-hard): greedy heuristic on the boolean query
             // (the subview's head is empty, so `eval` has boolean
-            // semantics).
-            let eval = sub.eval();
-            let solved = super::greedy::solve_greedy_filtered(sub, &eval, 1, deletable, opts)?;
+            // semantics). Dangling tuples join no witness, so they score
+            // 0 and are never picked.
+            let solved = super::greedy::solve_greedy_filtered(sub, eval, 1, deletable, opts)?;
             let Some(cost) = solved.min_cost(1)? else {
                 return Ok((None, solved.truncated));
             };
@@ -154,9 +165,46 @@ fn component_resilience(
     }
 }
 
-/// Builds the layered tuple-edge network for a linear atom order and
-/// returns (min cut value, cut tuples in original coordinates).
-fn min_cut_resilience(sub: &View, order: &[usize], deletable: &[bool]) -> (u64, Vec<TupleRef>) {
+/// Boundary-value nodes of a flow network, interned per boundary in
+/// first-seen order; ids 0 and 1 are the source and the sink.
+struct BoundaryNodes {
+    /// Per boundary: its distinct value keys.
+    keys: Vec<KeyTable>,
+    /// Per boundary: key id → node id.
+    ids: Vec<Vec<u32>>,
+    next: u32,
+}
+
+impl BoundaryNodes {
+    fn new(widths: impl Iterator<Item = usize>) -> Self {
+        let keys: Vec<KeyTable> = widths.map(KeyTable::new).collect();
+        BoundaryNodes {
+            ids: vec![Vec::new(); keys.len()],
+            keys,
+            next: 2,
+        }
+    }
+
+    /// The node of `key` on boundary `b`.
+    fn node(&mut self, b: usize, key: &[Value]) -> u32 {
+        let (id, fresh) = self.keys[b].intern(key);
+        if fresh {
+            self.ids[b].push(self.next);
+            self.next += 1;
+        }
+        self.ids[b][id as usize]
+    }
+}
+
+/// Builds the layered tuple-edge network for a linear atom order over
+/// the non-dangling tuples `eval` names, and returns (min cut value, cut
+/// tuples in original coordinates).
+fn min_cut_resilience(
+    sub: &View,
+    eval: &EvalResult,
+    order: &[usize],
+    deletable: &[bool],
+) -> (u64, Vec<TupleRef>) {
     let atoms = sub.query.atoms();
     // Unit capacity = "may be cut". Without a policy only endogenous
     // atoms need finite capacity (Lemma 13). With a policy the Lemma-13
@@ -170,22 +218,21 @@ fn min_cut_resilience(sub: &View, order: &[usize], deletable: &[bool]) -> (u64, 
         .map(|(e, &d)| d && (e || policy_active))
         .collect();
     let p = order.len();
+    let participating = eval.participating();
 
     // Boundary attribute sets between consecutive atoms in the order.
-    let boundaries: Vec<Vec<Attr>> = (0..p.saturating_sub(1))
+    let boundaries: Vec<Vec<&Attr>> = (0..p.saturating_sub(1))
         .map(|i| {
             atoms[order[i]]
                 .attrs()
                 .iter()
                 .filter(|a| atoms[order[i + 1]].contains(a))
-                .cloned()
                 .collect()
         })
         .collect();
 
-    // Node interning: source = 0, sink = 1, boundary-value nodes after.
-    let mut node_ids: HashMap<(usize, Vec<Value>), u32> = HashMap::new();
-    let mut next_node: u32 = 2;
+    let mut nodes = BoundaryNodes::new(boundaries.iter().map(Vec::len));
+    let mut key: Vec<Value> = Vec::new();
     let mut edges: Vec<(u32, u32, u64, u32)> = Vec::new();
     let mut edge_tuples: Vec<TupleRef> = Vec::new();
 
@@ -193,35 +240,37 @@ fn min_cut_resilience(sub: &View, order: &[usize], deletable: &[bool]) -> (u64, 
         // adp-lint: allow(panic-path) -- documented panicking lookup;
         // the flow network is built over validated subquery atoms.
         let rel = sub.db.expect(atoms[ai].name());
+        // Schema positions of the boundary attributes on either side.
+        let cols = |b: usize| -> Vec<usize> {
+            boundaries[b]
+                .iter()
+                .map(|a| {
+                    rel.schema()
+                        .position(a)
+                        // adp-lint: allow(panic-path) -- boundary
+                        // attributes are attributes of this atom.
+                        .expect("boundary attribute in schema")
+                })
+                .collect()
+        };
+        let left = (pos > 0).then(|| cols(pos - 1));
+        let right = (pos + 1 < p).then(|| cols(pos));
         let cap = if endo[ai] { 1 } else { INF };
-        for idx in rel.indices() {
-            let u = if pos == 0 {
-                0
-            } else {
-                let key = rel.project(idx, &boundaries[pos - 1]);
-                *node_ids.entry((pos - 1, key)).or_insert_with(|| {
-                    let id = next_node;
-                    next_node += 1;
-                    id
-                })
+        for &idx in &participating[ai] {
+            let mut node = |b: usize, cols: &[usize]| {
+                key.clear();
+                key.extend(cols.iter().map(|&c| rel.value_at(idx, c)));
+                nodes.node(b, &key)
             };
-            let v = if pos == p - 1 {
-                1
-            } else {
-                let key = rel.project(idx, &boundaries[pos]);
-                *node_ids.entry((pos, key)).or_insert_with(|| {
-                    let id = next_node;
-                    next_node += 1;
-                    id
-                })
-            };
+            let u = left.as_deref().map_or(0, |c| node(pos - 1, c));
+            let v = right.as_deref().map_or(1, |c| node(pos, c));
             let id = adp_engine::ids::dense_id(edge_tuples.len(), "flow edge ids");
             edge_tuples.push(sub.to_original(ai, idx));
             edges.push((u, v, cap, id));
         }
     }
 
-    let mut net = FlowNetwork::new(next_node as usize);
+    let mut net = FlowNetwork::new(nodes.next as usize);
     for &(u, v, c, id) in &edges {
         net.add_edge(u, v, c, id);
     }
@@ -340,6 +389,31 @@ mod tests {
         let (cost, tuples, _) = solve("Q() :- R1(A), R2(A,B), R3(B)", db);
         assert_eq!(cost, 1);
         assert_ne!(tuples[0], TupleRef::new(0, 1), "dangling tuple not chosen");
+    }
+
+    /// A two-attribute boundary `{A, B}` keys its nodes by both values:
+    /// `X = 1` reaches every `Y` through `(0, 1)`, while `X = 2, 3`
+    /// reach only `Y = 1` through `(0, 0)`, so two deletions suffice.
+    /// Nodes keyed by `A` alone would join every `X` to every `Y`.
+    #[test]
+    fn multi_attribute_boundaries_keep_their_nodes_apart() {
+        let mut db = Database::new();
+        db.add_relation("R0", attrs(&["X"]), &[&[1], &[2], &[3]]);
+        db.add_relation(
+            "R1",
+            attrs(&["X", "A", "B"]),
+            &[&[1, 0, 1], &[2, 0, 0], &[3, 0, 0]],
+        );
+        db.add_relation(
+            "R2",
+            attrs(&["A", "B", "Y"]),
+            &[&[0, 1, 1], &[0, 1, 2], &[0, 1, 3], &[0, 0, 1]],
+        );
+        db.add_relation("R3", attrs(&["Y"]), &[&[1], &[2], &[3]]);
+        let (cost, tuples, exact) = solve("Q() :- R0(X), R1(X,A,B), R2(A,B,Y), R3(Y)", db);
+        assert_eq!(cost, 2);
+        assert_eq!(tuples, vec![TupleRef::new(0, 0), TupleRef::new(3, 0)]);
+        assert!(exact);
     }
 
     /// Regression: an expired budget on the triad (greedy) path used to

@@ -1038,6 +1038,10 @@ mod tests {
             let idle = slot.as_ref().expect("the solve rolled back");
             idle.delta.selection_load().expect("selection is enabled")
         };
+        // Restoring the pick raises exactly 17 selectable tuples: the
+        // pick and the 16 `R3` tuples on its witnesses. Each gets one
+        // entry per heap, however many of its witnesses revived.
+        const RAISED: usize = 17;
         let mut loads = Vec::new();
         for cycle in 0..200 {
             let out = prep.solve(k, &greedy_unmemoized()).unwrap();
@@ -1052,6 +1056,15 @@ mod tests {
             );
             loads.push(entries);
         }
+        // The first cycle starts from the 32 exact entries; the delete
+        // pops the pick's stale top and the restore adds one entry per
+        // raised tuple.
+        assert_eq!(loads[0], 32 - 1 + RAISED, "loads {:?}", &loads[..6]);
+        assert!(
+            loads.windows(2).all(|w| w[1] <= w[0] + RAISED),
+            "a rollback pushed more than one entry per raised tuple: {:?}",
+            &loads[..6]
+        );
         // The restores pushed entries, and settles cut them back.
         assert!(
             loads.windows(2).any(|w| w[1] < w[0]),

@@ -52,7 +52,7 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Solved {
         case1_steps(view, ri, &eval, cap)
     } else {
         // The non-dangling Ri tuples are the ones on some witness.
-        let participating: Vec<u32> = eval.tuple_degrees().swap_remove(ri).into_keys().collect();
+        let participating = eval.participating().swap_remove(ri);
         case2_steps(view, ri, cap, &participating)
     };
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));

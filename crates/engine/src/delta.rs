@@ -31,10 +31,11 @@
 //! participating index; a tuple past that joins no witness, has empty
 //! postings and scores 0.
 //!
-//! The heaps hold upper bounds, not exact scores: a score increase
-//! pushes an entry, a decrease only writes the array, and every batch
-//! ends by popping the stale entries off the top (re-pushing the
-//! current score where it is still positive). The invariant is that
+//! The heaps hold upper bounds, not exact scores: a decrease only
+//! writes the array, and every batch ends by pushing one entry, at its
+//! final score, per tuple whose score rose in the batch, then popping
+//! the stale entries off the top (re-pushing the current score where it
+//! is still positive). The invariant is that
 //! every selectable tuple with score `s > 0` has an entry `≥ s`, so a
 //! top entry that matches its tuple's current score is the exact
 //! maximum. A heap that grows past twice its atoms' tuple slots is
@@ -86,8 +87,18 @@ struct Selector {
     /// Tuple slots of the selectable atoms: the heaps' rebuild bound is
     /// `HEAP_SLACK` times this.
     slots: usize,
-    by_profit: BinaryHeap<Entry>,
-    by_count: BinaryHeap<Entry>,
+    by_profit: LazyHeap,
+    by_count: LazyHeap,
+}
+
+/// One score's lazy max-heap.
+#[derive(Clone, Debug)]
+struct LazyHeap {
+    entries: BinaryHeap<Entry>,
+    /// Selectable `(atom, idx)` whose score rose in the current batch;
+    /// each gets one entry, at its final score, when the batch settles.
+    /// Empty between batches.
+    raised: Vec<(u32, u32)>,
 }
 
 /// Partial scores over one output range, produced by
@@ -516,8 +527,8 @@ impl DeltaProvenance {
             .map(|(p, _)| p.slots())
             .sum();
         self.selector = Some(Selector {
-            by_profit: exact_heap(&self.profits, &selectable),
-            by_count: exact_heap(&self.counts, &selectable),
+            by_profit: LazyHeap::exact(&self.profits, &selectable),
+            by_count: LazyHeap::exact(&self.counts, &selectable),
             selectable,
             slots,
         });
@@ -530,7 +541,7 @@ impl DeltaProvenance {
     pub fn selection_load(&self) -> Option<(usize, usize)> {
         self.selector.as_ref().map(|sel| {
             (
-                sel.by_profit.len().max(sel.by_count.len()),
+                sel.by_profit.entries.len().max(sel.by_count.entries.len()),
                 HEAP_SLACK * sel.slots,
             )
         })
@@ -542,7 +553,7 @@ impl DeltaProvenance {
         // adp-lint: allow(panic-path) -- documented precondition: callers
         // enable selection first; misuse is a programming error.
         let sel = self.selector.as_ref().expect("selection not enabled");
-        top(&sel.by_profit)
+        top(&sel.by_profit.entries)
     }
 
     /// The selectable tuple on the most live witnesses (the greedy
@@ -551,7 +562,7 @@ impl DeltaProvenance {
         // adp-lint: allow(panic-path) -- documented precondition: callers
         // enable selection first; misuse is a programming error.
         let sel = self.selector.as_ref().expect("selection not enabled");
-        top(&sel.by_count)
+        top(&sel.by_count.entries)
     }
 
     /// Deletes one tuple. Returns the number of outputs that died.
@@ -658,10 +669,9 @@ impl DeltaProvenance {
                 }
                 self.live_witnesses += 1;
                 for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
-                    let c = &mut self.counts[atom][tt as usize];
-                    *c += 1;
+                    self.counts[atom][tt as usize] += 1;
                     if let Some(sel) = &mut self.selector {
-                        sel.raised(Score::Count, atom, tt, *c);
+                        sel.by_count.raise(&sel.selectable, atom, tt);
                     }
                 }
                 let out = inc.witness_output[w as usize];
@@ -704,18 +714,18 @@ impl DeltaProvenance {
                     *p = p.checked_sub(1).expect("profit underflow");
                 }
                 if let Some(t) = new {
-                    let p = &mut self.profits[atom][t as usize];
-                    *p += 1;
+                    self.profits[atom][t as usize] += 1;
                     if let Some(sel) = &mut self.selector {
-                        sel.raised(Score::Profit, atom, t, *p);
+                        sel.by_profit.raise(&sel.selectable, atom, t);
                     }
                 }
                 *old = new;
             }
         }
         if let Some(sel) = &mut self.selector {
-            sel.settle(Score::Profit, &self.profits);
-            sel.settle(Score::Count, &self.counts);
+            let bound = HEAP_SLACK * sel.slots;
+            sel.by_profit.settle(&self.profits, &sel.selectable, bound);
+            sel.by_count.settle(&self.counts, &sel.selectable, bound);
         }
     }
 }
@@ -743,41 +753,44 @@ fn exact_heap(scores: &[Vec<u32>], selectable: &[bool]) -> BinaryHeap<Entry> {
     BinaryHeap::from(entries)
 }
 
-#[derive(Clone, Copy)]
-enum Score {
-    Profit,
-    Count,
-}
-
-impl Selector {
-    fn heap(&mut self, which: Score) -> &mut BinaryHeap<Entry> {
-        match which {
-            Score::Profit => &mut self.by_profit,
-            Score::Count => &mut self.by_count,
+impl LazyHeap {
+    /// The exact heap over `scores`.
+    fn exact(scores: &[Vec<u32>], selectable: &[bool]) -> Self {
+        LazyHeap {
+            entries: exact_heap(scores, selectable),
+            raised: Vec::new(),
         }
     }
 
-    /// Records that the tuple's score rose to `score`: the new value
-    /// becomes an upper-bound entry.
-    fn raised(&mut self, which: Score, atom: usize, idx: u32, score: u32) {
-        if self.selectable[atom] {
+    /// Records that the tuple's score rose in this batch.
+    fn raise(&mut self, selectable: &[bool], atom: usize, idx: u32) {
+        if selectable[atom] {
             // adp-lint: allow(truncating-cast) -- atom indexes the
             // query's body atoms, a handful.
-            self.heap(which).push((score, Reverse((atom as u32, idx))));
+            self.raised.push((atom as u32, idx));
         }
     }
 
-    /// Ends a batch: rebuilds an overgrown heap, or pops stale entries
-    /// off its top until the top matches its tuple's score. A popped
-    /// entry above a still-positive score is re-pushed at that score;
-    /// one below it is covered by the entry pushed when the score rose.
-    fn settle(&mut self, which: Score, scores: &[Vec<u32>]) {
-        if self.heap(which).len() > HEAP_SLACK * self.slots {
-            let exact = exact_heap(scores, &self.selectable);
-            *self.heap(which) = exact;
+    /// Ends a batch: pushes one entry per raised tuple at its final
+    /// score, then rebuilds the heap if it holds more than `bound`
+    /// entries, or else pops stale entries off its top until the top
+    /// matches its tuple's score. A popped entry above a still-positive
+    /// score is re-pushed at that score; one below it is covered by the
+    /// entry its rise pushed.
+    fn settle(&mut self, scores: &[Vec<u32>], selectable: &[bool], bound: usize) {
+        self.raised.sort_unstable();
+        self.raised.dedup();
+        for (atom, idx) in self.raised.drain(..) {
+            let score = scores[atom as usize][idx as usize];
+            if score > 0 {
+                self.entries.push((score, Reverse((atom, idx))));
+            }
+        }
+        if self.entries.len() > bound {
+            self.entries = exact_heap(scores, selectable);
             return;
         }
-        let heap = self.heap(which);
+        let heap = &mut self.entries;
         while let Some(&(stored, Reverse((atom, idx)))) = heap.peek() {
             let current = scores[atom as usize][idx as usize];
             if stored == current {

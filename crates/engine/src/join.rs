@@ -60,6 +60,29 @@ impl EvalResult {
         self.witnesses.len() as u64
     }
 
+    /// Per atom: the tuples on at least one witness — the non-dangling
+    /// tuples — ascending.
+    pub fn participating(&self) -> Vec<Vec<u32>> {
+        let mut on: Vec<Vec<bool>> = vec![Vec::new(); self.atom_names.len()];
+        for w in &self.witnesses {
+            for (seen, &t) in on.iter_mut().zip(w.tuples.iter()) {
+                let t = t as usize;
+                if seen.len() <= t {
+                    seen.resize(t + 1, false);
+                }
+                seen[t] = true;
+            }
+        }
+        on.into_iter()
+            .map(|seen| {
+                (0u32..)
+                    .zip(seen)
+                    .filter_map(|(i, s)| s.then_some(i))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Per atom: every tuple on at least one witness (the non-dangling
     /// tuples, ascending) mapped to the number of witnesses it is on.
     /// On a full CQ that degree is the outputs deleting the tuple

@@ -17,6 +17,8 @@
 //! * [`join`] — multiway natural join with *witness* (full-join row)
 //!   provenance and distinct head projection (one-shot wrapper over
 //!   [`plan`]),
+//! * [`keytable`] — [`KeyTable`], the flat open-addressed interner of
+//!   fixed-width value keys (join outputs, min-cut boundary nodes),
 //! * [`delta`] — [`DeltaProvenance`], the witness/output/input incidence
 //!   the solvers build, with reversible batch deletions, live-maintained
 //!   greedy scores and deletion-set counts,
@@ -38,6 +40,7 @@ pub mod delta;
 pub mod error;
 pub mod ids;
 pub mod join;
+pub mod keytable;
 pub mod naive;
 pub mod plan;
 pub mod provenance;
@@ -51,6 +54,7 @@ pub use database::Database;
 pub use delta::DeltaProvenance;
 pub use error::AdpError;
 pub use join::{evaluate, EvalResult, Witness};
+pub use keytable::KeyTable;
 pub use plan::{AliveMask, JoinIndexes, QueryPlan};
 pub use provenance::{ProvenanceIndex, TupleRef};
 pub use relation::RelationInstance;

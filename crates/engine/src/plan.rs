@@ -34,6 +34,7 @@
 use crate::catalog::RelId;
 use crate::database::Database;
 use crate::join::{EvalResult, Witness};
+use crate::keytable::KeyTable;
 use crate::provenance::TupleRef;
 use crate::relation::{RelationInstance, SegProbe};
 use crate::schema::{Attr, RelationSchema};
@@ -578,13 +579,17 @@ impl QueryPlan {
         alive: Option<&AliveMask>,
         lead_cands: &[u32],
     ) -> PartialEval {
-        let mut partial = PartialEval::default();
+        let mut partial = PartialEval {
+            outputs: KeyTable::new(self.head_slots.len()),
+            witnesses: Vec::new(),
+            witness_output: Vec::new(),
+        };
         let is_alive = |atom: usize, idx: u32| alive.is_none_or(|m| m.is_alive(atom, idx));
 
         let mut binding: Vec<Value> = vec![0; self.n_slots];
         let mut chosen: Vec<u32> = vec![0; self.rels.len()];
-        let mut output_dedup: HashMap<Box<[Value]>, u32> = HashMap::new();
         let mut key_buf: Vec<Value> = Vec::new();
+        let mut out_buf: Vec<Value> = Vec::with_capacity(self.head_slots.len());
 
         // Candidate list + cursor per depth.
         let mut cand: Vec<Vec<u32>> = vec![Vec::new(); self.steps.len()];
@@ -617,17 +622,11 @@ impl QueryPlan {
             chosen[step.atom] = idx;
 
             if depth + 1 == self.steps.len() {
-                // Complete witness.
-                let out_key: Box<[Value]> = self
-                    .head_slots
-                    .iter()
-                    .map(|&s| binding[s as usize])
-                    .collect();
-                let next_id = crate::ids::dense_id(output_dedup.len(), "output ids");
-                let out_id = *output_dedup.entry(out_key.clone()).or_insert(next_id);
-                if out_id == next_id {
-                    partial.outputs.push(out_key);
-                }
+                // Complete witness: its output key is built in a reused
+                // buffer and interned by value.
+                out_buf.clear();
+                out_buf.extend(self.head_slots.iter().map(|&s| binding[s as usize]));
+                let (out_id, _) = partial.outputs.intern(&out_buf);
                 partial.witnesses.push(Witness {
                     tuples: chosen.clone().into_boxed_slice(),
                 });
@@ -667,14 +666,13 @@ impl QueryPlan {
     /// making the merged result byte-identical to a one-chunk run.
     fn merge(&self, partials: Vec<PartialEval>) -> EvalResult {
         let mut result = self.empty_result();
-        let mut output_dedup: HashMap<Box<[Value]>, u32> = HashMap::new();
+        let mut outputs = KeyTable::new(self.head_slots.len());
         for partial in partials {
             let mut local_to_global = Vec::with_capacity(partial.outputs.len());
-            for out_key in partial.outputs {
-                let next_id = crate::ids::dense_id(output_dedup.len(), "output ids");
-                let out_id = *output_dedup.entry(out_key.clone()).or_insert(next_id);
-                if out_id == next_id {
-                    result.outputs.push(out_key);
+            for out_key in partial.outputs.keys() {
+                let (out_id, fresh) = outputs.intern(out_key);
+                if fresh {
+                    result.outputs.push(out_key.into());
                     result.output_witnesses.push(Vec::new());
                 }
                 local_to_global.push(out_id);
@@ -693,9 +691,8 @@ impl QueryPlan {
 
 /// One chunk's worth of join results: outputs in local first-seen order,
 /// witnesses in lead-candidate order, witness → local output id.
-#[derive(Default)]
 struct PartialEval {
-    outputs: Vec<Box<[Value]>>,
+    outputs: KeyTable,
     witnesses: Vec<Witness>,
     witness_output: Vec<u32>,
 }
@@ -1110,6 +1107,39 @@ mod tests {
             let par = plan.execute_chunked(&db, &idx, Some(&mask), &pool, 8);
             assert_eq!(seq, par);
             assert_eq!(seq, plan.execute_on(&db, &idx, Some(&mask), &pool));
+        }
+
+        // An arity-3 head whose 600 keys differ only in the last column:
+        // every lead tuple reaches all of them, so each chunk's output
+        // table grows several times, and every later chunk re-finds
+        // chunk 0's keys in the merge.
+        let mut wide = Database::new();
+        let leads: Vec<Vec<Value>> = (0..12).map(|b| vec![5, b]).collect();
+        let links: Vec<Vec<Value>> = (0..12).map(|b| vec![b, 9]).collect();
+        let tails: Vec<Vec<Value>> = (0..600).map(|e| vec![9, 1000 + e]).collect();
+        for (name, schema, rows) in [
+            ("R1", ["A", "B"], &leads),
+            ("R2", ["B", "C"], &links),
+            ("R3", ["C", "E"], &tails),
+        ] {
+            let rows: Vec<&[Value]> = rows.iter().map(|r| &r[..]).collect();
+            wide.add_relation(name, attrs(&schema), &rows);
+        }
+        let head = attrs(&["A", "C", "E"]);
+        let plan = QueryPlan::new(&wide, &atoms, &head);
+        let idx = plan.build_indexes_on(&wide, &pool, Some(4));
+        let seq = plan.execute_chunked(&wide, &idx, None, &pool, 1);
+        assert_eq!(seq.output_count(), 600);
+        assert_eq!(seq.witness_count(), 12 * 600);
+        let want: Vec<Vec<Value>> = (0..600).map(|e| vec![5, 9, 1000 + e]).collect();
+        assert_eq!(sorted_outputs(&seq), want);
+        assert_eq!(
+            sorted_outputs(&seq),
+            sorted_outputs(&evaluate_nested_loop(&wide, &atoms, &head))
+        );
+        for chunks in [2usize, 3, 7, 12] {
+            let par = plan.execute_chunked(&wide, &idx, None, &pool, chunks);
+            assert_eq!(seq, par, "wide head, chunks={chunks}");
         }
     }
 

@@ -44,6 +44,7 @@
 //! [`maybe_compact`]: RelationInstance::maybe_compact
 
 use crate::error::AdpError;
+use crate::keytable::{place, probe_slots, EMPTY, LOAD_DEN, LOAD_NUM};
 use crate::schema::{Attr, RelationSchema};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -51,13 +52,6 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// An owned tuple, used at API boundaries (storage itself is columnar).
 pub type Tuple = Box<[Value]>;
-
-/// Empty-slot sentinel in the dedup tables.
-const EMPTY: u32 = u32::MAX;
-
-/// Dedup table load limit: grow when `len * 8 >= capacity * 7`.
-const LOAD_NUM: usize = 7;
-const LOAD_DEN: usize = 8;
 
 /// Accounting estimate for one cached per-segment index entry (key box,
 /// posting vec headers, bucket control); mirrors the planner's estimate.
@@ -128,36 +122,6 @@ fn select_alive(tombs: &[u32], rank: u32) -> u32 {
         }
     }
     crate::ids::dense_id(lo, "tombstone ranks")
-}
-
-/// Probes an open-addressing id table (power-of-two sized, linear
-/// probing, [`EMPTY`] sentinel) for a row satisfying `eq`.
-fn probe_slots(slots: &[u32], h: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
-    if slots.is_empty() {
-        return None;
-    }
-    let mask = slots.len() - 1;
-    let mut i = (h as usize) & mask;
-    loop {
-        let e = slots[i];
-        if e == EMPTY {
-            return None;
-        }
-        if eq(e) {
-            return Some(e);
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-/// Places `row` at the first free slot of its probe sequence.
-fn place(slots: &mut [u32], h: u64, row: u32) {
-    let mask = slots.len() - 1;
-    let mut i = (h as usize) & mask;
-    while slots[i] != EMPTY {
-        i = (i + 1) & mask;
-    }
-    slots[i] = row;
 }
 
 /// The relation-local value interner: symbol → value and value → symbol.

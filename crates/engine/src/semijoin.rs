@@ -1,8 +1,12 @@
 //! GYO ear decomposition and dangling-tuple removal.
 //!
 //! A tuple is *dangling* if it participates in no full-join result (paper
-//! §7.2, footnote 2). The boolean resilience solver and `Singleton`'s case
-//! 2 both require the non-dangling reduction of the instance.
+//! §7.2, footnote 2). The solvers that need the non-dangling tuples — the
+//! boolean min-cut leaf and `Singleton`'s case 2 — read them off the
+//! evaluation they already hold
+//! ([`EvalResult::participating`](crate::join::EvalResult::participating))
+//! and never materialize a reduced instance. [`remove_dangling`] is the
+//! materializing reduction the tests compare them against.
 //!
 //! For **acyclic** queries we build a join tree via the classic GYO ear
 //! decomposition and run a Yannakakis full reducer (two semijoin passes),
@@ -179,9 +183,9 @@ fn semijoin(
 /// keep the participating tuples.
 pub fn reduce_by_witnesses(db: &Database, atoms: &[RelationSchema]) -> Reduced {
     let keep: Vec<HashSet<u32>> = evaluate(db, atoms, &[])
-        .tuple_degrees()
+        .participating()
         .into_iter()
-        .map(|m| m.into_keys().collect())
+        .map(|ts| ts.into_iter().collect())
         .collect();
     materialize(db, atoms, &keep)
 }
@@ -209,7 +213,7 @@ fn materialize(db: &Database, atoms: &[RelationSchema], keep: &[HashSet<u32>]) -
 /// Checks pairwise-consistency bookkeeping used by tests: every remaining
 /// tuple participates in at least one witness.
 pub fn is_fully_reduced(db: &Database, atoms: &[RelationSchema]) -> bool {
-    let parts = evaluate(db, atoms, &[]).tuple_degrees();
+    let parts = evaluate(db, atoms, &[]).participating();
     atoms
         .iter()
         .enumerate()

@@ -21,21 +21,31 @@ use std::collections::VecDeque;
 /// Effectively-infinite capacity for edges that must never be cut.
 pub const INF: u64 = u64::MAX / 4;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Edge {
     to: u32,
-    cap: u64,
     /// index of the reverse edge in `edges`
     rev: u32,
-    /// caller-supplied id; `u32::MAX` for reverse edges
-    id: u32,
+    cap: u64,
 }
 
 /// A directed flow network over `n` nodes.
+///
+/// Edges are stored grouped by tail node (CSR): node `u`'s residual
+/// edges are `edges[start[u]..start[u + 1]]`, each node's in the order
+/// they were added — exactly the order a per-node adjacency list would
+/// hold, so the algorithms visit edges identically, while a node's
+/// edges sit contiguously in memory. Edges added since the last run
+/// wait in `pending` and are grouped in by the next algorithm call.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
-    graph: Vec<Vec<u32>>, // node -> edge indices
+    /// `n + 1` offsets into `edges`.
+    start: Vec<u32>,
     edges: Vec<Edge>,
+    /// Per edge: the caller-supplied id; `u32::MAX` for reverse edges.
+    ids: Vec<u32>,
+    /// `(from, to, cap, id)` not yet grouped into `edges`.
+    pending: Vec<(u32, u32, u64, u32)>,
 }
 
 /// Result of a max-flow computation.
@@ -49,53 +59,121 @@ impl FlowNetwork {
     /// Creates a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            graph: vec![Vec::new(); n],
+            start: vec![0; n + 1],
             edges: Vec::new(),
+            ids: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.len()
+        self.start.len() - 1
     }
 
     /// Adds a directed edge `from → to` with capacity `cap` and a caller
     /// id used to report min-cut membership.
     pub fn add_edge(&mut self, from: u32, to: u32, cap: u64, id: u32) {
-        // adp-lint: allow(truncating-cast) -- edge ids mirror the
-        // caller's u32 id space (builders mint ids via dense_id); a
-        // graph cannot hold 2^32 edges of 2^32-addressable nodes.
-        let e = self.edges.len() as u32;
-        self.graph[from as usize].push(e);
-        self.edges.push(Edge {
-            to,
-            cap,
-            rev: e + 1,
-            id,
-        });
-        self.graph[to as usize].push(e + 1);
-        self.edges.push(Edge {
-            to: from,
-            cap: 0,
-            rev: e,
-            id: u32::MAX,
-        });
+        assert!(
+            (from as usize) < self.node_count() && (to as usize) < self.node_count(),
+            "edge {from} -> {to} outside the network's {} nodes",
+            self.node_count()
+        );
+        self.pending.push((from, to, cap, id));
+    }
+
+    /// The residual edges leaving `u`, as indices into `edges`.
+    #[inline]
+    fn out(&self, u: u32) -> std::ops::Range<usize> {
+        self.start[u as usize] as usize..self.start[u as usize + 1] as usize
+    }
+
+    /// Groups the pending edges in: a stable counting sort of every
+    /// residual edge by tail node, grouped edges before pending ones, so
+    /// each node keeps its edges in insertion order.
+    fn group(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let n = self.node_count();
+        // Tail node of every edge, grouped edges first, then each pending
+        // edge as its forward and reverse pair.
+        let mut tails: Vec<u32> = Vec::with_capacity(self.edges.len() + 2 * self.pending.len());
+        for u in 0..n {
+            let len = self.start[u + 1] - self.start[u];
+            // adp-lint: allow(truncating-cast) -- u < n, and node ids are
+            // u32 by the add_edge signature.
+            tails.extend(std::iter::repeat_n(u as u32, len as usize));
+        }
+        for &(from, to, _, _) in &self.pending {
+            tails.push(from);
+            tails.push(to);
+        }
+        let mut start = vec![0u32; n + 1];
+        for &t in &tails {
+            start[t as usize + 1] += 1;
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut next = start.clone();
+        let pos: Vec<u32> = tails
+            .iter()
+            .map(|&t| {
+                let p = next[t as usize];
+                next[t as usize] += 1;
+                p
+            })
+            .collect();
+        let grouped = self.edges.len();
+        let mut edges = vec![
+            Edge {
+                to: 0,
+                rev: 0,
+                cap: 0,
+            };
+            tails.len()
+        ];
+        let mut ids = vec![u32::MAX; tails.len()];
+        for ((e, &id), &p) in self.edges.iter().zip(&self.ids).zip(&pos) {
+            edges[p as usize] = Edge {
+                rev: pos[e.rev as usize],
+                ..*e
+            };
+            ids[p as usize] = id;
+        }
+        for (i, &(from, to, cap, id)) in self.pending.iter().enumerate() {
+            let (f, r) = (pos[grouped + 2 * i], pos[grouped + 2 * i + 1]);
+            edges[f as usize] = Edge { to, rev: r, cap };
+            edges[r as usize] = Edge {
+                to: from,
+                rev: f,
+                cap: 0,
+            };
+            ids[f as usize] = id;
+        }
+        self.start = start;
+        self.edges = edges;
+        self.ids = ids;
+        self.pending.clear();
     }
 
     /// Dinic's algorithm. Mutates residual capacities in place.
     pub fn max_flow_dinic(&mut self, s: u32, t: u32) -> MaxFlow {
         assert_ne!(s, t, "source and sink must differ");
-        let n = self.graph.len();
+        self.group();
+        let n = self.node_count();
         let mut flow = 0u64;
+        let mut level = vec![u32::MAX; n];
+        let mut it = vec![0usize; n];
+        let mut q = VecDeque::new();
         loop {
             // BFS level graph
-            let mut level = vec![u32::MAX; n];
+            level.fill(u32::MAX);
             level[s as usize] = 0;
-            let mut q = VecDeque::new();
             q.push_back(s);
             while let Some(u) = q.pop_front() {
-                for &ei in &self.graph[u as usize] {
-                    let e = &self.edges[ei as usize];
+                for e in &self.edges[self.out(u)] {
                     if e.cap > 0 && level[e.to as usize] == u32::MAX {
                         level[e.to as usize] = level[u as usize] + 1;
                         q.push_back(e.to);
@@ -106,13 +184,17 @@ impl FlowNetwork {
                 break;
             }
             // DFS blocking flow with iteration pointers
-            let mut it = vec![0usize; n];
+            for (u, i) in it.iter_mut().enumerate() {
+                *i = self.start[u] as usize;
+            }
             loop {
                 let pushed = self.dfs(s, t, INF * 4, &level, &mut it);
                 if pushed == 0 {
                     break;
                 }
-                flow += pushed;
+                // Saturating: several INF paths are one infinite flow,
+                // never a wrapped finite one.
+                flow = flow.saturating_add(pushed);
             }
         }
         MaxFlow { value: flow }
@@ -122,8 +204,9 @@ impl FlowNetwork {
         if u == t {
             return limit;
         }
-        while it[u as usize] < self.graph[u as usize].len() {
-            let ei = self.graph[u as usize][it[u as usize]] as usize;
+        let end = self.start[u as usize + 1] as usize;
+        while it[u as usize] < end {
+            let ei = it[u as usize];
             let (to, cap) = (self.edges[ei].to, self.edges[ei].cap);
             if cap > 0 && level[to as usize] == level[u as usize] + 1 {
                 let pushed = self.dfs(to, t, limit.min(cap), level, it);
@@ -143,17 +226,18 @@ impl FlowNetwork {
     /// Kept for differential testing against Dinic.
     pub fn max_flow_edmonds_karp(&mut self, s: u32, t: u32) -> MaxFlow {
         assert_ne!(s, t, "source and sink must differ");
-        let n = self.graph.len();
+        self.group();
+        let n = self.node_count();
         let mut flow = 0u64;
         loop {
-            let mut pred: Vec<Option<u32>> = vec![None; n]; // edge index into node
+            let mut pred: Vec<Option<usize>> = vec![None; n]; // edge index into node
             let mut q = VecDeque::new();
             q.push_back(s);
             let mut seen = vec![false; n];
             seen[s as usize] = true;
             'bfs: while let Some(u) = q.pop_front() {
-                for &ei in &self.graph[u as usize] {
-                    let e = &self.edges[ei as usize];
+                for ei in self.out(u) {
+                    let e = &self.edges[ei];
                     if e.cap > 0 && !seen[e.to as usize] {
                         seen[e.to as usize] = true;
                         pred[e.to as usize] = Some(ei);
@@ -173,7 +257,7 @@ impl FlowNetwork {
             while v != s {
                 // adp-lint: allow(panic-path) -- pred is set for every
                 // vertex on the BFS-found augmenting path being walked.
-                let ei = pred[v as usize].unwrap() as usize;
+                let ei = pred[v as usize].unwrap();
                 bottleneck = bottleneck.min(self.edges[ei].cap);
                 v = self.edges[self.edges[ei].rev as usize].to;
             }
@@ -181,28 +265,28 @@ impl FlowNetwork {
             while v != s {
                 // adp-lint: allow(panic-path) -- same augmenting-path
                 // invariant as the bottleneck walk above.
-                let ei = pred[v as usize].unwrap() as usize;
+                let ei = pred[v as usize].unwrap();
                 self.edges[ei].cap -= bottleneck;
                 let rev = self.edges[ei].rev as usize;
                 self.edges[rev].cap += bottleneck;
                 v = self.edges[rev].to;
             }
-            flow += bottleneck;
+            flow = flow.saturating_add(bottleneck);
         }
         MaxFlow { value: flow }
     }
 
     /// After a max-flow run, returns the ids of the original edges that
     /// cross the min cut (source side → sink side, saturated).
-    pub fn min_cut(&self, s: u32) -> Vec<u32> {
-        let n = self.graph.len();
+    pub fn min_cut(&mut self, s: u32) -> Vec<u32> {
+        self.group();
+        let n = self.node_count();
         let mut reach = vec![false; n];
         reach[s as usize] = true;
         let mut q = VecDeque::new();
         q.push_back(s);
         while let Some(u) = q.pop_front() {
-            for &ei in &self.graph[u as usize] {
-                let e = &self.edges[ei as usize];
+            for e in &self.edges[self.out(u)] {
                 if e.cap > 0 && !reach[e.to as usize] {
                     reach[e.to as usize] = true;
                     q.push_back(e.to);
@@ -210,13 +294,13 @@ impl FlowNetwork {
             }
         }
         let mut cut = Vec::new();
-        for e in &self.edges {
-            if e.id == u32::MAX {
+        for (e, &id) in self.edges.iter().zip(&self.ids) {
+            if id == u32::MAX {
                 continue; // reverse edge
             }
             let from = self.edges[e.rev as usize].to;
             if reach[from as usize] && !reach[e.to as usize] {
-                cut.push(e.id);
+                cut.push(id);
             }
         }
         cut.sort_unstable();
@@ -394,6 +478,20 @@ mod tests {
             nontrivial_cuts >= 50,
             "generator must produce plenty of non-empty cuts ({nontrivial_cuts})"
         );
+    }
+
+    /// Five INF paths sum past `u64::MAX`: the total saturates instead
+    /// of wrapping to a value below INF (or panicking in debug builds).
+    #[test]
+    fn parallel_inf_paths_stay_infinite() {
+        let edges: Vec<(u32, u32, u64, u32)> = (0..5).map(|id| (0, 1, INF, id)).collect();
+        let (v, _) = min_cut_value_and_edges(2, &edges, 0, 1);
+        assert!(v >= INF, "dinic: {v}");
+        let mut ek = FlowNetwork::new(2);
+        for &(u, w, c, id) in &edges {
+            ek.add_edge(u, w, c, id);
+        }
+        assert!(ek.max_flow_edmonds_karp(0, 1).value >= INF);
     }
 
     #[test]
