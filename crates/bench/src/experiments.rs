@@ -18,6 +18,11 @@ use adp_engine::database::Database;
 use adp_engine::schema::attr;
 use std::time::Instant;
 
+/// A plan's output keys, in output id order.
+fn output_rows(prep: &adp_core::solver::PreparedQuery) -> Vec<Box<[adp_engine::Value]>> {
+    prep.eval().outputs().map(Box::from).collect()
+}
+
 fn greedy_opts() -> AdpOptions {
     AdpOptions {
         force_greedy: true,
@@ -668,12 +673,13 @@ fn effective_ops(
 /// sequential greedy solve at every single epoch (soft check;
 /// divergence fails the process at exit).
 ///
-/// The gate is what push saves: the work per batch must not grow with
-/// the number of subscribers. Every fan-out must count exactly one
-/// shared advance per batch (`shared_delta_applications == batches`),
-/// and push ms/batch at N = 64 may be at most
-/// [`SUBSCRIBE_FLATNESS_BOUND`] times push ms/batch at N = 1. The whole
-/// record is written as `BENCH_subscribe.json`.
+/// The gate is what push saves: a subscriber adds a send, not an
+/// advance. Every fan-out must count exactly one shared advance per
+/// batch (`shared_delta_applications == batches`), and the
+/// per-subscriber increment of push ms/batch, `(push(64) − push(1)) /
+/// 63`, may be at most [`SUBSCRIBE_INCREMENT_BOUND`] times the shared
+/// advance-and-solve span per batch at N = 1. The whole record is
+/// written as `BENCH_subscribe.json`.
 ///
 /// The mutation span is additionally split: a third, subscriber-free
 /// service absorbs the same batches so the O(Δ) **snapshot install**
@@ -718,6 +724,7 @@ pub fn fig_subscribe() {
     );
     let mut results = Vec::new();
     let mut push_per_batch = Vec::new();
+    let mut apply_per_batch = Vec::new();
 
     for &subs_n in &fan_outs {
         // --- Push arm: register once, then every batch fans out. ----
@@ -743,10 +750,9 @@ pub fn fig_subscribe() {
         let prep0 = PreparedQuery::new(q.clone(), snap0);
         let mut rows: BTreeMap<u32, Box<[Value]>> = prep0
             .eval()
-            .outputs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i as u32, r.clone()))
+            .outputs()
+            .zip(0u32..)
+            .map(|(r, i)| (i, r.into()))
             .collect();
         let seed_out = prep0
             .solve(k.min(prep0.output_count()), &seq_greedy())
@@ -851,7 +857,7 @@ pub fn fig_subscribe() {
 
             let (epoch, snap) = push_svc.snapshot();
             let prep = PreparedQuery::new(q.clone(), snap);
-            let mut fresh_rows: Vec<Box<[Value]>> = prep.eval().outputs.to_vec();
+            let mut fresh_rows = output_rows(&prep);
             fresh_rows.sort();
             let mut replica_rows: Vec<Box<[Value]>> = rows.values().cloned().collect();
             replica_rows.sort();
@@ -939,22 +945,23 @@ pub fn fig_subscribe() {
                 .field("lagged_drops", stats.lagged_drops),
         );
         push_per_batch.push(push_per);
+        apply_per_batch.push(apply_per);
     }
     fig.finish();
 
-    // The gate: push cost per batch is flat in the fan-out.
-    let flatness = push_per_batch[fan_outs.len() - 1] / push_per_batch[0];
-    println!(
-        "  push flatness: N={} / N={} = {flatness:.2}x (bound {SUBSCRIBE_FLATNESS_BOUND}x)",
-        fan_outs[2], fan_outs[0]
+    // The gate: one more subscriber costs a small share of the shared
+    // advance and solve at N = 1.
+    let flatness = push_per_batch[2] / push_per_batch[0];
+    let increment = (push_per_batch[2] - push_per_batch[0]) / (fan_outs[2] - fan_outs[0]) as f64;
+    let share = increment / apply_per_batch[0];
+    let summary = format!(
+        "fig_subscribe: each subscriber past the first adds {:.2} us per batch, {share:.3} of \
+         the shared advance/solve {:.2} us (bound {SUBSCRIBE_INCREMENT_BOUND})",
+        increment * 1e3,
+        apply_per_batch[0] * 1e3
     );
-    crate::checks::check(flatness <= SUBSCRIBE_FLATNESS_BOUND, || {
-        format!(
-            "fig_subscribe: push ms/batch grew {flatness:.2}x from {} to {} subscribers \
-             (bound {SUBSCRIBE_FLATNESS_BOUND}x)",
-            fan_outs[0], fan_outs[2]
-        )
-    });
+    println!("  push N=64 / N=1 = {flatness:.2}x; {summary}");
+    crate::checks::check(share <= SUBSCRIBE_INCREMENT_BOUND, || summary);
 
     crate::write_record(
         "fig-subscribe",
@@ -964,17 +971,18 @@ pub fn fig_subscribe() {
             .field("batch_size", batch_size)
             .field("k", k)
             .field("push_flatness_64_over_1", num(flatness, 2))
-            .field("push_flatness_bound", num(SUBSCRIBE_FLATNESS_BOUND, 1))
+            .field("push_increment_ms_per_subscriber", num(increment, 5))
+            .field("push_increment_bound", num(SUBSCRIBE_INCREMENT_BOUND, 2))
             .field("results", results),
     );
 }
 
-/// `fig_subscribe`'s gate: push ms/batch at 64 subscribers over push
-/// ms/batch at 1 subscriber. With one shared advance and one solve per
-/// batch the ratio measured 0.93–1.72 in nine `--quick --threads 2` runs
-/// and 1.09–1.31 in four full runs (2-vCPU container); a service that
-/// advances the state once per subscriber measured 12.6 and 5.8.
-pub const SUBSCRIBE_FLATNESS_BOUND: f64 = 3.0;
+/// `fig_subscribe`'s gate: the per-subscriber increment of push
+/// ms/batch over the shared advance-and-solve span at one subscriber.
+/// Unlike a ratio of push totals at 64 and 1 subscribers, it does not
+/// rise when the shared advance gets faster. A subscriber that advances
+/// the state itself adds about half that span or more.
+pub const SUBSCRIBE_INCREMENT_BOUND: f64 = 0.2;
 
 /// `fig_htap`: the copy-on-write snapshot layer under HTAP load — the
 /// acceptance harness for the O(Δ) write path.
@@ -1123,7 +1131,7 @@ pub fn fig_htap() {
                     sampled.next().expect("one sampled epoch per sampled round"),
                 );
                 let oracle = PreparedQuery::new(q.clone(), Arc::new(fresh));
-                crate::checks::check_eq(&cow.eval().outputs, &oracle.eval().outputs, || {
+                crate::checks::check_eq(&output_rows(&cow), &output_rows(&oracle), || {
                     format!(
                         "fig_htap n={n}: epoch {} diverged from the fresh rebuild",
                         round + 1
@@ -1377,9 +1385,9 @@ pub fn fig_htap() {
         workload_seed(0x47A9),
         true,
     )));
-    let pinned_eval = PreparedQuery::new(q.clone(), pinned).eval();
-    let fresh_eval = PreparedQuery::new(q.clone(), fresh0).eval();
-    crate::checks::check_eq(&pinned_eval.outputs, &fresh_eval.outputs, || {
+    let pinned_rows = output_rows(&PreparedQuery::new(q.clone(), pinned));
+    let fresh_rows = output_rows(&PreparedQuery::new(q.clone(), fresh0));
+    crate::checks::check_eq(&pinned_rows, &fresh_rows, || {
         "fig_htap: pinned epoch 0 drifted under the storm".to_string()
     });
 

@@ -208,11 +208,14 @@ pub(crate) fn solve_drastic(view: &View, eval: &EvalResult, cap: u64) -> Solved 
     // (prefix length needed, atom, profit-sorted tuple order)
     type Candidate = (usize, usize, Vec<(u32, u64)>);
     let mut best: Option<Candidate> = None;
-    for (atom, map) in counts.iter().enumerate() {
+    for (atom, atom_counts) in counts.iter().enumerate() {
         if !endo[atom] {
             continue;
         }
-        let mut order: Vec<(u32, u64)> = map.iter().map(|(&i, &c)| (i, c)).collect();
+        let mut order: Vec<(u32, u64)> = (0u32..)
+            .zip(atom_counts)
+            .filter_map(|(i, &c)| (c > 0).then_some((i, u64::from(c))))
+            .collect();
         order.sort_by_key(|&(i, c)| (std::cmp::Reverse(c), i));
         let mut cum = 0u64;
         let mut needed = order.len();

@@ -867,6 +867,28 @@ mod tests {
         assert!(Arc::ptr_eq(&e1, &e2), "evaluation must be computed once");
     }
 
+    /// The plan stores its evaluation once: the delta template (built
+    /// sequentially or on the pool) and every state cloned from it read
+    /// the witness → tuple, witness → output and output → witness arrays
+    /// of `PlannedEval::eval()` itself, not a copy.
+    #[test]
+    fn delta_template_shares_the_evaluation() {
+        let q = parse_query("Q2(A,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
+        for parallel in [false, true] {
+            let prep = PreparedQuery::new(q.clone(), Arc::new(figure1()));
+            let eval = prep.eval();
+            let template = prep.planned.delta_template(parallel).unwrap();
+            let state = DeltaProvenance::clone(&template);
+            for delta in [&*template, &state] {
+                let shared = delta.eval();
+                assert!(shared.shares_storage(&eval), "parallel={parallel}");
+                assert!(std::ptr::eq(shared.witness(0), eval.witness(0)));
+                assert!(std::ptr::eq(shared.witnesses_of(0), eval.witnesses_of(0)));
+                assert_eq!(shared.output_of(3), eval.output_of(3));
+            }
+        }
+    }
+
     #[test]
     fn eval_is_computed_once_under_concurrent_first_use() {
         let q = parse_query("Q1(A,B,C,E) :- R1(A,B), R2(B,C), R3(C,E)").unwrap();
@@ -932,7 +954,10 @@ mod tests {
         assert!(Arc::ptr_eq(rebound.database(), &next));
         let fresh = PreparedQuery::new(rebound.query().clone(), next);
         assert_eq!(rebound.output_count(), fresh.output_count());
-        assert_eq!(rebound.eval().outputs, fresh.eval().outputs);
+        assert_eq!(
+            rebound.eval().outputs().collect::<Vec<_>>(),
+            fresh.eval().outputs().collect::<Vec<_>>()
+        );
         // The original binding still answers over its own epoch.
         assert_eq!(prep.output_count(), 4);
     }
@@ -1385,9 +1410,9 @@ mod tests {
     /// The base output ids live in a fresh evaluation of `dead`'s epoch.
     fn live_ids(q: &Query, db: &Arc<Database>, base: &PreparedQuery, dead: &DeadSet) -> Vec<u32> {
         let fresh = PreparedQuery::new(q.clone(), epoch_of(db, dead)).eval();
-        let live: BTreeSet<_> = fresh.outputs.iter().collect();
+        let live: BTreeSet<_> = fresh.outputs().collect();
         (0u32..)
-            .zip(base.eval().outputs.iter())
+            .zip(base.eval().outputs())
             .filter(|(_, row)| live.contains(row))
             .map(|(id, _)| id)
             .collect()

@@ -13,6 +13,7 @@
 use super::profile::CostProfile;
 use super::solved::{Extractor, Solved, Step};
 use super::view::View;
+use adp_engine::join::EvalResult;
 use adp_engine::value::Value;
 use std::collections::HashMap;
 
@@ -51,59 +52,20 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Solved {
     let steps = if case1 {
         case1_steps(view, ri, &eval, cap)
     } else {
-        // The non-dangling Ri tuples are the ones on some witness.
-        let participating = eval.participating().swap_remove(ri);
-        case2_steps(view, ri, cap, &participating)
+        case2_steps(view, ri, &eval, cap)
     };
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
     Solved::eager(profile, Extractor::Steps(steps), true, total)
 }
 
-/// Case 1: sort `Ri` tuples by decreasing profit (outputs owned).
-fn case1_steps(view: &View, ri: usize, eval: &adp_engine::join::EvalResult, cap: u64) -> Vec<Step> {
-    let q = &view.query;
-    let atom = &q.atoms()[ri];
-    // adp-lint: allow(panic-path) -- documented panicking lookup; the
-    // view's atoms were validated against the database at construction.
-    let rel = view.db.expect(atom.name());
-    // positions of attr(Ri) within the head (outputs are head-ordered)
-    let head = q.head();
-    let positions: Vec<usize> = atom
-        .attrs()
-        .iter()
-        .map(|a| {
-            head.iter()
-                .position(|h| h == a)
-                // adp-lint: allow(panic-path) -- case 1 applies only when
-                // attr(Ri) ⊆ head; the dispatcher checked that.
-                .expect("case 1: attr ⊆ head")
-        })
-        .collect();
-    // order attr values as in the relation's own schema for index lookups
-    let schema_order: Vec<usize> = rel
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| {
-            atom.attrs()
-                .iter()
-                .position(|x| x == a)
-                // adp-lint: allow(panic-path) -- both orderings enumerate
-                // the same attribute set of atom Ri.
-                .expect("schemas share attrs")
-        })
-        .collect();
-
+/// Case 1: sort `Ri` tuples by decreasing profit (outputs owned). An
+/// output fixes the values of `attr(Ri) ⊆ head`, so every witness of it
+/// uses the one `Ri` tuple it projects onto: that tuple owns it.
+fn case1_steps(view: &View, ri: usize, eval: &EvalResult, cap: u64) -> Vec<Step> {
     let mut profit: HashMap<u32, u64> = HashMap::new();
-    for out in &eval.outputs {
-        let projected: Vec<Value> = positions.iter().map(|&p| out[p]).collect();
-        let keyed: Vec<Value> = schema_order.iter().map(|&i| projected[i]).collect();
-        let idx = rel
-            .index_of(&keyed)
-            // adp-lint: allow(panic-path) -- join semantics: each output
-            // row is witnessed by a real Ri tuple it projects back onto.
-            .expect("every output projects onto an existing Ri tuple");
-        *profit.entry(idx).or_insert(0) += 1;
+    for o in 0..eval.output_count() as usize {
+        let w = eval.witnesses_of(o)[0] as usize;
+        *profit.entry(eval.witness(w)[ri]).or_insert(0) += 1;
     }
     // adp-lint: allow(unordered-iter) -- collected then immediately
     // sorted on a total key; hash order never escapes.
@@ -127,24 +89,21 @@ fn case1_steps(view: &View, ri: usize, eval: &adp_engine::join::EvalResult, cap:
     steps
 }
 
-/// Case 2: group the non-dangling `Ri` tuples (`participating`) by
-/// output; sort outputs by increasing group size.
-fn case2_steps(view: &View, ri: usize, cap: u64, participating: &[u32]) -> Vec<Step> {
-    let q = &view.query;
-    let atom = &q.atoms()[ri];
-    // adp-lint: allow(panic-path) -- documented panicking lookup; the
-    // view's atoms were validated against the database at construction.
-    let rel = view.db.expect(atom.name());
-    let head = q.head().to_vec();
-
-    let mut groups: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-    for &idx in participating {
-        groups.entry(rel.project(idx, &head)).or_default().push(idx);
-    }
-    // adp-lint: allow(unordered-iter) -- collected then immediately
-    // sorted on a total key; hash order never escapes.
-    let mut order: Vec<(Vec<u32>, Vec<Value>)> = groups.into_iter().map(|(k, v)| (v, k)).collect();
-    order.sort_by(|a, b| (a.0.len(), &a.1).cmp(&(b.0.len(), &b.1)));
+/// Case 2: an output costs the non-dangling `Ri` tuples projecting onto
+/// it (`head ⊆ attr(Ri)`): the distinct `Ri` tuples on its witnesses.
+/// Sort outputs by increasing cost.
+fn case2_steps(view: &View, ri: usize, eval: &EvalResult, cap: u64) -> Vec<Step> {
+    let mut order: Vec<(Vec<u32>, &[Value])> = (0..eval.output_count() as usize)
+        .map(|o| {
+            let mut tuples: Vec<u32> = (eval.witnesses_of(o).iter())
+                .map(|&w| eval.witness(w as usize)[ri])
+                .collect();
+            tuples.sort_unstable();
+            tuples.dedup();
+            (tuples, eval.output(o))
+        })
+        .collect();
+    order.sort_by(|a, b| (a.0.len(), a.1).cmp(&(b.0.len(), b.1)));
 
     let mut steps = Vec::new();
     let (mut removed, mut cost) = (0u64, 0u64);

@@ -45,9 +45,11 @@
 //! touched} |witnesses(o)| · p)` plus logarithmic heap pushes and pops:
 //! `O(Δ)` in the affected incidence, independent of `|Q(D)|`.
 //!
-//! The state splits in two. The *incidence* — which tuples each witness
-//! joins, which output it supports, and the inverse postings — never
-//! changes after construction and is shared by `Arc`: cloning a
+//! The state splits in two. The *incidence* never changes after
+//! construction and is shared by `Arc`. Which tuples each witness joins,
+//! which output it supports and each output's witnesses are the
+//! [`EvalResult`]'s own flat arrays, held by reference count and never
+//! copied; only the inverse postings are built here. Cloning a
 //! [`DeltaProvenance`] copies only the per-state scores, heaps and
 //! liveness (flat vectors, no per-witness allocation), so a solver can
 //! keep several independent states over one evaluation cheaply.
@@ -63,7 +65,7 @@
 //! the workspace proptest suite does exactly that after every batch.
 
 use crate::error::AdpError;
-use crate::join::EvalResult;
+use crate::join::{Csr, EvalResult};
 use crate::provenance::TupleRef;
 use adp_runtime::ThreadPool;
 use std::cmp::Reverse;
@@ -116,61 +118,30 @@ struct RangeScores {
     agreed: Vec<Option<u32>>,
 }
 
-/// One atom's inverse postings in CSR form: the witnesses containing
-/// tuple `i` are `witnesses[offsets[i]..offsets[i + 1]]`, ascending.
-#[derive(Debug)]
-struct Postings {
-    /// `slots() + 1` entries; `offsets[0] == 0`.
-    offsets: Vec<u32>,
-    witnesses: Vec<u32>,
-}
-
-impl Postings {
-    /// Tuple indices covered: the largest participating index + 1.
-    fn slots(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Witnesses containing tuple `idx`; empty past the covered range.
-    fn of(&self, idx: u32) -> &[u32] {
-        let i = idx as usize;
-        if i >= self.slots() {
-            return &[];
-        }
-        &self.witnesses[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
 /// The immutable incidence of one evaluation, shared by every state
 /// cloned from the same build.
 #[derive(Debug)]
 struct Incidence {
-    /// witness → tuple index per atom (query-atom order), `n_atoms`
-    /// slots per witness.
-    witness_tuples: Vec<u32>,
-    witness_output: Vec<u32>,
-    output_witnesses: Vec<Vec<u32>>,
-    /// per atom: tuple index → witnesses containing it.
-    postings: Vec<Postings>,
-    n_atoms: usize,
+    /// The evaluation: witness tuples, witness → output and output →
+    /// witnesses, shared with every other holder of it.
+    eval: EvalResult,
+    /// Per atom: tuple index → the witnesses containing it, ascending.
+    /// Each covers the atom's largest participating index.
+    postings: Vec<Csr>,
 }
 
 impl Incidence {
-    fn tuples(&self, w: usize) -> &[u32] {
-        &self.witness_tuples[w * self.n_atoms..(w + 1) * self.n_atoms]
-    }
-
     /// Writes the per-atom sole killers of `out` — the tuple all its
     /// live witnesses agree on, if any — into `dst`. All `None` when no
     /// witness is alive.
     fn agreement_into(&self, witness_dead: &[u32], out: usize, dst: &mut [Option<u32>]) {
         let mut any = false;
-        for &w in &self.output_witnesses[out] {
+        for &w in self.eval.witnesses_of(out) {
             let w = w as usize;
             if witness_dead[w] != 0 {
                 continue;
             }
-            let tuples = self.tuples(w);
+            let tuples = self.eval.witness(w);
             if any {
                 for (slot, &t) in dst.iter_mut().zip(tuples) {
                     if *slot != Some(t) {
@@ -191,30 +162,8 @@ impl Incidence {
 
     /// One zeroed score per covered tuple slot, per atom.
     fn zero_scores(&self) -> Vec<Vec<u32>> {
-        self.postings.iter().map(|p| vec![0; p.slots()]).collect()
+        self.postings.iter().map(|p| vec![0; p.lists()]).collect()
     }
-}
-
-/// Builds one atom's CSR postings over the flat witness → tuple array
-/// (`n_atoms` slots per witness) by counting sort on the tuple index.
-fn build_postings(witness_tuples: &[u32], n_atoms: usize, atom: usize) -> Postings {
-    let column = || witness_tuples.iter().skip(atom).step_by(n_atoms);
-    let slots = column().max().map_or(0, |&t| t as usize + 1);
-    let mut offsets = vec![0u32; slots + 1];
-    for &t in column() {
-        offsets[t as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut next = offsets[..slots].to_vec();
-    let mut witnesses = vec![0u32; witness_tuples.len() / n_atoms];
-    for (&t, w) in column().zip(0u32..) {
-        let at = &mut next[t as usize];
-        witnesses[*at as usize] = w;
-        *at += 1;
-    }
-    Postings { offsets, witnesses }
 }
 
 /// Adds `src` into `dst` slot by slot.
@@ -312,35 +261,28 @@ impl DeltaProvenance {
     /// mutation is rejected until [`install_scores`](Self::install_scores)
     /// ran.
     fn new_unscored(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
-        let witnesses = result.witnesses.len() as u64;
+        let witnesses = result.witness_count();
         let cap = cap.min(u32::MAX as u64);
         if witnesses > cap {
             return Err(AdpError::TooManyWitnesses { witnesses, cap });
         }
-        let n_atoms = result.atom_names.len();
-        let mut witness_tuples = Vec::with_capacity(result.witnesses.len() * n_atoms);
-        for w in &result.witnesses {
-            witness_tuples.extend_from_slice(&w.tuples);
-        }
+        let n_atoms = result.atom_count();
+        // Inverse postings: each atom's column of witness tuples, grouped
+        // by tuple index.
         let postings = (0..n_atoms)
-            .map(|atom| build_postings(&witness_tuples, n_atoms, atom))
+            .map(|atom| Csr::group(result.column(atom)))
             .collect();
         let inc = Incidence {
-            witness_tuples,
-            witness_output: result.witness_output.clone(),
-            output_witnesses: result.output_witnesses.clone(),
+            eval: result.clone(),
             postings,
-            n_atoms,
         };
-        let outputs = result.outputs.len();
+        let outputs = inc.eval.output_count() as usize;
         Ok(DeltaProvenance {
-            witness_dead: vec![0; result.witnesses.len()],
-            output_live: result
-                .output_witnesses
-                .iter()
+            witness_dead: vec![0; witnesses as usize],
+            output_live: (0..outputs)
                 // adp-lint: allow(truncating-cast) -- per-output witness
                 // lists are subsets of the cap-checked witness set.
-                .map(|ws| ws.len() as u32)
+                .map(|o| result.witnesses_of(o).len() as u32)
                 .collect(),
             deleted: vec![HashSet::new(); n_atoms],
             live_outputs: outputs as u64,
@@ -354,19 +296,25 @@ impl DeltaProvenance {
         })
     }
 
+    /// The evaluation this state was built over; it shares, not copies,
+    /// its arrays ([`EvalResult::shares_storage`]).
+    pub fn eval(&self) -> &EvalResult {
+        &self.inc.eval
+    }
+
     /// Number of atoms in the underlying query.
     pub fn atom_count(&self) -> usize {
-        self.inc.n_atoms
+        self.inc.eval.atom_count()
     }
 
     /// Output slots (live or dead), `|Q(D)|`.
     pub fn output_slots(&self) -> usize {
-        self.inc.output_witnesses.len()
+        self.output_live.len()
     }
 
     /// Witness slots (live or dead).
     pub fn witness_slots(&self) -> usize {
-        self.inc.witness_output.len()
+        self.witness_dead.len()
     }
 
     /// Outputs still alive: `|Q(D − S)|` for the current deletion set.
@@ -398,7 +346,7 @@ impl DeltaProvenance {
     /// [`delete`](Self::delete) or [`restore`](Self::restore) of it
     /// costs.
     pub fn witness_degree(&self, t: TupleRef) -> usize {
-        self.inc.postings[t.atom].of(t.index).len()
+        self.inc.postings[t.atom].of(t.index as usize).len()
     }
 
     /// How many live outputs would die if every tuple of `set` were
@@ -408,7 +356,7 @@ impl DeltaProvenance {
     pub fn killed_by_set(&self, set: &[TupleRef]) -> u64 {
         let mut newly_dead: Vec<u32> = set
             .iter()
-            .flat_map(|t| self.inc.postings[t.atom].of(t.index))
+            .flat_map(|t| self.inc.postings[t.atom].of(t.index as usize))
             .copied()
             .filter(|&w| self.witness_dead[w as usize] == 0)
             .collect();
@@ -416,7 +364,7 @@ impl DeltaProvenance {
         newly_dead.dedup();
         let mut outputs: Vec<u32> = newly_dead
             .iter()
-            .map(|&w| self.inc.witness_output[w as usize])
+            .map(|&w| self.inc.eval.output_of(w as usize))
             .collect();
         outputs.sort_unstable();
         // An output dies iff the set kills every one of its live witnesses.
@@ -431,7 +379,7 @@ impl DeltaProvenance {
     /// ranges may be scored from multiple threads and summed with
     /// [`install_scores`](Self::install_scores).
     fn score_range(&self, lo: usize, hi: usize) -> RangeScores {
-        let n = self.inc.n_atoms;
+        let n = self.atom_count();
         let mut scores = RangeScores {
             lo,
             profits: self.inc.zero_scores(),
@@ -444,11 +392,15 @@ impl DeltaProvenance {
             }
             // Every witness belongs to exactly one output, so per-output
             // iteration partitions the witness set too.
-            for &w in &self.inc.output_witnesses[out] {
+            for &w in self.inc.eval.witnesses_of(out) {
                 if self.witness_dead[w as usize] != 0 {
                     continue;
                 }
-                for (counts, &t) in scores.counts.iter_mut().zip(self.inc.tuples(w as usize)) {
+                for (counts, &t) in scores
+                    .counts
+                    .iter_mut()
+                    .zip(self.inc.eval.witness(w as usize))
+                {
                     counts[t as usize] += 1;
                 }
             }
@@ -469,7 +421,7 @@ impl DeltaProvenance {
     fn install_scores(&mut self, parts: Vec<RangeScores>) {
         assert!(!self.scored, "scores already installed");
         assert!(self.selector.is_none());
-        let n = self.inc.n_atoms;
+        let n = self.atom_count();
         for part in parts {
             add_scores(&mut self.profits, &part.profits);
             add_scores(&mut self.counts, &part.counts);
@@ -521,10 +473,10 @@ impl DeltaProvenance {
     /// peeks that stay current across batches.
     pub fn enable_selection(&mut self, selectable: Vec<bool>) {
         assert!(self.scored, "scores not installed");
-        assert_eq!(selectable.len(), self.inc.n_atoms);
+        assert_eq!(selectable.len(), self.atom_count());
         let slots = (self.inc.postings.iter().zip(&selectable))
             .filter(|&(_, &s)| s)
-            .map(|(p, _)| p.slots())
+            .map(|(p, _)| p.lists())
             .sum();
         self.selector = Some(Selector {
             by_profit: LazyHeap::exact(&self.profits, &selectable),
@@ -604,21 +556,21 @@ impl DeltaProvenance {
             if !self.deleted[t.atom].insert(t.index) {
                 continue;
             }
-            for &w in inc.postings[t.atom].of(t.index) {
+            for &w in inc.postings[t.atom].of(t.index as usize) {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd += 1;
                 if *wd != 1 {
                     continue; // was already dead through another tuple
                 }
                 self.live_witnesses -= 1;
-                for (counts, &tt) in self.counts.iter_mut().zip(inc.tuples(w as usize)) {
+                for (counts, &tt) in self.counts.iter_mut().zip(inc.eval.witness(w as usize)) {
                     let c = &mut counts[tt as usize];
                     // adp-lint: allow(panic-path) -- incidence-structure
                     // invariant: a count is only subtracted where it was
                     // added; a miss means the index is corrupt.
                     *c = c.checked_sub(1).expect("count underflow");
                 }
-                let out = inc.witness_output[w as usize];
+                let out = inc.eval.output_of(w as usize);
                 let live = &mut self.output_live[out as usize];
                 *live -= 1;
                 if *live == 0 {
@@ -661,20 +613,20 @@ impl DeltaProvenance {
             if !self.deleted[t.atom].remove(&t.index) {
                 continue;
             }
-            for &w in inc.postings[t.atom].of(t.index) {
+            for &w in inc.postings[t.atom].of(t.index as usize) {
                 let wd = &mut self.witness_dead[w as usize];
                 *wd -= 1;
                 if *wd != 0 {
                     continue; // still dead through another tuple
                 }
                 self.live_witnesses += 1;
-                for (atom, &tt) in inc.tuples(w as usize).iter().enumerate() {
+                for (atom, &tt) in inc.eval.witness(w as usize).iter().enumerate() {
                     self.counts[atom][tt as usize] += 1;
                     if let Some(sel) = &mut self.selector {
                         sel.by_count.raise(&sel.selectable, atom, tt);
                     }
                 }
-                let out = inc.witness_output[w as usize];
+                let out = inc.eval.output_of(w as usize);
                 let live = &mut self.output_live[out as usize];
                 *live += 1;
                 if *live == 1 {
@@ -696,7 +648,7 @@ impl DeltaProvenance {
     fn rescore_touched(&mut self, inc: &Incidence, mut touched: Vec<u32>) {
         touched.sort_unstable();
         touched.dedup();
-        let n = inc.n_atoms;
+        let n = inc.eval.atom_count();
         let mut fresh = vec![None; n];
         for out in touched {
             let out = out as usize;
@@ -896,6 +848,10 @@ mod tests {
         let pristine = DeltaProvenance::try_new(&eval).unwrap();
         let mut d = pristine.clone();
         assert!(Arc::ptr_eq(&d.inc, &pristine.inc));
+        assert!(
+            d.eval().shares_storage(&eval),
+            "the incidence is the eval's"
+        );
         assert!(d.delete(TupleRef::new(1, 1)) + d.delete(TupleRef::new(0, 0)) > 0);
         let p = ProvenanceIndex::new(&eval);
         assert_scores_match(&pristine, &p);

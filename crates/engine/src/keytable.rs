@@ -112,6 +112,11 @@ impl KeyTable {
         })
     }
 
+    /// The key arena: key `id` at `id * stride..(id + 1) * stride`.
+    pub fn into_keys(self) -> Vec<Value> {
+        self.keys
+    }
+
     /// The id of `key`, interning it first if new; the flag reports
     /// whether it was.
     pub fn intern(&mut self, key: &[Value]) -> (u32, bool) {

@@ -14,14 +14,14 @@
 //! * [`plan`] — compiled [`QueryPlan`]s: join order and index specs
 //!   computed once, indexes cached in [`JoinIndexes`], re-evaluation
 //!   under [`AliveMask`] deletion states without rebuilds,
-//! * [`join`] — multiway natural join with *witness* (full-join row)
-//!   provenance and distinct head projection (one-shot wrapper over
-//!   [`plan`]),
+//! * [`join`] — [`EvalResult`], the flat, `Arc`-shared layout of an
+//!   evaluation: *witness* (full-join row) provenance and distinct head
+//!   projections, plus the one-shot [`evaluate`] wrapper over [`plan`],
 //! * [`keytable`] — [`KeyTable`], the flat open-addressed interner of
 //!   fixed-width value keys (join outputs, min-cut boundary nodes),
-//! * [`delta`] — [`DeltaProvenance`], the witness/output/input incidence
-//!   the solvers build, with reversible batch deletions, live-maintained
-//!   greedy scores and deletion-set counts,
+//! * [`delta`] — [`DeltaProvenance`], the incidence the solvers build
+//!   over a shared [`EvalResult`], with reversible batch deletions,
+//!   live-maintained greedy scores and deletion-set counts,
 //! * [`provenance`] — [`TupleRef`] and the rescan reference incidence
 //!   ([`ProvenanceIndex`]) the delta layer is tested against,
 //! * [`semijoin`] — GYO ear decomposition and a Yannakakis-style full
@@ -53,7 +53,7 @@ pub use catalog::{AttrId, Catalog, RelId};
 pub use database::Database;
 pub use delta::DeltaProvenance;
 pub use error::AdpError;
-pub use join::{evaluate, EvalResult, Witness};
+pub use join::{evaluate, EvalResult};
 pub use keytable::KeyTable;
 pub use plan::{AliveMask, JoinIndexes, QueryPlan};
 pub use provenance::{ProvenanceIndex, TupleRef};

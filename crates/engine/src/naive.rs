@@ -7,7 +7,7 @@
 //! who want a second opinion on tiny instances).
 
 use crate::database::Database;
-use crate::join::{EvalResult, Witness};
+use crate::join::EvalResult;
 use crate::relation::RelationInstance;
 use crate::schema::{Attr, RelationSchema};
 use crate::value::Value;
@@ -104,28 +104,29 @@ fn resolve<'a>(db: &'a Database, atoms: &[RelationSchema], head: &[Attr]) -> Res
 pub fn evaluate_nested_loop(db: &Database, atoms: &[RelationSchema], head: &[Attr]) -> EvalResult {
     assert!(!atoms.is_empty(), "cannot evaluate a query with no atoms");
     let resolved = resolve(db, atoms, head);
-
-    let mut result = EvalResult {
-        atom_names: atoms.iter().map(|a| a.name().to_owned()).collect(),
-        head: head.to_vec(),
-        ..Default::default()
-    };
-    if resolved.instances.iter().any(|r| r.is_empty()) {
-        return result;
+    let mut found = Found::default();
+    if resolved.instances.iter().all(|r| !r.is_empty()) {
+        let mut chosen = vec![0u32; atoms.len()];
+        let mut binding = vec![0 as Value; resolved.n_slots];
+        nested(&resolved, 0, &mut chosen, &mut binding, &mut found);
     }
+    EvalResult::from_parts(
+        atoms.len(),
+        head.len(),
+        found.witness_tuples,
+        found.witness_output,
+        found.outputs,
+    )
+}
 
-    let mut output_dedup: HashMap<Box<[Value]>, u32> = HashMap::new();
-    let mut chosen = vec![0u32; atoms.len()];
-    let mut binding = vec![0 as Value; resolved.n_slots];
-    nested(
-        &resolved,
-        0,
-        &mut chosen,
-        &mut binding,
-        &mut result,
-        &mut output_dedup,
-    );
-    result
+/// The witnesses found so far, in the flat [`EvalResult`] layout, with
+/// the oracle's own output dedup.
+#[derive(Default)]
+struct Found {
+    witness_tuples: Vec<u32>,
+    witness_output: Vec<u32>,
+    outputs: Vec<Value>,
+    output_ids: HashMap<Box<[Value]>, u32>,
 }
 
 fn nested(
@@ -133,8 +134,7 @@ fn nested(
     depth: usize,
     chosen: &mut [u32],
     binding: &mut [Value],
-    result: &mut EvalResult,
-    output_dedup: &mut HashMap<Box<[Value]>, u32>,
+    found: &mut Found,
 ) {
     if depth == r.instances.len() {
         if !consistent(r, chosen, binding) {
@@ -146,23 +146,18 @@ fn nested(
             .iter()
             .map(|&(i, pos)| r.instances[i].tuple(chosen[i])[pos])
             .collect();
-        let next_id = crate::ids::dense_id(output_dedup.len(), "output ids");
-        let out_id = *output_dedup.entry(out_key.clone()).or_insert(next_id);
+        let next_id = crate::ids::dense_id(found.output_ids.len(), "output ids");
+        let out_id = *found.output_ids.entry(out_key.clone()).or_insert(next_id);
         if out_id == next_id {
-            result.outputs.push(out_key);
-            result.output_witnesses.push(Vec::new());
+            found.outputs.extend_from_slice(&out_key);
         }
-        let wid = crate::ids::dense_id(result.witnesses.len(), "witness ids");
-        result.witnesses.push(Witness {
-            tuples: chosen.to_vec().into_boxed_slice(),
-        });
-        result.witness_output.push(out_id);
-        result.output_witnesses[out_id as usize].push(wid);
+        found.witness_tuples.extend_from_slice(chosen);
+        found.witness_output.push(out_id);
         return;
     }
     for idx in r.instances[depth].indices() {
         chosen[depth] = idx;
-        nested(r, depth + 1, chosen, binding, result, output_dedup);
+        nested(r, depth + 1, chosen, binding, found);
     }
 }
 
@@ -188,13 +183,13 @@ mod tests {
     use crate::schema::attrs;
 
     fn sorted_outputs(r: &EvalResult) -> Vec<Vec<Value>> {
-        let mut v: Vec<Vec<Value>> = r.outputs.iter().map(|o| o.to_vec()).collect();
+        let mut v: Vec<Vec<Value>> = r.outputs().map(<[Value]>::to_vec).collect();
         v.sort();
         v
     }
 
     fn sorted_witnesses(r: &EvalResult) -> Vec<Vec<u32>> {
-        let mut v: Vec<Vec<u32>> = r.witnesses.iter().map(|w| w.tuples.to_vec()).collect();
+        let mut v: Vec<Vec<u32>> = r.witnesses().map(<[u32]>::to_vec).collect();
         v.sort();
         v
     }

@@ -33,7 +33,7 @@
 
 use crate::catalog::RelId;
 use crate::database::Database;
-use crate::join::{EvalResult, Witness};
+use crate::join::EvalResult;
 use crate::keytable::KeyTable;
 use crate::provenance::TupleRef;
 use crate::relation::{RelationInstance, SegProbe};
@@ -79,10 +79,6 @@ pub struct QueryPlan {
     head_slots: Box<[u32]>,
     /// Total number of binding slots.
     n_slots: usize,
-    /// Relation name per atom, for [`EvalResult`] compatibility.
-    atom_names: Vec<String>,
-    /// Head attributes, for [`EvalResult`] compatibility.
-    head: Vec<Attr>,
 }
 
 /// One atom's hash index: bound-attr key → tuple indices.
@@ -374,8 +370,6 @@ impl QueryPlan {
             steps: steps.into(),
             head_slots: head_slots.into(),
             n_slots: n_slots as usize,
-            atom_names: atoms.iter().map(|a| a.name().to_owned()).collect(),
-            head: head.to_vec(),
         }
     }
 
@@ -506,17 +500,18 @@ impl QueryPlan {
     /// Convenience for one-shot callers: build indexes and execute.
     pub fn execute_once(&self, db: &Database) -> EvalResult {
         if self.rels.iter().any(|&r| db.relation_by_id(r).is_empty()) {
-            return self.empty_result();
+            return self.merge(Vec::new());
         }
         let indexes = self.build_indexes(db);
         self.execute(db, &indexes)
     }
 
-    fn empty_result(&self) -> EvalResult {
-        EvalResult {
-            atom_names: self.atom_names.clone(),
-            head: self.head.clone(),
-            ..Default::default()
+    /// A chunk result with no witnesses yet.
+    fn empty_partial(&self) -> PartialEval {
+        PartialEval {
+            outputs: KeyTable::new(self.head_slots.len()),
+            witness_tuples: Vec::new(),
+            witness_output: Vec::new(),
         }
     }
 
@@ -534,9 +529,6 @@ impl QueryPlan {
         chunks: usize,
     ) -> EvalResult {
         let instances: Vec<_> = self.rels.iter().map(|&r| db.relation_by_id(r)).collect();
-        if instances.iter().any(|r| r.is_empty()) {
-            return self.empty_result();
-        }
         let lead = self.steps[0].atom;
         let cands: Vec<u32> = instances[lead]
             .indices()
@@ -579,11 +571,7 @@ impl QueryPlan {
         alive: Option<&AliveMask>,
         lead_cands: &[u32],
     ) -> PartialEval {
-        let mut partial = PartialEval {
-            outputs: KeyTable::new(self.head_slots.len()),
-            witnesses: Vec::new(),
-            witness_output: Vec::new(),
-        };
+        let mut partial = self.empty_partial();
         let is_alive = |atom: usize, idx: u32| alive.is_none_or(|m| m.is_alive(atom, idx));
 
         let mut binding: Vec<Value> = vec![0; self.n_slots];
@@ -622,14 +610,13 @@ impl QueryPlan {
             chosen[step.atom] = idx;
 
             if depth + 1 == self.steps.len() {
-                // Complete witness: its output key is built in a reused
-                // buffer and interned by value.
+                // Complete witness: its tuples are appended to the flat
+                // array and its output key, built in a reused buffer, is
+                // interned by value.
                 out_buf.clear();
                 out_buf.extend(self.head_slots.iter().map(|&s| binding[s as usize]));
                 let (out_id, _) = partial.outputs.intern(&out_buf);
-                partial.witnesses.push(Witness {
-                    tuples: chosen.clone().into_boxed_slice(),
-                });
+                partial.witness_tuples.extend_from_slice(&chosen);
                 partial.witness_output.push(out_id);
                 continue;
             }
@@ -659,41 +646,38 @@ impl QueryPlan {
         partial
     }
 
-    /// Concatenates partial results in chunk order, remapping each
-    /// chunk's local output ids to global first-seen ids. Because chunks
-    /// cover the lead candidates in ascending contiguous slices, the
-    /// concatenation visits witnesses in exactly the sequential order —
-    /// making the merged result byte-identical to a one-chunk run.
+    /// Concatenates partial results in chunk order, remapping each later
+    /// chunk's local output ids to global first-seen ids (the first
+    /// chunk's local ids are already global). Because chunks cover the
+    /// lead candidates in ascending contiguous slices, the concatenation
+    /// visits witnesses in exactly the sequential order — making the
+    /// merged result byte-identical to a one-chunk run. The output table's
+    /// key arena becomes the result's output keys.
     fn merge(&self, partials: Vec<PartialEval>) -> EvalResult {
-        let mut result = self.empty_result();
-        let mut outputs = KeyTable::new(self.head_slots.len());
+        let mut partials = partials.into_iter();
+        let mut all = partials.next().unwrap_or_else(|| self.empty_partial());
         for partial in partials {
-            let mut local_to_global = Vec::with_capacity(partial.outputs.len());
-            for out_key in partial.outputs.keys() {
-                let (out_id, fresh) = outputs.intern(out_key);
-                if fresh {
-                    result.outputs.push(out_key.into());
-                    result.output_witnesses.push(Vec::new());
-                }
-                local_to_global.push(out_id);
-            }
-            for (w, local) in partial.witnesses.into_iter().zip(partial.witness_output) {
-                let wid = crate::ids::dense_id(result.witnesses.len(), "witness ids");
-                let out_id = local_to_global[local as usize];
-                result.witnesses.push(w);
-                result.witness_output.push(out_id);
-                result.output_witnesses[out_id as usize].push(wid);
-            }
+            let keys = partial.outputs.keys();
+            let local_to_global: Vec<u32> = keys.map(|k| all.outputs.intern(k).0).collect();
+            let global = partial
+                .witness_output
+                .iter()
+                .map(|&l| local_to_global[l as usize]);
+            all.witness_output.extend(global);
+            all.witness_tuples.extend(partial.witness_tuples);
         }
-        result
+        let (atoms, head) = (self.rels.len(), self.head_slots.len());
+        let outputs = all.outputs.into_keys();
+        EvalResult::from_parts(atoms, head, all.witness_tuples, all.witness_output, outputs)
     }
 }
 
 /// One chunk's worth of join results: outputs in local first-seen order,
-/// witnesses in lead-candidate order, witness → local output id.
+/// witnesses in lead-candidate order (their tuples back to back, one
+/// slot per atom), witness → local output id.
 struct PartialEval {
     outputs: KeyTable,
-    witnesses: Vec<Witness>,
+    witness_tuples: Vec<u32>,
     witness_output: Vec<u32>,
 }
 
@@ -846,13 +830,13 @@ mod tests {
     }
 
     fn sorted_outputs(r: &EvalResult) -> Vec<Vec<Value>> {
-        let mut v: Vec<Vec<Value>> = r.outputs.iter().map(|o| o.to_vec()).collect();
+        let mut v: Vec<Vec<Value>> = r.outputs().map(<[Value]>::to_vec).collect();
         v.sort();
         v
     }
 
     fn sorted_witnesses(r: &EvalResult) -> Vec<Vec<u32>> {
-        let mut v: Vec<Vec<u32>> = r.witnesses.iter().map(|w| w.tuples.to_vec()).collect();
+        let mut v: Vec<Vec<u32>> = r.witnesses().map(<[u32]>::to_vec).collect();
         v.sort();
         v
     }
@@ -921,8 +905,8 @@ mod tests {
         assert_eq!(sorted_outputs(&masked), sorted_outputs(&reference));
         assert_eq!(masked.witness_count(), reference.witness_count());
         // Original indices survive masking.
-        for w in &masked.witnesses {
-            assert!(mask.is_alive(2, w.tuples[2]));
+        for w in masked.witnesses() {
+            assert!(mask.is_alive(2, w[2]));
         }
     }
 

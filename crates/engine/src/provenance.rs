@@ -44,18 +44,15 @@ impl TupleRef {
 /// Incidence structure over an [`EvalResult`] supporting deletion.
 #[derive(Clone, Debug)]
 pub struct ProvenanceIndex {
-    /// witness → tuple index per atom (copied from the eval result).
-    witness_tuples: Vec<Box<[u32]>>,
-    witness_output: Vec<u32>,
+    /// The evaluation (shared, not copied): witness tuples, witness →
+    /// output and output → witnesses.
+    eval: EvalResult,
     witness_alive: Vec<bool>,
     /// output → live witness count.
     output_live: Vec<u32>,
-    /// output → its witnesses (static).
-    output_witnesses: Vec<Vec<u32>>,
     /// per atom: tuple index → witnesses containing it.
     tuple_witnesses: Vec<HashMap<u32, Vec<u32>>>,
     live_outputs: u64,
-    n_atoms: usize,
 }
 
 impl ProvenanceIndex {
@@ -81,34 +78,28 @@ impl ProvenanceIndex {
     /// [`try_new`](Self::try_new) with an injected witness-id cap, so the
     /// overflow guard is testable without materializing 4B witnesses.
     pub fn try_new_with_cap(result: &EvalResult, cap: u64) -> Result<Self, AdpError> {
-        let witnesses = result.witnesses.len() as u64;
+        let witnesses = result.witness_count();
         if witnesses > cap {
             return Err(AdpError::TooManyWitnesses { witnesses, cap });
         }
-        let n_atoms = result.atom_names.len();
-        let mut tuple_witnesses: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); n_atoms];
-        for (wid, w) in result.witnesses.iter().enumerate() {
-            for (atom, &t) in w.tuples.iter().enumerate() {
-                // adp-lint: allow(truncating-cast) -- wid enumerates
-                // result.witnesses, cap-checked above.
-                tuple_witnesses[atom].entry(t).or_default().push(wid as u32);
+        let mut tuple_witnesses: Vec<HashMap<u32, Vec<u32>>> =
+            vec![HashMap::new(); result.atom_count()];
+        for (w, wid) in result.witnesses().zip(0u32..) {
+            for (atom, &t) in w.iter().enumerate() {
+                tuple_witnesses[atom].entry(t).or_default().push(wid);
             }
         }
+        let outputs = result.output_count();
         Ok(ProvenanceIndex {
-            witness_tuples: result.witnesses.iter().map(|w| w.tuples.clone()).collect(),
-            witness_output: result.witness_output.clone(),
-            witness_alive: vec![true; result.witnesses.len()],
-            output_live: result
-                .output_witnesses
-                .iter()
+            eval: result.clone(),
+            witness_alive: vec![true; result.witnesses().len()],
+            output_live: (0..outputs as usize)
                 // adp-lint: allow(truncating-cast) -- per-output witness
                 // lists are subsets of the cap-checked witness set.
-                .map(|ws| ws.len() as u32)
+                .map(|o| result.witnesses_of(o).len() as u32)
                 .collect(),
-            output_witnesses: result.output_witnesses.clone(),
             tuple_witnesses,
-            live_outputs: result.outputs.len() as u64,
-            n_atoms,
+            live_outputs: outputs,
         })
     }
 
@@ -135,7 +126,7 @@ impl ProvenanceIndex {
                 continue;
             }
             self.witness_alive[w] = false;
-            let out = self.witness_output[w] as usize;
+            let out = self.eval.output_of(w) as usize;
             self.output_live[out] -= 1;
             if self.output_live[out] == 0 {
                 died += 1;
@@ -151,20 +142,20 @@ impl ProvenanceIndex {
     ///
     /// Cost: one pass over live witnesses, `O(live_witnesses · p)`.
     pub fn profits(&self) -> Vec<HashMap<u32, u64>> {
-        let mut profits: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.n_atoms];
+        let mut profits: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.eval.atom_count()];
         // For each output: find, per atom, whether all live witnesses agree
         // on the tuple used. Agreeing tuples are sole killers.
-        for (out, ws) in self.output_witnesses.iter().enumerate() {
-            if self.output_live[out] == 0 {
+        for (out, &live) in self.output_live.iter().enumerate() {
+            if live == 0 {
                 continue;
             }
             let mut agreed: Option<Vec<Option<u32>>> = None;
-            for &w in ws {
+            for &w in self.eval.witnesses_of(out) {
                 let w = w as usize;
                 if !self.witness_alive[w] {
                     continue;
                 }
-                let tuples = &self.witness_tuples[w];
+                let tuples = self.eval.witness(w);
                 match agreed.as_mut() {
                     None => {
                         agreed = Some(tuples.iter().map(|&t| Some(t)).collect());
@@ -194,8 +185,8 @@ impl ProvenanceIndex {
     /// Number of live witnesses each input tuple participates in, per
     /// atom. Used as a greedy tie-breaker when no tuple is a sole killer.
     pub fn live_counts(&self) -> Vec<HashMap<u32, u64>> {
-        let mut counts: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.n_atoms];
-        for (w, tuples) in self.witness_tuples.iter().enumerate() {
+        let mut counts: Vec<HashMap<u32, u64>> = vec![HashMap::new(); self.eval.atom_count()];
+        for (w, tuples) in self.eval.witnesses().enumerate() {
             if !self.witness_alive[w] {
                 continue;
             }
@@ -339,12 +330,23 @@ mod tests {
             RelationSchema::new("R2", attrs(&["A", "B"])),
         ];
         let r = evaluate(&db, &atoms, &attrs(&["A"]));
-        let degrees = r.tuple_degrees();
+        let degrees: Vec<BTreeMap<u32, u64>> = r
+            .tuple_degrees()
+            .iter()
+            .map(|counts| {
+                (0u32..)
+                    .zip(counts)
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(t, &c)| (t, u64::from(c)))
+                    .collect()
+            })
+            .collect();
         let parts: Vec<Vec<u32>> = degrees
             .iter()
             .map(|m| m.keys().copied().collect())
             .collect();
         assert_eq!(parts, vec![vec![0, 1], vec![0, 1, 2]]);
+        assert_eq!(parts, r.participating());
         assert_eq!(degrees[0][&1], 2, "R1(2) joins two R2 tuples");
         let counts = ProvenanceIndex::new(&r).live_counts();
         for (atom, map) in degrees.iter().enumerate() {

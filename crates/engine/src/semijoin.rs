@@ -3,8 +3,8 @@
 //! A tuple is *dangling* if it participates in no full-join result (paper
 //! §7.2, footnote 2). The solvers that need the non-dangling tuples — the
 //! boolean min-cut leaf and `Singleton`'s case 2 — read them off the
-//! evaluation they already hold
-//! ([`EvalResult::participating`](crate::join::EvalResult::participating))
+//! evaluation they already hold (its witnesses, or
+//! [`EvalResult::participating`](crate::join::EvalResult::participating))
 //! and never materialize a reduced instance. [`remove_dangling`] is the
 //! materializing reduction the tests compare them against.
 //!
@@ -19,7 +19,7 @@ use crate::join::evaluate;
 use crate::relation::RelationInstance;
 use crate::schema::{Attr, RelationSchema};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A join tree over query atoms: `parent[i]` is the parent atom of atom
 /// `i` (`None` for the root). Produced by GYO when the query is acyclic.
@@ -127,7 +127,7 @@ pub fn full_reduce(db: &Database, atoms: &[RelationSchema], tree: &JoinTree) -> 
         for k in keep.iter_mut() {
             k.clear();
         }
-        return materialize(db, atoms, &keep);
+        return materialize(db, atoms, keep);
     }
 
     // Pass 1 (leaf → root): parent ⋉ child, in elimination order.
@@ -148,7 +148,7 @@ pub fn full_reduce(db: &Database, atoms: &[RelationSchema], tree: &JoinTree) -> 
             k.clear();
         }
     }
-    materialize(db, atoms, &keep)
+    materialize(db, atoms, keep)
 }
 
 /// `keep[target] ⋉ keep[source]`: drop target tuples whose projection on
@@ -182,23 +182,22 @@ fn semijoin(
 /// Witness-based reduction for cyclic queries: evaluate the full join and
 /// keep the participating tuples.
 pub fn reduce_by_witnesses(db: &Database, atoms: &[RelationSchema]) -> Reduced {
-    let keep: Vec<HashSet<u32>> = evaluate(db, atoms, &[])
-        .participating()
-        .into_iter()
-        .map(|ts| ts.into_iter().collect())
-        .collect();
-    materialize(db, atoms, &keep)
+    materialize(db, atoms, evaluate(db, atoms, &[]).participating())
 }
 
-fn materialize(db: &Database, atoms: &[RelationSchema], keep: &[HashSet<u32>]) -> Reduced {
+/// The database holding, per atom, the tuples `keep` names.
+fn materialize<K>(db: &Database, atoms: &[RelationSchema], keep: Vec<K>) -> Reduced
+where
+    K: IntoIterator<Item = u32>,
+{
     let mut out = Database::new();
     let mut backmap = Vec::with_capacity(atoms.len());
-    for (a, schema) in atoms.iter().enumerate() {
+    for (schema, kept) in atoms.iter().zip(keep) {
         // adp-lint: allow(panic-path) -- same validated-atoms contract.
         let rel = db.expect(schema.name());
         // adp-lint: allow(unordered-iter) -- collected then immediately
         // sorted; hash order never escapes.
-        let mut sorted: Vec<u32> = keep[a].iter().copied().collect();
+        let mut sorted: Vec<u32> = kept.into_iter().collect();
         sorted.sort_unstable();
         let mut inst = RelationInstance::new(rel.schema().clone());
         for &idx in &sorted {
@@ -210,44 +209,20 @@ fn materialize(db: &Database, atoms: &[RelationSchema], keep: &[HashSet<u32>]) -
     Reduced { db: out, backmap }
 }
 
-/// Checks pairwise-consistency bookkeeping used by tests: every remaining
-/// tuple participates in at least one witness.
-pub fn is_fully_reduced(db: &Database, atoms: &[RelationSchema]) -> bool {
-    let parts = evaluate(db, atoms, &[]).participating();
-    atoms
-        .iter()
-        .enumerate()
-        // adp-lint: allow(panic-path) -- same validated-atoms contract.
-        .all(|(a, s)| parts[a].len() == db.expect(s.name()).len())
-}
-
-/// Shared-attribute helper used by analyses: attributes of `a` also
-/// appearing in `b`.
-pub fn shared_attrs(a: &RelationSchema, b: &RelationSchema) -> Vec<Attr> {
-    a.attrs()
-        .iter()
-        .filter(|x| b.contains(x))
-        .cloned()
-        .collect()
-}
-
-/// Groups tuples of `rel` by their projection onto `on`.
-pub fn group_by_projection(
-    rel: &RelationInstance,
-    on: &[Attr],
-    indices: &[u32],
-) -> HashMap<Vec<Value>, Vec<u32>> {
-    let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-    for &idx in indices {
-        map.entry(rel.project(idx, on)).or_default().push(idx);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::attrs;
+
+    /// Every remaining tuple participates in at least one witness.
+    fn is_fully_reduced(db: &Database, atoms: &[RelationSchema]) -> bool {
+        let parts = evaluate(db, atoms, &[]).participating();
+        atoms
+            .iter()
+            .enumerate()
+            // adp-lint: allow(panic-path) -- same validated-atoms contract.
+            .all(|(a, s)| parts[a].len() == db.expect(s.name()).len())
+    }
 
     fn chain_atoms() -> Vec<RelationSchema> {
         vec![

@@ -577,7 +577,7 @@ impl Service {
             ids.iter()
                 .map(|&id| OutputRow {
                     id,
-                    values: eval.outputs[id as usize].clone(),
+                    values: eval.output(id as usize).into(),
                 })
                 .collect()
         };

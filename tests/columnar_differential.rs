@@ -13,6 +13,10 @@
 //!   are `==` (same output ids, same witness ids, same posting order),
 //!   not merely equal as sets, masked and unmasked alike.
 //!
+//! Every evaluation checked here — plain, chunked, masked and nested
+//! loop — must also hold the flat layout's invariants
+//! ([`check_layout`]).
+//!
 //! The masked property additionally cross-checks against a physically
 //! rebuilt database (survivors only), which exercises the columnar
 //! dedup/compaction path on every proptest case. A final deterministic
@@ -106,14 +110,27 @@ fn arb_db(q: &Query, max_rows: usize, dom: u64) -> impl Strategy<Value = Databas
 /// Order-insensitive view of a result: sorted outputs and, per output
 /// value, the sorted multiset of witness tuple-index vectors.
 fn canonical(r: &EvalResult) -> Vec<(Vec<Value>, Vec<Vec<u32>>)> {
+    canonical_mapped(r, |_, t| t)
+}
+
+/// [`canonical`] with every witness tuple index `t` of atom `atom`
+/// replaced by `map(atom, t)`.
+fn canonical_mapped(
+    r: &EvalResult,
+    map: impl Fn(usize, u32) -> u32,
+) -> Vec<(Vec<Value>, Vec<Vec<u32>>)> {
     let mut entries: Vec<(Vec<Value>, Vec<Vec<u32>>)> = r
-        .outputs
-        .iter()
+        .outputs()
         .enumerate()
         .map(|(o, out)| {
-            let mut ws: Vec<Vec<u32>> = r.output_witnesses[o]
+            let mut ws: Vec<Vec<u32>> = r
+                .witnesses_of(o)
                 .iter()
-                .map(|&w| r.witnesses[w as usize].tuples.to_vec())
+                .map(|&w| {
+                    (r.witness(w as usize).iter().enumerate())
+                        .map(|(atom, &t)| map(atom, t))
+                        .collect()
+                })
                 .collect();
             ws.sort();
             (out.to_vec(), ws)
@@ -121,6 +138,61 @@ fn canonical(r: &EvalResult) -> Vec<(Vec<Value>, Vec<Vec<u32>>)> {
         .collect();
     entries.sort();
     entries
+}
+
+/// The flat layout's invariants for an evaluation of `q` over `db`:
+///
+/// * the strides match the query: one tuple per atom on every witness,
+///   one value per head attribute on every output key;
+/// * each output's witness list is strictly ascending and is exactly
+///   the inverse of the witness → output ids;
+/// * every witness's output key is its head projection in `db`.
+fn check_layout(q: &Query, db: &Database, r: &EvalResult) -> Result<(), TestCaseError> {
+    prop_assert_eq!(r.atom_count(), q.atom_count(), "{}: atom stride", q);
+    prop_assert_eq!(r.head_width(), q.head().len(), "{}: head stride", q);
+    prop_assert!(r.witnesses().all(|w| w.len() == q.atom_count()));
+    prop_assert!(r.outputs().all(|o| o.len() == q.head().len()));
+
+    let mut listed = 0usize;
+    for o in 0..r.output_count() as usize {
+        let ws = r.witnesses_of(o);
+        prop_assert!(
+            ws.windows(2).all(|p| p[0] < p[1]),
+            "{}: list {} order",
+            q,
+            o
+        );
+        for &w in ws {
+            prop_assert_eq!(r.output_of(w as usize) as usize, o, "{}: witness {}", q, w);
+        }
+        listed += ws.len();
+    }
+    prop_assert_eq!(
+        listed as u64,
+        r.witness_count(),
+        "{}: lists miss witnesses",
+        q
+    );
+
+    // Head attribute → (atom, position in its relation's schema).
+    let sources: Vec<(usize, usize)> = q
+        .head()
+        .iter()
+        .map(|h| {
+            let atom = q.atoms().iter().position(|a| a.contains(h)).unwrap();
+            let rel = db.expect(q.atoms()[atom].name());
+            (atom, rel.schema().position(h).unwrap())
+        })
+        .collect();
+    for (w, tuples) in r.witnesses().enumerate() {
+        let projected: Vec<Value> = sources
+            .iter()
+            .map(|&(atom, pos)| db.expect(q.atoms()[atom].name()).tuple(tuples[atom])[pos])
+            .collect();
+        let out = r.output_of(w) as usize;
+        prop_assert_eq!(r.output(out), &projected[..], "{}: witness {} key", q, w);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -143,9 +215,11 @@ proptest! {
         let plan = QueryPlan::new(&db, q.atoms(), q.head());
         let indexes = plan.build_indexes(&db);
         let seq = plan.execute(&db, &indexes);
+        check_layout(&q, &db, &seq)?;
 
         // Semantics oracle: no interning, no indexes, no partitions.
         let oracle = evaluate_nested_loop(&db, q.atoms(), q.head());
+        check_layout(&q, &db, &oracle)?;
         prop_assert_eq!(
             canonical(&seq), canonical(&oracle),
             "{}: columnar result diverged from nested-loop oracle", q
@@ -155,8 +229,9 @@ proptest! {
         // chunked probes must reproduce the sequential result exactly.
         for parts in [2usize, 8] {
             let pidx = plan.build_indexes_on(&db, pool, Some(parts));
-            for chunks in [1usize, 3, 7] {
+            for chunks in 1usize..=8 {
                 let par = plan.execute_chunked(&db, &pidx, None, pool, chunks);
+                check_layout(&q, &db, &par)?;
                 prop_assert_eq!(
                     &seq, &par,
                     "{}: parts={} chunks={} diverged from sequential", q, parts, chunks
@@ -213,8 +288,10 @@ proptest! {
             }
 
             let seq = plan.execute_masked(&db, &indexes, &mask);
+            check_layout(&q, &db, &seq)?;
             for chunks in [2usize, 6] {
                 let par = plan.execute_chunked(&db, &pidx, Some(&mask), pool, chunks);
+                check_layout(&q, &db, &par)?;
                 prop_assert_eq!(
                     &seq, &par,
                     "{}: masked chunks={} diverged from sequential", q, chunks
@@ -243,14 +320,12 @@ proptest! {
                 db2.add(inst);
             }
             let oracle = evaluate_nested_loop(&db2, q.atoms(), q.head());
-            let mut seq_remapped = seq.clone();
-            for w in &mut seq_remapped.witnesses {
-                for (atom, t) in w.tuples.iter_mut().enumerate() {
-                    *t = remap[atom][*t as usize].expect("witness tuple is alive");
-                }
-            }
+            check_layout(&q, &db2, &oracle)?;
+            let seq_remapped = canonical_mapped(&seq, |atom, t| {
+                remap[atom][t as usize].expect("witness tuple is alive")
+            });
             prop_assert_eq!(
-                canonical(&seq_remapped), canonical(&oracle),
+                seq_remapped, canonical(&oracle),
                 "{}: masked result diverged from survivor rebuild", q
             );
         }

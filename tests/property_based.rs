@@ -160,9 +160,9 @@ proptest! {
         let fast = join::evaluate(&db, q.atoms(), q.head());
         let slow = naive::evaluate_nested_loop(&db, q.atoms(), q.head());
         let norm = |r: &join::EvalResult| {
-            let mut o: Vec<Vec<u64>> = r.outputs.iter().map(|x| x.to_vec()).collect();
+            let mut o: Vec<Vec<u64>> = r.outputs().map(|x| x.to_vec()).collect();
             o.sort();
-            let mut w: Vec<Vec<u32>> = r.witnesses.iter().map(|x| x.tuples.to_vec()).collect();
+            let mut w: Vec<Vec<u32>> = r.witnesses().map(|x| x.to_vec()).collect();
             w.sort();
             (o, w)
         };
@@ -171,12 +171,12 @@ proptest! {
         // reducer: same query result, and every surviving tuple participates
         let reduced = semijoin::remove_dangling(&db, q.atoms());
         let after = join::evaluate(&reduced.db, q.atoms(), q.head());
-        let mut a: Vec<Vec<u64>> = fast.outputs.iter().map(|x| x.to_vec()).collect();
-        let mut b: Vec<Vec<u64>> = after.outputs.iter().map(|x| x.to_vec()).collect();
+        let mut a: Vec<Vec<u64>> = fast.outputs().map(|x| x.to_vec()).collect();
+        let mut b: Vec<Vec<u64>> = after.outputs().map(|x| x.to_vec()).collect();
         a.sort();
         b.sort();
         prop_assert_eq!(a, b, "reduction must preserve Q(D) for {}", q);
-        let parts = after.tuple_degrees();
+        let parts = after.participating();
         for (i, atom) in q.atoms().iter().enumerate() {
             prop_assert_eq!(
                 parts[i].len(),
@@ -288,21 +288,19 @@ proptest! {
             let reference = evaluate_nested_loop(&masked_db, q.atoms(), q.head());
 
             let mut outs_a: Vec<Vec<u64>> =
-                masked.outputs.iter().map(|o| o.to_vec()).collect();
+                masked.outputs().map(|o| o.to_vec()).collect();
             let mut outs_b: Vec<Vec<u64>> =
-                reference.outputs.iter().map(|o| o.to_vec()).collect();
+                reference.outputs().map(|o| o.to_vec()).collect();
             outs_a.sort();
             outs_b.sort();
             prop_assert_eq!(outs_a, outs_b, "{} after {} kills", q, state);
 
             let mut wits_a: Vec<Vec<u32>> =
-                masked.witnesses.iter().map(|w| w.tuples.to_vec()).collect();
+                masked.witnesses().map(|w| w.to_vec()).collect();
             let mut wits_b: Vec<Vec<u32>> = reference
-                .witnesses
-                .iter()
+                .witnesses()
                 .map(|w| {
-                    w.tuples
-                        .iter()
+                    w.iter()
                         .enumerate()
                         .map(|(ai, &t)| backs[ai][t as usize])
                         .collect()

@@ -87,10 +87,14 @@ fn pinned_epochs_survive_mutations_and_compactions() {
     // never mutated in place.
     let eval_after = PreparedQuery::new(q, pinned).eval();
     assert_eq!(
-        eval_before.outputs, eval_after.outputs,
+        eval_before.outputs().collect::<Vec<_>>(),
+        eval_after.outputs().collect::<Vec<_>>(),
         "pinned epoch evaluation moved"
     );
-    assert_eq!(eval_before.witnesses, eval_after.witnesses);
+    assert_eq!(
+        eval_before.witnesses().collect::<Vec<_>>(),
+        eval_after.witnesses().collect::<Vec<_>>()
+    );
 }
 
 /// Segment memory is released by the last reader, not by the mutation:

@@ -65,10 +65,9 @@ impl Replica {
         let prep = PreparedQuery::new(q, snap);
         let rows = prep
             .eval()
-            .outputs
-            .iter()
+            .outputs()
             .enumerate()
-            .map(|(i, row)| (i as u32, row.clone()))
+            .map(|(i, row)| (i as u32, row.into()))
             .collect();
         let k = resolve_k(target, prep.output_count());
         let (cost, deletions) = if k == 0 {
@@ -142,7 +141,7 @@ fn fresh_state(
     let (epoch, snap) = svc.snapshot();
     let q = parse_query(query_text).unwrap();
     let prep = PreparedQuery::new(q.clone(), snap);
-    let mut rows: Vec<Box<[Value]>> = prep.eval().outputs.to_vec();
+    let mut rows: Vec<Box<[Value]>> = prep.eval().outputs().map(Box::from).collect();
     rows.sort();
     let k_eff = resolve_k(target, prep.output_count());
     if k_eff == 0 {
