@@ -34,7 +34,6 @@ use adp_engine::provenance::TupleRef;
 use adp_engine::schema::Attr;
 use adp_engine::value::Value;
 use adp_flow::{FlowNetwork, INF};
-use std::sync::Arc;
 
 /// Solves the boolean ADP (= resilience when the query is true).
 pub(crate) fn solve_boolean(view: &View, opts: &AdpOptions) -> Result<Solved, SolveError> {
@@ -53,7 +52,7 @@ pub(crate) fn solve_boolean_with_policy(
 ) -> Result<Solved, SolveError> {
     let comps = view.query.connected_components();
     let single = comps.len() == 1;
-    let mut parts: Vec<(View, Arc<EvalResult>)> = Vec::with_capacity(comps.len());
+    let mut parts: Vec<(View, EvalResult)> = Vec::with_capacity(comps.len());
     for comp in &comps {
         let sub = view.subview(comp);
         // The one component is the whole query: the view's (cached)

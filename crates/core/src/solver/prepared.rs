@@ -132,7 +132,7 @@ pub struct PlannedEval {
     db: Arc<Database>,
     plan: QueryPlan,
     indexes: OnceLock<Arc<JoinIndexes>>,
-    eval: OnceLock<Arc<EvalResult>>,
+    eval: OnceLock<EvalResult>,
     /// Pristine scored delta index, built once: the plan's one
     /// incidence. Greedy solves never mutate it: they run on the state
     /// in `idle`, and only a checkout that finds no state it can advance
@@ -189,22 +189,24 @@ impl PlannedEval {
     }
 
     /// The full evaluation `Q(D)`, computed once and cached.
-    pub fn eval(&self) -> Arc<EvalResult> {
-        Arc::clone(self.eval.get_or_init(|| {
-            if self
-                .plan
-                .rels()
-                .iter()
-                .any(|&r| self.db.relation_by_id(r).is_empty())
-            {
-                // Skip the index build: the result is empty regardless.
-                Arc::new(self.plan.execute_once(&self.db))
-            } else {
-                // Distinct OnceLock from `self.eval`, so no re-entrancy.
-                let indexes = self.indexes();
-                Arc::new(self.plan.execute(&self.db, &indexes))
-            }
-        }))
+    pub fn eval(&self) -> EvalResult {
+        self.eval
+            .get_or_init(|| {
+                if self
+                    .plan
+                    .rels()
+                    .iter()
+                    .any(|&r| self.db.relation_by_id(r).is_empty())
+                {
+                    // Skip the index build: the result is empty regardless.
+                    self.plan.execute_once(&self.db)
+                } else {
+                    // Distinct OnceLock from `self.eval`, so no re-entrancy.
+                    let indexes = self.indexes();
+                    self.plan.execute(&self.db, &indexes)
+                }
+            })
+            .clone()
     }
 
     /// `Q(D − S)` for the deletion state `mask`, reusing the cached plan
@@ -609,7 +611,7 @@ impl PreparedQuery {
     }
 
     /// The cached root evaluation `Q(D)`.
-    pub fn eval(&self) -> Arc<EvalResult> {
+    pub fn eval(&self) -> EvalResult {
         self.planned.eval()
     }
 
@@ -864,7 +866,7 @@ mod tests {
         let e1 = prep.eval();
         prep.solve(1, &AdpOptions::counting()).unwrap();
         let e2 = prep.eval();
-        assert!(Arc::ptr_eq(&e1, &e2), "evaluation must be computed once");
+        assert!(e1.shares_storage(&e2), "evaluation must be computed once");
     }
 
     /// The plan stores its evaluation once: the delta template (built
@@ -897,7 +899,7 @@ mod tests {
         let evals = pool.par_indexed(16, |_| prep.eval());
         for e in &evals {
             assert!(
-                Arc::ptr_eq(e, &evals[0]),
+                e.shares_storage(&evals[0]),
                 "all threads must observe the same cached evaluation"
             );
         }

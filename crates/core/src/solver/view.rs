@@ -73,10 +73,10 @@ impl View {
     /// Evaluates the view's query over its database. Root views built
     /// from a `PreparedQuery` return the cached evaluation (computing it
     /// at most once); derived views compile-and-run a fresh plan.
-    pub fn eval(&self) -> Arc<EvalResult> {
+    pub fn eval(&self) -> EvalResult {
         match &self.planned {
             Some(p) => p.eval(),
-            None => Arc::new(evaluate(&self.db, self.query.atoms(), self.query.head())),
+            None => evaluate(&self.db, self.query.atoms(), self.query.head()),
         }
     }
 

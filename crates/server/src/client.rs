@@ -6,15 +6,18 @@
 //! Frames that arrive in between — pushed subscription updates and
 //! their [`ErrorCode::Lagged`] warnings — are buffered and drained via
 //! [`Client::poll_push`]. Request ids are odd and subscription ids even
-//! (the server's convention), so the two can never collide.
+//! (the server's convention), so the two can never collide. Frames are
+//! read through a buffer, and a poll's timeout only bounds the wait for
+//! a frame's first byte, so it can never cut a frame in two.
 
 use crate::protocol::{
-    read_frame, resp, write_frame, ErrorCode, ProtoError, Request, Response, WireSolve, MAX_PAYLOAD,
+    is_timeout, read_frame, resp, write_frame, ErrorCode, Frame, ProtoError, Request, Response,
+    WireSolve, MAX_PAYLOAD,
 };
 use adp_service::{ServiceStats, Target, ViewUpdate};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -82,9 +85,33 @@ pub enum PushEvent {
     Lagged(String),
 }
 
+/// The client's read half. A read timeout (set by
+/// [`Client::poll_push`]) surfaces as an error only while `give_up` is
+/// set, that is while a poll waits for a frame's first byte; every
+/// other read rides through it.
+struct SocketReader {
+    stream: TcpStream,
+    give_up: bool,
+}
+
+impl Read for SocketReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if !self.give_up && is_timeout(&e) => continue,
+                other => return other,
+            }
+        }
+    }
+}
+
 /// One blocking protocol connection.
 pub struct Client {
     stream: TcpStream,
+    reader: BufReader<SocketReader>,
+    /// The socket's read timeout as last set, so it is set only on a
+    /// change.
+    read_timeout: Option<Duration>,
     next_id: u64,
     /// Push frames that arrived while a call was waiting for its reply.
     pushes: VecDeque<(u64, PushEvent)>,
@@ -95,8 +122,14 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        let reader = BufReader::new(SocketReader {
+            stream: stream.try_clone()?,
+            give_up: false,
+        });
         Ok(Client {
             stream,
+            reader,
+            read_timeout: None,
             next_id: 1,
             pushes: VecDeque::new(),
         })
@@ -110,18 +143,9 @@ impl Client {
         let (opcode, payload) = request
             .encode()
             .map_err(|e| ClientError::Proto(ProtoError::Wire(e)))?;
-        self.stream.set_read_timeout(None)?;
         write_frame(&mut self.stream, opcode, id, &payload)?;
         loop {
-            let frame = match read_frame(&mut self.stream, MAX_PAYLOAD)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(ClientError::Proto(ProtoError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-call",
-                    ))))
-                }
-            };
+            let frame = self.next_frame()?;
             let response = Response::decode(frame.opcode, &frame.payload)
                 .map_err(|e| ClientError::Proto(ProtoError::Wire(e)))?;
             if frame.request_id == id {
@@ -132,6 +156,15 @@ impl Client {
             }
             self.buffer_push(frame.request_id, frame.opcode, response);
         }
+    }
+
+    fn next_frame(&mut self) -> Result<Frame, ClientError> {
+        read_frame(&mut self.reader, MAX_PAYLOAD)?.ok_or_else(|| {
+            ClientError::Proto(ProtoError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-call",
+            )))
+        })
     }
 
     fn buffer_push(&mut self, sub: u64, opcode: u8, response: Response) {
@@ -158,26 +191,27 @@ impl Client {
         if let Some(ev) = self.pushes.pop_front() {
             return Ok(Some(ev));
         }
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        match read_frame(&mut self.stream, MAX_PAYLOAD) {
-            Ok(Some(frame)) => {
-                let response = Response::decode(frame.opcode, &frame.payload)
-                    .map_err(|e| ClientError::Proto(ProtoError::Wire(e)))?;
-                self.buffer_push(frame.request_id, frame.opcode, response);
-                Ok(self.pushes.pop_front())
-            }
-            Ok(None) => Ok(None),
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
+        let timeout = Some(timeout.max(Duration::from_millis(1)));
+        if self.read_timeout != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
         }
+        // Only the wait for a frame's first byte may time out; once it
+        // is buffered, the rest of the frame is read to the end.
+        self.reader.get_mut().give_up = true;
+        let waited = self.reader.fill_buf().map(|buf| buf.is_empty());
+        self.reader.get_mut().give_up = false;
+        match waited {
+            Ok(false) => {}
+            Ok(true) => return Ok(None),
+            Err(e) if is_timeout(&e) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
+        let frame = self.next_frame()?;
+        let response = Response::decode(frame.opcode, &frame.payload)
+            .map_err(|e| ClientError::Proto(ProtoError::Wire(e)))?;
+        self.buffer_push(frame.request_id, frame.opcode, response);
+        Ok(self.pushes.pop_front())
     }
 
     /// Liveness probe.
@@ -293,5 +327,68 @@ impl Client {
             Response::ShutdownAck => Ok(()),
             _ => Err(ClientError::Unexpected("shutdown ack")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::encode_frame;
+    use adp_service::{DeletionChurn, OutputRow};
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::thread;
+    use std::time::Instant;
+
+    /// A poll whose timeout fires after a frame's first bytes arrived
+    /// must not lose them: the frame is finished, and the stream stays
+    /// in sync for the next one.
+    #[test]
+    fn poll_timeout_mid_frame_keeps_the_stream_in_sync() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let update = ViewUpdate {
+            epoch: 3,
+            seq: 0,
+            lagged: None,
+            outputs_gained: Vec::new(),
+            outputs_lost: vec![OutputRow {
+                id: 1,
+                values: vec![7, 8].into_boxed_slice(),
+            }],
+            cost_drift: -1,
+            deletion_set_churn: DeletionChurn {
+                added: Vec::new(),
+                removed: Vec::new(),
+            },
+        };
+        let (opcode, payload) = Response::Push(update.clone()).encode().expect("encode");
+        let frame = encode_frame(opcode, 2, &payload).expect("frame");
+        let peer = thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let half = frame.len() / 2;
+            s.write_all(&frame[..half]).expect("first half");
+            thread::sleep(Duration::from_millis(200));
+            s.write_all(&frame[half..]).expect("second half");
+            // A whole frame after the split one.
+            s.write_all(&frame).expect("second frame");
+            s
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        // Wait until the first half is on the socket, so the polls below
+        // time out mid-frame rather than before it.
+        thread::sleep(Duration::from_millis(50));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut got = Vec::new();
+        while got.len() < 2 && Instant::now() < deadline {
+            match client.poll_push(Duration::from_millis(20)) {
+                Ok(Some(ev)) => got.push(ev),
+                Ok(None) => {}
+                Err(e) => panic!("a timed-out poll desynced the stream: {e}"),
+            }
+        }
+        let want = (2, PushEvent::Update(update));
+        assert_eq!(got, vec![want.clone(), want]);
+        drop(peer.join().expect("peer"));
     }
 }

@@ -6,11 +6,12 @@
 //!   (magic `ADPW`) carrying solve, prepared-statement, mutation-batch,
 //!   subscription, and stats traffic. Hand-rolled serialization on top
 //!   of `adp_core::wire`; no external codec crates.
-//! - [`server`] — a thread-per-connection TCP server with a bounded
-//!   accept loop, per-request deadlines mapped onto
-//!   `AdpOptions::deadline`, and a single mutation-ingest thread so
-//!   writes never run on request threads. Overload and subscriber lag
-//!   surface as typed error frames, not dropped connections.
+//! - [`server`] — a thread-per-connection TCP server with a bounded,
+//!   blocking accept loop, per-request deadlines mapped onto
+//!   `AdpOptions::deadline`, and mutations applied on the connection
+//!   thread that received them, logged before the new epoch is
+//!   visible. Overload, subscriber lag and a failed log append surface
+//!   as typed error frames, not dropped connections.
 //! - [`persist`] — an epoch-0 base snapshot plus a stable-id mutation
 //!   log in a versioned, crc-checked binary format. Recovery replays
 //!   the log through the ordinary O(Δ) apply path, so a restarted

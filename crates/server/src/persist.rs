@@ -377,3 +377,15 @@ impl Store {
         })
     }
 }
+
+#[cfg(test)]
+impl Store {
+    /// `dir`'s store with its log opened read-only, so every append
+    /// fails.
+    pub(crate) fn read_only(dir: &Path) -> io::Result<Store> {
+        Ok(Store {
+            dir: dir.to_path_buf(),
+            wal: File::open(dir.join(LOG_FILE))?,
+        })
+    }
+}

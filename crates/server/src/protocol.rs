@@ -237,6 +237,16 @@ pub fn write_frame(
     Ok(())
 }
 
+/// True for the errors a socket read returns when its read timeout
+/// fires (or a signal interrupts it): nothing was read, so the read can
+/// be retried without losing bytes.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 /// Reads one frame from `r`, verifying magic, version, length cap, and
 /// payload crc. Returns `Ok(None)` on a clean EOF *at a frame boundary*
 /// (the peer closed between frames); EOF mid-frame is an

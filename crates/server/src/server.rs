@@ -1,46 +1,47 @@
-//! The TCP front door: bounded accept loop, per-connection sessions,
-//! and the single mutation-ingest thread.
+//! The TCP front door: blocking accept loop, per-connection sessions,
+//! and mutations logged before they become visible.
 //!
 //! Threading model, chosen for a std-only build:
 //!
-//! * **Accept loop** (one thread): non-blocking accept polled every
-//!   ~50 ms against the shutdown flag. Connections over
-//!   [`ServerConfig::max_connections`] receive a typed
+//! * **Accept loop** (one thread): blocks in `accept()`;
+//!   [`Server::stop`] wakes it with a loopback connect. Connections
+//!   over [`ServerConfig::max_connections`] receive a typed
 //!   [`ErrorCode::Overloaded`] frame and are closed — never silently
 //!   dropped.
 //! * **One reader thread per connection**, owning the session state
-//!   (prepared-statement table, live subscriptions). Solves run on the
-//!   reader thread; the solver itself fans out on the global
-//!   [`adp_runtime`](adp_core) pool, and admission control bounds how
-//!   many requests solve concurrently across all connections.
+//!   (prepared-statement table, live subscriptions) and reading frames
+//!   through a buffer. Solves run on the reader thread; the solver
+//!   itself fans out on the global [`adp_runtime`](adp_core) pool, and
+//!   admission control bounds how many requests solve concurrently
+//!   across all connections.
 //! * **One writer lock per connection**: responses and pushed
 //!   subscription frames share the socket, serialized frame-at-a-time
 //!   by a mutex so they never interleave mid-frame.
-//! * **One mutation-ingest thread per server** (the Polynesia
-//!   discipline: update propagation stays off the analytic path).
-//!   Every `Mutate` request from every connection is forwarded to this
-//!   thread, which applies the batch through the service's O(Δ) path
-//!   and — when the batch was effective — appends it to the
-//!   [`crate::persist::Store`]'s mutation log *before* replying,
-//!   so the log order always matches the apply order.
+//! * **Mutations run on the connection thread that received them**,
+//!   through [`Service::apply_logged`]: the batch is validated, its
+//!   effective entries are appended to the [`crate::persist::Store`]'s
+//!   mutation log under the service's mutation lock, and only then is
+//!   the new epoch installed and fanned out. Log order is therefore
+//!   apply order, and a batch the log refuses is never visible (the
+//!   client gets an [`ErrorCode::Internal`] frame). Readers never wait
+//!   on a writer: the next epoch is built outside the snapshot lock.
 //!
 //! Per-request deadlines (`budget_micros`) map onto
 //! [`AdpOptions::deadline`](adp_core::solver::AdpOptions) inside the
 //! service, so an over-budget solve returns a truncated outcome instead
 //! of stalling the connection.
 
-use crate::persist::Store;
+use crate::persist::{PersistError, Store};
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, ProtoError, Request, Response, WireSolve, MAX_PAYLOAD,
+    is_timeout, read_frame, write_frame, ErrorCode, ProtoError, Request, Response, WireSolve,
+    MAX_PAYLOAD,
 };
-use adp_engine::ids::dense_id;
 use adp_service::{Service, ServiceError, SolveRequest, SubscribeOptions, SubscriptionId};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -63,11 +64,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// A mutation job en route to the ingest thread.
-struct MutJob {
-    delete: bool,
-    entries: Vec<(String, u32)>,
-    reply: SyncSender<Result<u64, ServiceError>>,
+/// What the accept loop and every connection thread share.
+struct Shared {
+    svc: Arc<Service>,
+    /// The mutation log, locked only inside [`Service::apply_logged`]'s
+    /// log call (which the service's mutation lock already serializes).
+    store: Option<Mutex<Store>>,
+    shutdown: AtomicBool,
+    config: ServerConfig,
 }
 
 /// A running server: owns the accept thread and the shutdown flag.
@@ -75,16 +79,15 @@ struct MutJob {
 /// every thread.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    ingest: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving `svc`. When `store` is given, every effective
-    /// mutation batch is appended to its log before the client sees the
-    /// new epoch.
+    /// mutation batch is appended to its log before any client can see
+    /// the new epoch.
     pub fn start(
         svc: Arc<Service>,
         store: Option<Store>,
@@ -92,32 +95,23 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (mut_tx, mut_rx) = mpsc::channel::<MutJob>();
-        let ingest = {
-            let svc = Arc::clone(&svc);
-            thread::Builder::new()
-                .name("adp-ingest".into())
-                .spawn(move || ingest_loop(&svc, store, &mut_rx))?
-        };
-
+        let shared = Arc::new(Shared {
+            svc,
+            store: store.map(Mutex::new),
+            shutdown: AtomicBool::new(false),
+            config,
+        });
         let accept = {
-            let svc = Arc::clone(&svc);
-            let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
+            let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("adp-accept".into())
-                .spawn(move || accept_loop(&svc, &listener, &mut_tx, &shutdown, &config))?
+                .spawn(move || accept_loop(&shared, &listener))?
         };
-
         Ok(Server {
             addr,
-            shutdown,
+            shared,
             accept: Some(accept),
-            ingest: Some(ingest),
         })
     }
 
@@ -129,30 +123,37 @@ impl Server {
     /// True once shutdown was requested (locally or by a client's
     /// `Shutdown` request).
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Blocks until shutdown is requested (a client `Shutdown` frame or
     /// another thread calling [`stop`](Server::stop) via a clone of the
     /// flag), polling at a coarse interval.
     pub fn wait(&self) {
-        while !self.shutdown.load(Ordering::Relaxed) {
+        while !self.is_shutting_down() {
             thread::sleep(Duration::from_millis(100));
         }
     }
 
-    /// Requests shutdown and joins the accept, connection, and ingest
-    /// threads.
+    /// Requests shutdown and joins the accept and connection threads.
     pub fn stop(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.ingest.take() {
+            // The accept loop blocks in `accept()`: a loopback connect
+            // wakes it to see the flag.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = h.join();
         }
     }
@@ -164,93 +165,38 @@ impl Drop for Server {
     }
 }
 
-/// Applies mutation batches in arrival order and logs effective ones.
-/// Exits when every connection (and the accept loop) has dropped its
-/// sender.
-fn ingest_loop(svc: &Service, mut store: Option<Store>, jobs: &Receiver<MutJob>) {
-    let (mut last_epoch, db) = svc.snapshot();
-    let slot_of: HashMap<String, u32> = db
-        .relations()
-        .iter()
-        .enumerate()
-        .map(|(slot, rel)| (rel.name().to_string(), dense_id(slot, "relation slots")))
-        .collect();
-    drop(db);
-    while let Ok(job) = jobs.recv() {
-        let batch: Vec<(&str, u32)> = job
-            .entries
-            .iter()
-            .map(|(name, idx)| (name.as_str(), *idx))
-            .collect();
-        let result = if job.delete {
-            svc.delete_tuples(&batch)
-        } else {
-            svc.restore_tuples(&batch)
-        };
-        if let Ok(epoch) = result {
-            if epoch > last_epoch {
-                last_epoch = epoch;
-                if let Some(store) = store.as_mut() {
-                    let entries: Vec<(u32, u32)> = job
-                        .entries
-                        .iter()
-                        .filter_map(|(name, idx)| slot_of.get(name).map(|&s| (s, *idx)))
-                        .collect();
-                    // The batch is already applied; a log failure is a
-                    // durability loss, not a serving failure. Surface it
-                    // loudly and keep serving.
-                    if let Err(e) = store.append_batch(job.delete, &entries) {
-                        eprintln!("adp-server: mutation log append failed: {e}");
-                    }
-                }
-            }
-        }
-        // A dropped reply receiver just means the connection died.
-        let _ = job.reply.send(result);
-    }
-}
-
-fn accept_loop(
-    svc: &Arc<Service>,
-    listener: &TcpListener,
-    mut_tx: &Sender<MutJob>,
-    shutdown: &Arc<AtomicBool>,
-    config: &ServerConfig,
-) {
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let live = Arc::new(AtomicUsize::new(0));
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                conns.retain(|h| !h.is_finished());
-                if live.load(Ordering::Relaxed) >= config.max_connections.max(1) {
-                    let _ = reject_overloaded(&stream, live.load(Ordering::Relaxed), config);
-                    continue;
-                }
-                live.fetch_add(1, Ordering::Relaxed);
-                let svc = Arc::clone(svc);
-                let mut_tx = mut_tx.clone();
-                let shutdown = Arc::clone(shutdown);
-                let conn_live = Arc::clone(&live);
-                let config = config.clone();
-                let spawned = thread::Builder::new()
-                    .name("adp-conn".into())
-                    .spawn(move || {
-                        let _ = stream.set_nodelay(true);
-                        serve_connection(&svc, &stream, &mut_tx, &shutdown, &config);
-                        conn_live.fetch_sub(1, Ordering::Relaxed);
-                    });
-                match spawned {
-                    Ok(h) => conns.push(h),
-                    Err(_) => {
-                        live.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else {
+            // Out of descriptors and the like: back off, do not spin.
+            thread::sleep(Duration::from_millis(50));
+            continue;
+        };
+        conns.retain(|h| !h.is_finished());
+        if live.load(Ordering::Relaxed) >= shared.config.max_connections.max(1) {
+            let _ = reject_overloaded(&stream, live.load(Ordering::Relaxed), &shared.config);
+            continue;
+        }
+        live.fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(shared);
+        let conn_live = Arc::clone(&live);
+        let spawned = thread::Builder::new()
+            .name("adp-conn".into())
+            .spawn(move || {
+                let _ = stream.set_nodelay(true);
+                serve_connection(&shared, &stream);
+                conn_live.fetch_sub(1, Ordering::Relaxed);
+            });
+        match spawned {
+            Ok(h) => conns.push(h),
+            Err(_) => {
+                live.fetch_sub(1, Ordering::Relaxed);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(50)),
         }
     }
     for h in conns {
@@ -293,16 +239,7 @@ impl Read for PatientReader<'_> {
             }
             let mut raw = self.stream;
             match raw.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue
-                }
+                Err(e) if is_timeout(&e) => continue,
                 other => return other,
             }
         }
@@ -316,22 +253,17 @@ struct LiveSub {
     forwarder: JoinHandle<()>,
 }
 
-fn serve_connection(
-    svc: &Arc<Service>,
-    stream: &TcpStream,
-    mut_tx: &Sender<MutJob>,
-    shutdown: &Arc<AtomicBool>,
-    config: &ServerConfig,
-) {
+fn serve_connection(shared: &Shared, stream: &TcpStream) {
+    let svc = &shared.svc;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let writer: Arc<Mutex<TcpStream>> = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let mut reader = PatientReader {
+    let mut reader = BufReader::new(PatientReader {
         stream,
-        shutdown: shutdown.as_ref(),
-    };
+        shutdown: &shared.shutdown,
+    });
 
     // Session state: prepared statements and subscriptions live exactly
     // as long as the connection. Wire subscription ids are even
@@ -343,7 +275,7 @@ fn serve_connection(
     let mut next_sub: u64 = 2;
 
     loop {
-        let frame = match read_frame(&mut reader, config.max_frame_bytes) {
+        let frame = match read_frame(&mut reader, shared.config.max_frame_bytes) {
             Ok(Some(frame)) => frame,
             Ok(None) => break, // clean close or shutdown
             Err(ProtoError::Io(_)) => break,
@@ -427,38 +359,21 @@ fn serve_connection(
                 }
             },
             Request::Mutate { delete, entries } => {
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let job = MutJob {
-                    delete,
-                    entries,
-                    reply: reply_tx,
-                };
-                if mut_tx.send(job).is_err() {
-                    send(
-                        &writer,
-                        id,
-                        &Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "mutation ingest is gone".into(),
-                        },
-                    );
-                    continue;
-                }
-                match reply_rx.recv() {
-                    Ok(Ok(epoch)) => {
+                let batch: Vec<(&str, u32)> = entries
+                    .iter()
+                    .map(|(name, idx)| (name.as_str(), *idx))
+                    .collect();
+                match svc.apply_logged(&batch, delete, |effective| match &shared.store {
+                    None => Ok(()),
+                    Some(store) => store
+                        .lock()
+                        .map_err(|_| PersistError::Io(io::Error::other("log lock poisoned")))?
+                        .append_batch(delete, effective),
+                }) {
+                    Ok(epoch) => {
                         send(&writer, id, &Response::Mutated { epoch });
                     }
-                    Ok(Err(e)) => send_service_error(&writer, id, &e),
-                    Err(_) => {
-                        send(
-                            &writer,
-                            id,
-                            &Response::Error {
-                                code: ErrorCode::Internal,
-                                message: "mutation ingest died mid-batch".into(),
-                            },
-                        );
-                    }
+                    Err(e) => send_service_error(&writer, id, &e),
                 }
             }
             Request::Subscribe {
@@ -527,7 +442,7 @@ fn serve_connection(
             }
             Request::Shutdown => {
                 send(&writer, id, &Response::ShutdownAck);
-                shutdown.store(true, Ordering::Relaxed);
+                shared.shutdown.store(true, Ordering::SeqCst);
                 break;
             }
         }
@@ -588,6 +503,7 @@ fn send_service_error(writer: &Mutex<TcpStream>, id: u64, e: &ServiceError) {
         ServiceError::Query(_) => ErrorCode::Query,
         ServiceError::Solve(_) => ErrorCode::Solve,
         ServiceError::BadRequest(_) => ErrorCode::BadRequest,
+        ServiceError::Log(_) => ErrorCode::Internal,
     };
     send(
         writer,
@@ -608,4 +524,98 @@ fn send_unknown_handle(writer: &Mutex<TcpStream>, id: u64, handle: u64) {
             message: format!("unknown statement handle {handle} (prepare first)"),
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientError};
+    use adp_engine::database::Database;
+    use adp_engine::schema::attrs;
+    use adp_service::ServiceConfig;
+    use std::time::Instant;
+
+    fn chain_db() -> Database {
+        let mut db = Database::new();
+        db.add_relation("R1", attrs(&["A"]), &[&[1], &[2]]);
+        db.add_relation("R2", attrs(&["A", "B"]), &[&[1, 1], &[1, 2], &[2, 1]]);
+        db.add_relation("R3", attrs(&["B"]), &[&[1], &[2]]);
+        db
+    }
+
+    fn start(store: Option<Store>) -> Server {
+        let svc = Arc::new(Service::new(chain_db()));
+        Server::start(svc, store, "127.0.0.1:0", ServerConfig::default()).expect("bind")
+    }
+
+    /// Stops `server` on another thread and returns how long it took,
+    /// failing instead of hanging if it never returns.
+    fn time_stop(server: Server) -> Duration {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let t = Instant::now();
+            server.stop();
+            let _ = tx.send(t.elapsed());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("stop() must return")
+    }
+
+    /// The accept loop blocks in `accept()`; `stop()` still returns
+    /// promptly, with no client and with idle clients connected.
+    #[test]
+    fn stop_wakes_a_blocked_accept() {
+        let idle = start(None);
+        assert!(time_stop(idle) < Duration::from_secs(2));
+
+        let server = start(None);
+        let mut a = Client::connect(server.addr()).expect("connect");
+        a.ping().expect("ping");
+        let _b = Client::connect(server.addr()).expect("connect");
+        assert!(time_stop(server) < Duration::from_secs(2));
+        assert!(a.ping().is_err(), "a stopped server closes its sessions");
+    }
+
+    /// A client's `Shutdown`, then `wait()`, then `stop()` ends: the
+    /// `adp-serverd --smoke` path.
+    #[test]
+    fn client_shutdown_then_wait_then_stop_ends() {
+        let server = start(None);
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.shutdown_server().expect("shutdown ack");
+        server.wait();
+        assert!(server.is_shutting_down());
+        assert!(time_stop(server) < Duration::from_secs(2));
+    }
+
+    /// A log append that fails reaches the client as an `Internal`
+    /// frame, and the epoch stays where it was.
+    #[test]
+    fn failed_log_append_is_an_internal_error_frame() {
+        let dir = std::env::temp_dir().join(format!("adp-server-ro-log-{}", std::process::id()));
+        Store::init(&dir, &chain_db(), &ServiceConfig::default()).expect("init");
+        let server = start(Some(Store::read_only(&dir).expect("open")));
+        let mut c = Client::connect(server.addr()).expect("connect");
+        match c.mutate(true, &[("R2", 0)]) {
+            Err(ClientError::Server {
+                code: ErrorCode::Internal,
+                message,
+            }) => assert!(message.contains("mutation log"), "{message}"),
+            other => panic!("expected an Internal error frame, got {other:?}"),
+        }
+        let solve = c
+            .solve(
+                "Q(A,B) :- R1(A), R2(A,B), R3(B)",
+                adp_service::Target::Outputs(0),
+                None,
+            )
+            .expect("solve");
+        assert_eq!(solve.epoch, 0, "a refused batch must not be visible");
+        assert_eq!(solve.outcome.output_count, 3);
+        // A no-op batch never reaches the log, so it still succeeds.
+        assert_eq!(c.mutate(false, &[("R2", 0)]).expect("no-op restore"), 0);
+        drop(c);
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -23,6 +23,10 @@ pub enum ServiceError {
     /// or an epoch batch referencing an unknown relation / out-of-range
     /// tuple. The message names the offending value.
     BadRequest(String),
+    /// The mutation log refused a batch
+    /// ([`Service::apply_logged`](crate::Service::apply_logged)), so
+    /// the batch was not applied. The message is the log's error.
+    Log(String),
 }
 
 impl From<QueryError> for ServiceError {
@@ -44,6 +48,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Solve(e) => write!(f, "solve failed: {e}"),
             ServiceError::Admission(e) => write!(f, "{e}"),
             ServiceError::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            ServiceError::Log(msg) => write!(f, "mutation log failed: {msg}"),
         }
     }
 }

@@ -84,11 +84,12 @@ use adp_core::solver::{
 use adp_engine::catalog::RelId;
 use adp_engine::database::Database;
 use adp_engine::error::AdpError;
-use adp_engine::ids::dense_id;
 use adp_engine::provenance::TupleRef;
 use cache::PlanCache;
 use stats::StatsInner;
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
@@ -481,7 +482,7 @@ impl Service {
     /// woken for a snapshot that did not change. Returns the epoch the
     /// batch's effect is visible at (the current epoch for no-ops).
     pub fn delete_tuples(&self, batch: &[(&str, u32)]) -> Result<u64, ServiceError> {
-        self.apply_batch(batch, true)
+        self.apply_logged(batch, true, |_| Ok::<(), Infallible>(()))
     }
 
     /// Restores previously deleted base tuples (the inverse of
@@ -489,10 +490,25 @@ impl Service {
     /// is a no-op within the batch, and fully no-op batches do not bump
     /// the epoch. Returns the epoch the batch's effect is visible at.
     pub fn restore_tuples(&self, batch: &[(&str, u32)]) -> Result<u64, ServiceError> {
-        self.apply_batch(batch, false)
+        self.apply_logged(batch, false, |_| Ok::<(), Infallible>(()))
     }
 
-    fn apply_batch(&self, batch: &[(&str, u32)], delete: bool) -> Result<u64, ServiceError> {
+    /// Applies a delete (`delete = true`) or restore batch like
+    /// [`delete_tuples`](Self::delete_tuples) /
+    /// [`restore_tuples`](Self::restore_tuples), handing its effective
+    /// entries — `(relation slot, base tuple index)` pairs, slots in
+    /// the base database's relation order, no-op entries dropped — to
+    /// `log` before the new epoch becomes visible. `log` runs under the
+    /// mutation lock, so log order is apply order; it is not called for
+    /// a batch that changes nothing. If it fails, the batch is not
+    /// applied: the epoch, the snapshot and every subscriber stay where
+    /// they were, and the error comes back as [`ServiceError::Log`].
+    pub fn apply_logged<E: fmt::Display>(
+        &self,
+        batch: &[(&str, u32)],
+        delete: bool,
+        log: impl FnOnce(&[(u32, u32)]) -> Result<(), E>,
+    ) -> Result<u64, ServiceError> {
         // Writers serialize on `mutation`, so the read-modify-write
         // below cannot lose updates even though the O(Δ) overlay build
         // runs without the `state` lock — concurrent solves keep
@@ -522,7 +538,7 @@ impl Service {
                     "tuple index {index} out of range for relation {name:?} (len {len})"
                 )));
             }
-            resolved.push((rel_id.index(), index));
+            resolved.push((rel_id, index));
         }
         // Keep only the entries that actually change the deletion set:
         // deleting a dead tuple / restoring a live one is a no-op, and a
@@ -532,7 +548,8 @@ impl Service {
         // copied from the current one only once something changes.
         let mut next_deleted: Option<DeadSet> = None;
         let mut effective = Vec::with_capacity(resolved.len());
-        for (slot, index) in resolved {
+        for (rel, index) in resolved {
+            let slot = rel.index();
             let now = next_deleted.as_ref().unwrap_or(&deleted);
             if now[slot].contains(&index) == delete {
                 continue;
@@ -543,7 +560,7 @@ impl Service {
             } else {
                 next[slot].remove(&index);
             }
-            effective.push((slot, index));
+            effective.push((rel.0, index));
         }
         let Some(next_deleted) = next_deleted else {
             // adp-lint: allow(panic-path) -- lock poisoning requires a prior
@@ -551,6 +568,10 @@ impl Service {
             // propagating the original crash beats serving torn state.
             return Ok(self.state.read().unwrap().epoch);
         };
+        // Log before visible: a batch the log refused is never
+        // installed, so no reader or subscriber sees an epoch that
+        // recovery cannot reproduce.
+        log(&effective).map_err(|e| ServiceError::Log(e.to_string()))?;
         // O(Δ) snapshot derivation: cloning the current snapshot is an
         // `Arc` bump per sealed segment (the tail is empty — everything
         // was sealed at construction or compacted since), and each
@@ -560,7 +581,7 @@ impl Service {
         // re-materialize from base values in stable order.
         let mut next = (*cur).clone();
         for &(slot, index) in &effective {
-            let rel = RelId(dense_id(slot, "relation ids"));
+            let rel = RelId(slot);
             let changed = if delete {
                 next.relation_mut_by_id(rel).delete_stable(index)
             } else {
@@ -880,6 +901,48 @@ mod tests {
             svc.restore_tuples(&[("NoSuchRel", 0)]),
             Err(ServiceError::BadRequest(_))
         ));
+    }
+
+    /// `apply_logged` hands the log the batch's effective entries in
+    /// base slot order before the epoch installs; a log that fails
+    /// leaves the epoch, the snapshot and every subscriber untouched
+    /// and comes back as a typed error.
+    #[test]
+    fn failed_log_leaves_the_epoch_unapplied() {
+        let svc = Service::new(chain_db());
+        let stmt = svc.prepare(Q).unwrap();
+        let (_, rx) = svc
+            .subscribe(&stmt, Target::Outputs(1), SubscribeOptions::default())
+            .unwrap();
+        let mut logged = Vec::new();
+        let epoch = svc
+            .apply_logged(&[("R2", 1), ("R1", 0), ("R2", 1)], true, |e| {
+                logged.extend_from_slice(e);
+                Ok::<(), String>(())
+            })
+            .unwrap();
+        assert_eq!((epoch, logged), (1, vec![(1, 1), (0, 0)]));
+        assert_eq!(rx.try_iter().count(), 1);
+
+        let (_, before) = svc.snapshot();
+        let err = svc
+            .apply_logged(&[("R2", 0)], true, |_| Err("disk full"))
+            .unwrap_err();
+        assert_eq!(err, ServiceError::Log("disk full".into()));
+        let (epoch, after) = svc.snapshot();
+        assert_eq!(epoch, 1, "a refused batch must not bump the epoch");
+        assert!(Arc::ptr_eq(&before, &after), "nor install a snapshot");
+        assert_eq!(rx.try_iter().count(), 0, "nor reach a subscriber");
+        assert_eq!(svc.stats().epoch_bumps, 1);
+
+        // A no-op batch never reaches the log.
+        let epoch = svc
+            .apply_logged(&[("R1", 0)], true, |_| Err("must not be called"))
+            .unwrap();
+        assert_eq!(epoch, 1);
+        // The service keeps applying after a refusal.
+        assert_eq!(svc.delete_tuples(&[("R2", 0)]).unwrap(), 2);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
