@@ -197,8 +197,8 @@ impl Query {
     /// declaration order, with canonical punctuation and **without the
     /// query name** (the name is display-only and never affects
     /// solving). Two query texts normalize to the same string iff the
-    /// solver treats them identically, so the text is safe to key a
-    /// shared plan cache: `"Q(A) :- R(A)"`, `"Q(A):-R(A)"`, and
+    /// solver treats them identically, so the text is safe to key
+    /// shared plans: `"Q(A) :- R(A)"`, `"Q(A):-R(A)"`, and
     /// `"Other(A) :- R(A)"` all map to `"(A) :- R(A)"`.
     ///
     /// Atom order and per-atom attribute order are preserved: they feed

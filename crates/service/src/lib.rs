@@ -10,16 +10,18 @@
 //!
 //! Three pieces:
 //!
-//! * **Plan cache** — a sharded LRU keyed by `(normalized query text,
-//!   db epoch)` holding `Arc<PreparedQuery>`. Concurrent requests for
-//!   the same query share one plan, one root evaluation, one provenance
-//!   index, and one scored delta template (all lazily built behind
+//! * **Plan records** — one record per normalized query text, in an
+//!   LRU registry. A record holds the query's epoch-0 *base plan* and
+//!   its binding to the current epoch, `(epoch, Arc<PreparedQuery>)`.
+//!   Concurrent requests for the same query share one plan, one root
+//!   evaluation and one scored delta template (all lazily built behind
 //!   `OnceLock`s). Plans for epochs after 0 are
-//!   [anchored](PreparedQuery::anchored) on the query's epoch-0 *base
-//!   plan*: their greedy solves advance the base plan's idle greedy
-//!   state by the difference between dead sets instead of joining the
-//!   epoch, so a greedy query pays its join and its scoring pass once
-//!   per service lifetime, and each epoch after that costs `O(batch)`.
+//!   [anchored](PreparedQuery::anchored) on the base plan: their greedy
+//!   solves advance the base plan's idle greedy state by the difference
+//!   between dead sets instead of joining the epoch, so a greedy query
+//!   pays its join and its scoring pass once per record, and each epoch
+//!   after that costs `O(batch)`. The text path, statements and
+//!   subscription groups all resolve epoch plans through the record.
 //! * **Request API** — [`SolveRequest`] (`k` or ρ target, solver
 //!   policy, wall-clock budget) → [`SolveResponse`] (deletion set,
 //!   cost, and stats: cache hit, plan/solve microseconds, solver
@@ -30,17 +32,17 @@
 //!   global [`adp_runtime`] pool.
 //! * **Prepared statements** — [`Service::prepare`] runs the text path
 //!   (parse, normalize, fingerprint) **once** and returns a
-//!   [`Statement`] handle whose hot path performs zero query-text work
-//!   per call, re-binding its `Arc<PreparedQuery>` through the shared
-//!   cache when the epoch moves. The "compile once, bind many times"
-//!   contract of SQL prepared statements, for ADP.
+//!   [`Statement`] handle that holds its query's record, so its hot path
+//!   performs zero query-text work and no registry lookup per call, and
+//!   the record re-binds when the epoch moves. The "compile once, bind
+//!   many times" contract of SQL prepared statements, for ADP.
 //! * **Epoch management** — the service owns the database. Streaming
 //!   delete/restore batches ([`Service::delete_tuples`] /
 //!   [`Service::restore_tuples`]) atomically install a new snapshot and
-//!   bump the epoch; because the epoch is part of the cache key, a
-//!   request that snapshotted epoch `e` can only hit plans compiled
-//!   against epoch `e` — **stale answers are impossible by
-//!   construction**, and post-bump invalidation merely reclaims memory.
+//!   bump the epoch; because a record's binding names its epoch, a
+//!   request that snapshotted epoch `e` only gets a plan over epoch
+//!   `e` — **stale answers are impossible by construction**, and the
+//!   post-bump sweep of epoch plans merely reclaims memory.
 //!   Batches that change nothing (empty, or all no-ops) do **not** bump
 //!   the epoch, so they cannot invalidate plans or wake subscribers.
 //! * **Push subscriptions** — [`Service::subscribe`] registers a
@@ -62,8 +64,8 @@
 
 #![forbid(unsafe_code)]
 
-mod cache;
 mod error;
+mod plans;
 mod request;
 mod statement;
 mod stats;
@@ -85,24 +87,23 @@ use adp_engine::catalog::RelId;
 use adp_engine::database::Database;
 use adp_engine::error::AdpError;
 use adp_engine::provenance::TupleRef;
-use cache::PlanCache;
+use plans::{PlanRegistry, QueryPlans};
 use stats::StatsInner;
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Tuning knobs for a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Plan-cache shards. Distinct hot queries land on distinct shard
-    /// mutexes (sharded by query fingerprint).
-    pub cache_shards: usize,
-    /// LRU capacity per shard; total capacity is
-    /// `cache_shards × cache_entries_per_shard`.
-    pub cache_entries_per_shard: usize,
+    /// How many queries keep a plan record (base plan plus current
+    /// epoch plan). A new query past this evicts the least recently
+    /// used record that no [`Statement`] or subscription holds; held
+    /// records are never evicted, so the count can exceed this while
+    /// they live.
+    pub cache_entries: usize,
     /// Bounded admission queue: at most this many requests may be in
     /// flight; further requests are shed with [`AdpError::Overloaded`].
     pub max_in_flight: usize,
@@ -124,8 +125,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            cache_shards: 8,
-            cache_entries_per_shard: 32,
+            cache_entries: 256,
             max_in_flight: 64,
             default_opts: AdpOptions::default(),
             segment_target_rows: 1 << 16,
@@ -183,16 +183,10 @@ pub struct Service {
     /// run *outside* the `state` write lock without writers racing each
     /// other; readers only ever wait for the brief install.
     mutation: Mutex<()>,
-    cache: PlanCache,
+    plans: PlanRegistry,
     in_flight: AtomicUsize,
     stats: StatsInner,
     subscriptions: subscribe::Registry,
-    /// Base (epoch-0) plans by normalized query text, held weakly:
-    /// statements, subscription groups and the cached epoch plans
-    /// anchored on a base keep it alive; this map only lets later
-    /// epochs find it. Not part of the plan cache, so it changes none of
-    /// the cache's counts.
-    bases: Mutex<HashMap<String, Weak<PreparedQuery>>>,
 }
 
 impl Service {
@@ -209,7 +203,6 @@ impl Service {
         db.seal_all(config.segment_target_rows.max(1));
         let base = Arc::new(db);
         let slots = base.relations().len();
-        let cache = PlanCache::new(config.cache_shards, config.cache_entries_per_shard);
         Service {
             state: RwLock::new(EpochState {
                 epoch: 0,
@@ -218,11 +211,10 @@ impl Service {
                 deleted: Arc::new(vec![Default::default(); slots]),
             }),
             mutation: Mutex::new(()),
-            cache,
+            plans: PlanRegistry::new(config.cache_entries),
             in_flight: AtomicUsize::new(0),
             stats: StatsInner::default(),
             subscriptions: subscribe::Registry::default(),
-            bases: Mutex::new(HashMap::new()),
             config,
         }
     }
@@ -250,49 +242,19 @@ impl Service {
         self.state.read().unwrap().clone()
     }
 
-    /// The plan for `query` (normalized to `normalized`) at the epoch of
-    /// `at`, through the shared cache: the cached one, or on a miss the
-    /// base plan itself at epoch 0 and a plan anchored on it later.
-    /// Returns `(plan, cache_hit, evicted)` as
-    /// [`PlanCache::get_or_insert`] does.
-    pub(crate) fn plan_for(
-        &self,
-        fingerprint: u64,
-        normalized: String,
-        query: &Query,
-        at: &EpochState,
-    ) -> (Arc<PreparedQuery>, bool, u64) {
-        self.cache
-            .get_or_insert(fingerprint, (normalized, at.epoch), |normalized| {
-                let base = self.base_plan(normalized, query, &at.base);
-                if Arc::ptr_eq(&at.db, &at.base) {
-                    base
-                } else {
-                    Arc::new(base.anchored(Arc::clone(&at.db), Arc::clone(&at.deleted)))
-                }
-            })
-    }
-
-    /// The query's base plan over the sealed epoch-0 database `base`:
-    /// the live one if anything still holds it, else a new one (which
-    /// then pays the join and the scoring pass again).
-    pub(crate) fn base_plan(
-        &self,
-        normalized: &str,
-        query: &Query,
-        base: &Arc<Database>,
-    ) -> Arc<PreparedQuery> {
-        // adp-lint: allow(panic-path) -- lock poisoning requires a prior
-        // panic while holding the lock; holders run no user code, and
-        // propagating the original crash beats serving torn state.
-        let mut bases = self.bases.lock().unwrap();
-        if let Some(plan) = bases.get(normalized).and_then(Weak::upgrade) {
-            return plan;
-        }
-        let plan = Arc::new(PreparedQuery::new(query.clone(), Arc::clone(base)));
-        bases.retain(|_, held| held.strong_count() > 0);
-        bases.insert(normalized.to_owned(), Arc::downgrade(&plan));
-        plan
+    /// The record of `query` (normalized to `normalized`), created over
+    /// the base database on first use. Counts the records its creation
+    /// evicted.
+    pub(crate) fn record(&self, normalized: String, query: Query) -> Arc<QueryPlans> {
+        let (plans, evicted) = self.plans.get_or_insert(normalized, |normalized| {
+            let EpochState { epoch, base, .. } = self.current();
+            // Bound at the live epoch, read under the registry lock: a
+            // request that snapshotted an epoch the last sweep already
+            // passed cannot bind (and pin) its superseded plan here.
+            QueryPlans::new(normalized, query, &base, epoch)
+        });
+        StatsInner::add(&self.stats.evicted, evicted);
+        plans
     }
 
     /// Counter snapshot (see [`ServiceStats`] for the invariants).
@@ -301,9 +263,9 @@ impl Service {
             .snapshot(self.in_flight.load(Ordering::Relaxed) as u64)
     }
 
-    /// Cached plan entries across all shards.
+    /// Queries whose record has an epoch plan bound.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.plans.bound_plans()
     }
 
     /// Tries to reserve an admission slot, shedding with
@@ -336,7 +298,7 @@ impl Service {
     }
 
     /// Serves one request on the calling thread: admission, epoch
-    /// snapshot, plan-cache lookup, solve. The solver itself may fan
+    /// snapshot, plan-record lookup, solve. The solver itself may fan
     /// out over the global [`adp_runtime`] pool; results are
     /// byte-identical to a direct
     /// [`PreparedQuery::solve`](adp_core::solver::PreparedQuery::solve)
@@ -363,18 +325,10 @@ impl Service {
 
         let plan_start = Instant::now();
         let query = parse_query(&req.query).map_err(ServiceError::Query)?;
-        // One normalization render serves both the cache key and its
-        // shard fingerprint.
-        let normalized = query.normalized_text();
-        let fingerprint = adp_core::query::fingerprint_of_normalized(&normalized);
-        let (prep, cache_hit, evicted) = self.plan_for(fingerprint, normalized, &query, &current);
-        StatsInner::bump(&self.stats.requests);
-        StatsInner::bump(if cache_hit {
-            &self.stats.cache_hits
-        } else {
-            &self.stats.cache_misses
-        });
-        StatsInner::add(&self.stats.evicted, evicted);
+        let (prep, cache_hit) = self
+            .record(query.normalized_text(), query)
+            .plan_at(&current);
+        self.count_lookup(cache_hit);
         let plan_micros = plan_start.elapsed().as_micros() as u64;
 
         self.execute(
@@ -386,6 +340,16 @@ impl Service {
             req.opts.as_ref(),
             req.budget,
         )
+    }
+
+    /// Counts one admitted request's plan lookup.
+    pub(crate) fn count_lookup(&self, cache_hit: bool) {
+        StatsInner::bump(&self.stats.requests);
+        StatsInner::bump(if cache_hit {
+            &self.stats.cache_hits
+        } else {
+            &self.stats.cache_misses
+        });
     }
 
     /// Rejects malformed targets with a typed error (shared by the text
@@ -430,15 +394,10 @@ impl Service {
         // and every later request for this key gets it for free).
         let solve_start = Instant::now();
         let total = prep.output_count();
-        let k = match target {
-            Target::Outputs(k) => k,
-            // Validated before the cache lookup above.
-            Target::Ratio(rho) => (total as f64 * rho).ceil() as u64,
-        };
         // k = 0 is trivially satisfied; k > |Q(D)| clamps to full
         // deletion (the resilience-style request). Both are serving
         // semantics: the raw solver treats them as caller errors.
-        let k = k.min(total);
+        let k = target.resolve(total);
         let outcome = if k == 0 {
             AdpOutcome {
                 cost: 0,
@@ -609,7 +568,7 @@ impl Service {
             state.epoch
         };
         StatsInner::bump(&self.stats.epoch_bumps);
-        StatsInner::add(&self.stats.invalidated, self.cache.invalidate_before(epoch));
+        StatsInner::add(&self.stats.invalidated, self.plans.invalidate_before(epoch));
         // Fan the batch out to subscribers while still holding the
         // mutation lock: every registered view advances through exactly
         // this batch before the next one can install.
@@ -950,22 +909,60 @@ mod tests {
         let svc = Service::with_config(
             chain_db(),
             ServiceConfig {
-                cache_shards: 1,
-                cache_entries_per_shard: 2,
+                cache_entries: 2,
                 ..Default::default()
             },
         );
-        // Three distinct queries through a 2-entry cache.
+        // Three distinct queries through a 2-record registry.
         for q in ["Q(A) :- R1(A)", "Q(A,B) :- R2(A,B)", "Q(B) :- R3(B)"] {
             svc.solve(&SolveRequest::outputs(q, 1)).unwrap();
         }
         assert_eq!(svc.cached_plans(), 2);
         assert_eq!(svc.stats().evicted, 1);
-        // The least-recently-used entry (the first query) was dropped.
+        // The least-recently-used record (the first query) was dropped.
         let r = svc
             .solve(&SolveRequest::outputs("Q(A) :- R1(A)", 1))
             .unwrap();
         assert!(!r.stats.cache_hit);
+    }
+
+    /// Regression: with no statement or subscription alive, the text
+    /// path used to lose the base plan at every epoch bump (the sweep
+    /// dropped the last plan anchored on it) and re-join and re-score
+    /// the whole base on its next solve. Every epoch plan must anchor on
+    /// the one epoch-0 base, evaluated once, while the test itself holds
+    /// neither.
+    #[test]
+    fn text_solves_keep_one_base_plan_across_epochs() {
+        let mut db = Database::new();
+        let r2: Vec<[u64; 2]> = (0..16).map(|i| [i % 4, i / 4]).collect();
+        let r2: Vec<&[u64]> = r2.iter().map(|t| &t[..]).collect();
+        db.add_relation("R1", attrs(&["A"]), &[&[0], &[1], &[2], &[3]]);
+        db.add_relation("R2", attrs(&["A", "B"]), &r2);
+        db.add_relation("R3", attrs(&["B"]), &[&[0], &[1], &[2], &[3]]);
+        let svc = Service::new(db);
+        let epoch_plan = |epoch: u64| {
+            let r = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
+            assert_eq!(r.stats.epoch, epoch);
+            let query = parse_query(Q).unwrap();
+            let (bound_at, plan) = svc.record(query.normalized_text(), query).bound();
+            assert_eq!(bound_at, epoch);
+            plan.unwrap()
+        };
+        // Hold only a weak handle and the evaluation's storage.
+        let (base, eval) = {
+            let base = epoch_plan(0);
+            assert!(base.anchor().is_none());
+            (Arc::downgrade(&base), base.eval())
+        };
+        for (epoch, index) in (1..=5u64).zip([2, 5, 8, 11, 14]) {
+            let batch = [("R2", index), ("R2", index + 1)];
+            assert_eq!(svc.delete_tuples(&batch).unwrap(), epoch);
+            let plan = epoch_plan(epoch);
+            let live = base.upgrade().expect("the base plan outlives the bump");
+            assert!(Arc::ptr_eq(plan.anchor().unwrap(), &live), "epoch {epoch}");
+            assert!(live.eval().shares_storage(&eval), "base evaluated once");
+        }
     }
 
     /// Snapshot coordinates shift after a bump; `to_base_tuples` is the

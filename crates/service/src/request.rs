@@ -16,11 +16,24 @@ pub enum Target {
     Ratio(f64),
 }
 
+impl Target {
+    /// The `k` this target asks of a view of `total` outputs, for every
+    /// front door alike: ratios round up, and `k` clamps to `total`.
+    /// Ratios are validated before they get here.
+    pub(crate) fn resolve(self, total: u64) -> u64 {
+        match self {
+            Target::Outputs(k) => k,
+            Target::Ratio(rho) => (total as f64 * rho).ceil() as u64,
+        }
+        .min(total)
+    }
+}
+
 /// One solve request against the service's current database epoch.
 #[derive(Clone, Debug)]
 pub struct SolveRequest {
     /// Query text, e.g. `"Q(A,B) :- R1(A), R2(A,B)"`. Parsed and
-    /// normalized per request; plans are shared through the cache.
+    /// normalized per request; plans are shared through its plan record.
     pub query: String,
     /// Removal target (`k` or ρ).
     pub target: Target,
@@ -75,13 +88,13 @@ pub struct RequestStats {
     /// the epoch of every batch fully applied before the request
     /// started.
     pub epoch: u64,
-    /// True if the plan cache already held the compiled plan.
+    /// True if the query's plan record was bound at the answering epoch.
     pub cache_hit: bool,
     /// Microseconds spent parsing, normalizing, and resolving the plan
-    /// through the cache.
+    /// through the plan record.
     pub plan_micros: u64,
     /// Microseconds spent solving. On a cold plan this includes the
-    /// one-time evaluation the cache then shares with every later
+    /// one-time evaluation the record then shares with every later
     /// request for the same key.
     pub solve_micros: u64,
     /// Which solver family produced the answer: `"exact"` (poly-time

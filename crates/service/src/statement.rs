@@ -1,67 +1,58 @@
 //! Prepared-statement handles: compile once, bind targets many times.
 //!
-//! [`Service::solve`] is the text front door: every request parses,
-//! normalizes, and fingerprints its query string before the cache can
-//! even be consulted. That is the right contract for untrusted
-//! wire-format clients, but a caller holding a long-lived handle to a
-//! hot query pays the text path on every call for nothing — the same
-//! "compile once, bind parameters many times" gap prepared statements
-//! close in SQL servers.
+//! [`Service::solve`] is the text front door: every request parses and
+//! normalizes its query string before the plan registry can even be
+//! consulted. That is the right contract for untrusted wire-format
+//! clients, but a caller holding a long-lived handle to a hot query
+//! pays the text path on every call for nothing — the same "compile
+//! once, bind parameters many times" gap prepared statements close in
+//! SQL servers.
 //!
 //! [`Service::prepare`] runs the text path **once** and returns a
-//! [`Statement`]: the parsed [`Query`], its normalized cache-key text,
-//! and its fingerprint, plus a cached binding to the current epoch's
-//! [`PreparedQuery`]. [`Statement::solve`] then:
+//! [`Statement`] that holds its query's plan record (the query, its
+//! base plan and its epoch binding; see the service's `plans` module)
+//! and the query's fingerprint. [`Statement::solve`] then:
 //!
-//! * on the hot path (epoch unchanged) reuses the bound plan directly —
+//! * on the hot path (epoch unchanged) takes the record's bound plan —
 //!   **zero** query-text work: no parse, no normalization, no
-//!   fingerprint, not even a cache-map probe (the
-//!   `statement_hot_path` integration test pins this with the
+//!   fingerprint, not even a registry probe (the `statement_hot_path`
+//!   integration test pins this with the
 //!   [`metrics`](adp_core::query::metrics) counters);
-//! * after an epoch bump transparently re-binds through the shared plan
-//!   cache under the *stored* normalized key — still no text work — so
-//!   statements survive streaming updates and keep sharing plans with
-//!   the text front door. The new epoch's plan is anchored on the
-//!   statement's epoch-0 base plan, which the binding keeps alive, so a
-//!   greedy statement's re-bind joins nothing: its next solve advances
-//!   a pooled base state by the batch;
+//! * after an epoch bump binds the record — shared with the text path
+//!   and every statement on the same normalized query — to the new
+//!   epoch, still with no text work. The new plan is anchored on the
+//!   record's base plan, which the statement keeps alive, so a greedy
+//!   statement's re-bind joins nothing: its next solve advances a
+//!   pooled base state by the batch;
 //! * goes through the same admission control, target validation, and
 //!   execution path as [`Service::solve`], so responses are
 //!   **byte-identical** to the text path on the same snapshot (pinned
 //!   by `tests/api_v2_differential.rs`, including across epoch bumps
-//!   and cache evictions).
-//!
-//! [`Query`]: adp_core::query::Query
+//!   and registry evictions).
 
 use crate::error::ServiceError;
+use crate::plans::QueryPlans;
 use crate::request::{SolveResponse, Target};
-use crate::stats::StatsInner;
-use crate::{EpochState, Service};
+use crate::Service;
 use adp_core::query::{parse_query, Query};
-use adp_core::solver::{AdpOptions, PreparedQuery};
-use std::sync::{Arc, Mutex};
+use adp_core::solver::AdpOptions;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A prepared query handle bound to a [`Service`]. Cheap to use from
-/// many threads (`Send + Sync`; the epoch binding is a small mutex held
-/// only for the lookup), and valid for as long as the service lives —
-/// epoch bumps re-bind automatically.
+/// many threads (`Send + Sync`; the record's epoch binding is a small
+/// mutex held only for the lookup), and valid for as long as the
+/// service lives — epoch bumps re-bind automatically.
 pub struct Statement<'s> {
     svc: &'s Service,
-    query: Arc<Query>,
-    /// The cache-key text, computed once at prepare time and cloned
-    /// (never re-derived) on re-binds.
-    normalized: String,
+    plans: Arc<QueryPlans>,
     fingerprint: u64,
-    /// The epoch this statement last resolved a plan for, plus that
-    /// plan. `None` only before the first bind.
-    bound: Mutex<Option<(u64, Arc<PreparedQuery>)>>,
 }
 
 impl Service {
     /// Prepares a query for repeated execution: parses and fingerprints
-    /// `query_text` once, compiles (or finds) the plan for the current
-    /// epoch in the shared cache, and returns the [`Statement`] handle.
+    /// `query_text` once, finds (or creates) its plan record, binds it
+    /// to the current epoch, and returns the [`Statement`] handle.
     /// Preparation is not a solve: it counts no request and consumes no
     /// admission slot.
     pub fn prepare(&self, query_text: &str) -> Result<Statement<'_>, ServiceError> {
@@ -75,24 +66,22 @@ impl Service {
     pub fn prepare_query(&self, query: Query) -> Statement<'_> {
         let normalized = query.normalized_text();
         let fingerprint = adp_core::query::fingerprint_of_normalized(&normalized);
-        let stmt = Statement {
+        let plans = self.record(normalized, query);
+        // Bind the current epoch so the first solve is already on the
+        // hot path.
+        plans.plan_at(&self.current());
+        Statement {
             svc: self,
-            query: Arc::new(query),
-            normalized,
+            plans,
             fingerprint,
-            bound: Mutex::new(None),
-        };
-        // Warm the binding for the current epoch so the first solve is
-        // already on the hot path.
-        stmt.bind(&self.current());
-        stmt
+        }
     }
 }
 
 impl Statement<'_> {
     /// The prepared query.
     pub fn query(&self) -> &Query {
-        &self.query
+        self.plans.query()
     }
 
     /// The owning service (subscription registration checks that a
@@ -101,44 +90,28 @@ impl Statement<'_> {
         self.svc
     }
 
-    /// The parsed query, shareably (subscription groups hold it to plan
-    /// each epoch they answer at).
-    pub(crate) fn query_arc(&self) -> &Arc<Query> {
-        &self.query
+    /// The query's plan record (subscription groups hold it too).
+    pub(crate) fn plans(&self) -> &Arc<QueryPlans> {
+        &self.plans
     }
 
-    /// The canonical cache-key text (see
+    /// The canonical registry-key text (see
     /// [`Query::normalized_text`](adp_core::query::Query::normalized_text)),
     /// computed once at prepare time.
     pub fn normalized_text(&self) -> &str {
-        &self.normalized
+        self.plans.normalized_text()
     }
 
-    /// The stable FNV-1a fingerprint keying the plan-cache shard.
+    /// The stable FNV-1a fingerprint of the normalized text.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The epoch of the currently bound plan (the answering epoch of
-    /// the next hot-path solve, absent concurrent bumps).
-    pub fn bound_epoch(&self) -> u64 {
-        self.bound
-            .lock()
-            // adp-lint: allow(panic-path) -- lock poisoning requires a
-            // prior panic while holding; propagating beats torn state.
-            .unwrap()
-            .as_ref()
-            .map(|(e, _)| *e)
-            // adp-lint: allow(panic-path) -- prepare() always binds
-            // before handing the statement out; None is unreachable.
-            .expect("statements are bound at prepare time")
     }
 
     /// Executes the statement against the service's current epoch.
     /// Byte-identical to `Service::solve` with the same query text and
     /// target, minus the per-call text work. Admission-controlled like
-    /// every solve; counts as one request in [`Service::stats`] (the
-    /// hot path is a cache hit — the plan *is* cached on the handle).
+    /// every solve; counts as one request in [`Service::stats`] (a cache
+    /// hit unless the record had to plan for a new epoch).
     pub fn solve(&self, target: Target) -> Result<SolveResponse, ServiceError> {
         self.solve_with(target, None, None)
     }
@@ -157,13 +130,8 @@ impl Statement<'_> {
 
         let plan_start = Instant::now();
         let current = self.svc.current();
-        let (prep, cache_hit) = self.bind(&current);
-        StatsInner::bump(&self.svc.stats.requests);
-        StatsInner::bump(if cache_hit {
-            &self.svc.stats.cache_hits
-        } else {
-            &self.svc.stats.cache_misses
-        });
+        let (prep, cache_hit) = self.plans.plan_at(&current);
+        self.svc.count_lookup(cache_hit);
         let plan_micros = plan_start.elapsed().as_micros() as u64;
 
         self.svc.execute(
@@ -176,43 +144,13 @@ impl Statement<'_> {
             budget,
         )
     }
-
-    /// Resolves the plan for the epoch of `current`: the bound plan
-    /// when the epoch still matches (the zero-text-work hot path),
-    /// otherwise a re-bind through the shared plan cache under the
-    /// stored normalized key. Returns `(plan, hit)` where `hit` mirrors
-    /// the text path's cache-hit notion: `true` unless a plan had to be
-    /// compiled.
-    fn bind(&self, current: &EpochState) -> (Arc<PreparedQuery>, bool) {
-        // adp-lint: allow(panic-path) -- lock poisoning requires a prior
-        // panic while holding the lock; holders run no user code, and
-        // propagating the original crash beats serving torn state.
-        let mut bound = self.bound.lock().unwrap();
-        if let Some((e, prep)) = bound.as_ref() {
-            if *e == current.epoch {
-                return (Arc::clone(prep), true);
-            }
-        }
-        let (prep, hit, evicted) = self.svc.plan_for(
-            self.fingerprint,
-            self.normalized.clone(),
-            &self.query,
-            current,
-        );
-        StatsInner::add(&self.svc.stats.evicted, evicted);
-        let superseded = bound.replace((current.epoch, Arc::clone(&prep)));
-        // Concurrent solves wait on `bound`; the superseded plan (and
-        // whatever it evaluated) is freed after they are let go.
-        drop(bound);
-        drop(superseded);
-        (prep, hit)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ServiceConfig, SolveRequest};
+    use adp_core::solver::PreparedQuery;
     use adp_engine::database::Database;
     use adp_engine::schema::attrs;
 
@@ -275,12 +213,12 @@ mod tests {
         let stmt = svc.prepare(Q).unwrap();
         let before = stmt.solve(Target::Outputs(1)).unwrap();
         assert_eq!(before.stats.epoch, 0);
-        assert_eq!(stmt.bound_epoch(), 0);
+        assert_eq!(bound(&stmt).0, 0);
 
         svc.delete_tuples(&[("R2", 0), ("R2", 1)]).unwrap();
         let after = stmt.solve(Target::Outputs(1)).unwrap();
         assert_eq!(after.stats.epoch, 1);
-        assert_eq!(stmt.bound_epoch(), 1);
+        assert_eq!(bound(&stmt).0, 1);
         assert!(!after.stats.cache_hit, "fresh epoch = fresh plan");
         assert_eq!(after.outcome.output_count, 1);
         // The re-bound statement still answers like the text path.
@@ -297,13 +235,19 @@ mod tests {
         assert_eq!(restored.outcome.solution, before.outcome.solution);
     }
 
+    /// The statement record's bound epoch and plan.
+    fn bound(stmt: &Statement<'_>) -> (u64, Arc<PreparedQuery>) {
+        let (epoch, plan) = stmt.plans().bound();
+        (epoch, plan.expect("a solve bound the epoch"))
+    }
+
     fn bound_plan(stmt: &Statement<'_>) -> Arc<PreparedQuery> {
-        Arc::clone(&stmt.bound.lock().unwrap().as_ref().unwrap().1)
+        bound(stmt).1
     }
 
     /// The epoch-0 plan is the base plan; every later epoch's plan is
     /// anchored on that same base, which outlives the invalidation of
-    /// epoch 0 without being counted as a cached plan.
+    /// epoch 0 and is counted as one cached plan with its epoch plan.
     #[test]
     fn epoch_plans_anchor_on_the_statements_base_plan() {
         let svc = Service::new(chain_db());
@@ -316,12 +260,16 @@ mod tests {
             let r = stmt.solve(Target::Outputs(1)).unwrap();
             assert!(!r.stats.cache_hit);
             assert!(Arc::ptr_eq(bound_plan(&stmt).anchor().unwrap(), &base));
-            assert_eq!(svc.cached_plans(), 1, "the base is not a cache entry");
+            assert_eq!(svc.cached_plans(), 1, "one record, one bound epoch plan");
         }
         // The text path and a statement prepared later share the plan.
         let text = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
         assert!(text.stats.cache_hit);
         let late = svc.prepare(Q).unwrap();
+        assert!(
+            Arc::ptr_eq(late.plans(), stmt.plans()),
+            "one record per query"
+        );
         assert!(Arc::ptr_eq(bound_plan(&late).anchor().unwrap(), &base));
         // Restoring everything answers like epoch 0 again.
         svc.restore_tuples(&[("R2", 0), ("R2", 2)]).unwrap();
@@ -333,24 +281,28 @@ mod tests {
 
     #[test]
     fn statement_survives_cache_eviction() {
-        // A 1-entry cache: other queries evict the statement's entry,
-        // but the handle keeps its binding and stays correct.
+        // A 1-record registry: the statement holds its record, so other
+        // queries cannot evict it; unheld records evict each other.
         let svc = Service::with_config(
             chain_db(),
             ServiceConfig {
-                cache_shards: 1,
-                cache_entries_per_shard: 1,
+                cache_entries: 1,
                 ..Default::default()
             },
         );
         let stmt = svc.prepare(Q).unwrap();
         let a = stmt.solve(Target::Outputs(2)).unwrap();
         svc.solve(&SolveRequest::outputs("Q(A) :- R1(A)", 1))
-            .unwrap(); // evicts
-        assert_eq!(svc.cached_plans(), 1);
+            .unwrap();
+        assert_eq!(svc.stats().evicted, 0, "held records are never evicted");
+        assert_eq!(svc.cached_plans(), 2);
+        svc.solve(&SolveRequest::outputs("Q(B) :- R3(B)", 1))
+            .unwrap(); // evicts the R1 record
+        assert_eq!(svc.stats().evicted, 1);
+        assert_eq!(svc.cached_plans(), 2);
         let b = stmt.solve(Target::Outputs(2)).unwrap();
         assert_eq!(a.outcome.solution, b.outcome.solution);
-        assert!(b.stats.cache_hit, "the handle itself is the cache");
+        assert!(b.stats.cache_hit, "the statement's record stays bound");
     }
 
     #[test]

@@ -74,26 +74,27 @@ impl StatsInner {
 /// A point-in-time snapshot of the service counters.
 ///
 /// Accounting invariant (asserted by the stress suite): every admitted
-/// request performs exactly one plan-cache lookup, so
+/// request performs exactly one plan lookup, so
 /// `cache_hits + cache_misses == requests` whenever the service is
-/// quiescent. Shed requests (`shed`) never reach the cache and are not
+/// quiescent. Shed requests (`shed`) never reach a plan and are not
 /// part of `requests`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests admitted past the bounded queue (== cache lookups).
+    /// Requests admitted past the bounded queue (== plan lookups).
     pub requests: u64,
-    /// Plan-cache hits: the request reused a shared `PreparedQuery`.
+    /// Plan hits: the request reused the plan its query's record had
+    /// bound at its epoch.
     pub cache_hits: u64,
-    /// Plan-cache misses: the request compiled (and cached) a plan.
+    /// Plan misses: the request planned its epoch.
     pub cache_misses: u64,
     /// Requests shed by admission control with
     /// [`AdpError::Overloaded`](adp_engine::error::AdpError::Overloaded).
     pub shed: u64,
     /// Epoch bumps applied (delete/restore batches).
     pub epoch_bumps: u64,
-    /// Cache entries dropped because their epoch became stale.
+    /// Epoch plans the post-bump sweep unbound as stale.
     pub invalidated: u64,
-    /// Cache entries dropped by LRU capacity pressure.
+    /// Plan records dropped by LRU capacity pressure.
     pub evicted: u64,
     /// [`ViewUpdate`](crate::ViewUpdate)s successfully delivered to
     /// subscriber channels.

@@ -22,12 +22,13 @@
 //!
 //! The unit of sharing is the **group**: all subscriptions on the same
 //! normalized statement. A group keeps no solver state of its own. It
-//! holds the statement's base (epoch-0) plan, whose pool already keeps
-//! the greedy states pull solves run on (the paper's `Q(D − S)`,
-//! Definition 1, one state tagged per dead set `S`). A row group moves
-//! one of those states to the new dead set once per batch, no matter how
-//! many subscribers listen (the `shared_delta_applications` counter
-//! pins this), through [`PreparedQuery::advance`]. That call reports
+//! holds the statement's plan record, whose base (epoch-0) plan's pool
+//! already keeps the greedy states pull solves run on (the paper's
+//! `Q(D − S)`, Definition 1, one state tagged per dead set `S`). A row
+//! group moves one of those states to the new dead set once per batch,
+//! no matter how many subscribers listen (the
+//! `shared_delta_applications` counter pins this), through
+//! [`PreparedQuery::advance`]. That call reports
 //! the outputs whose last live witness disappeared (or first
 //! reappeared), so redundant-witness churn inside a still-live output is
 //! silent, exactly the SSP weight-transition rule. It checks the state
@@ -35,7 +36,7 @@
 //! epoch, push or pull, takes it as is.
 //!
 //! Every group answers its targets through the pull path: the epoch's
-//! plan from the shared plan cache, solved in report mode. Row groups
+//! plan from the statement's plan record, solved in report mode. Row groups
 //! force the greedy leaf (Algorithm 6), so a pushed answer is pick for
 //! pick the fresh `force_greedy` solve. Boolean (min-cut) statements
 //! solve with the service's default options, and a satisfied↔unsatisfied
@@ -57,13 +58,13 @@
 //!   not), so `seq`s delivered plus `seq`s named in `Lagged` markers
 //!   reconstruct the full epoch sequence with no gaps — and no-op
 //!   batches never wake anyone because they no longer bump the epoch.
-//! * **No cache slot of its own.** The group holds its base plan by a
-//!   strong `Arc`, as a statement does, so plan-cache eviction and epoch
-//!   invalidation never take it away; the per-epoch plans it answers
-//!   through are ordinary cache entries it shares with pull solves.
+//! * **No plan of its own.** The group holds the statement's plan
+//!   record by `Arc`, as a statement does, so registry eviction never
+//!   takes it away, and the epoch plans it answers through are the ones
+//!   pull solves of the statement bind.
 //! * **Drop-aware cleanup.** Dropping a [`Receiver`] unsubscribes
 //!   implicitly at the next batch; [`Service::unsubscribe`] does it
-//!   eagerly. An empty group releases its base plan.
+//!   eagerly. An empty group releases its hold on the record.
 //!
 //! Updates also track the subscription's removal **target**: each
 //! distinct target in a group is solved once per batch, and the update
@@ -74,6 +75,7 @@
 //! every epoch.
 
 use crate::error::ServiceError;
+use crate::plans::QueryPlans;
 use crate::request::Target;
 use crate::statement::Statement;
 use crate::stats::StatsInner;
@@ -235,18 +237,15 @@ struct Sub {
     projection: Option<Box<[usize]>>,
 }
 
-/// All subscriptions on one normalized statement: the statement's base
-/// plan, the view's size at the last pushed epoch, one remembered answer
-/// per distinct target, and the subscribers.
+/// All subscriptions on one normalized statement: the statement's plan
+/// record, the view's size at the last pushed epoch, one remembered
+/// answer per distinct target, and the subscribers.
 struct Group {
-    query: Arc<Query>,
-    normalized: String,
-    fingerprint: u64,
-    /// The statement's base (epoch-0) plan, held as a statement holds
-    /// it. The epoch plans the group answers through are anchored on it,
-    /// and a row group advances its idle greedy state once per
-    /// batch; its root evaluation names the transition rows.
-    base: Arc<PreparedQuery>,
+    /// The statement's plan record, held as a statement holds it. The
+    /// group answers through its epoch plans, and a row group advances
+    /// its base plan's idle greedy state once per batch; the base's root
+    /// evaluation names the transition rows.
+    plans: Arc<QueryPlans>,
     /// `|Q(D − S)|` at the last pushed epoch: 0 or 1 for a boolean
     /// statement, whose flips between them are its only row transitions.
     live: u64,
@@ -262,16 +261,6 @@ struct Group {
 pub(crate) struct Registry {
     inner: Mutex<HashMap<String, Group>>,
     next_id: AtomicU64,
-}
-
-/// Resolves a target against the current live output count, with the
-/// same semantics as [`Service::solve`]: `k` clamps to the view size,
-/// ratios round up, and 0 is trivially satisfied.
-fn resolve_k(target: Target, live: u64) -> u64 {
-    match target {
-        Target::Outputs(k) => k.min(live),
-        Target::Ratio(rho) => ((live as f64 * rho).ceil() as u64).min(live),
-    }
 }
 
 /// Applies a subscriber's head-column projection to transition rows
@@ -407,7 +396,7 @@ impl Service {
         let current = self.current();
         let key = stmt.normalized_text();
         if !groups.contains_key(key) {
-            let group = self.build_group(stmt, &current)?;
+            let group = Self::build_group(stmt, &current)?;
             groups.insert(key.to_string(), group);
         }
         // adp-lint: allow(panic-path) -- the branch above inserted the
@@ -417,9 +406,9 @@ impl Service {
         if !group.targets.contains_key(&tkey) {
             // Seed the target's answer at the current epoch so the
             // first update's drift is relative to subscription time.
-            let prep = self.epoch_plan(group, &current);
-            let k = resolve_k(target, group.live);
-            match answer(&prep, k, &self.push_opts(&group.query)) {
+            let (prep, _) = group.plans.plan_at(&current);
+            let k = target.resolve(group.live);
+            match answer(&prep, k, &self.push_opts(group.plans.query())) {
                 Ok((prev_cost, prev_deletions)) => {
                     let seeded = TargetState {
                         target,
@@ -453,7 +442,7 @@ impl Service {
     /// Removes a subscription eagerly (dropping the receiver achieves
     /// the same at the next batch). Returns whether the id was live;
     /// the last subscriber on a statement releases the group and its
-    /// hold on the base plan.
+    /// hold on the plan record.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
         // adp-lint: allow(panic-path) -- lock poisoning requires a prior
         // panic while holding the lock; holders run no user code, and
@@ -481,44 +470,27 @@ impl Service {
     }
 
     /// Builds the group for a statement at the epoch of `at`: the
-    /// statement's base plan and the view's current size. A row group
+    /// statement's plan record and the view's current size. A row group
     /// checks a greedy state in at the current dead set, which also
     /// surfaces a state that cannot be built as an error here rather
     /// than at the first batch. Caller holds the mutation lock.
-    fn build_group(&self, stmt: &Statement<'_>, at: &EpochState) -> Result<Group, ServiceError> {
-        let query = Arc::clone(stmt.query_arc());
-        let mut group = Group {
-            base: self.base_plan(stmt.normalized_text(), &query, &at.base),
-            query,
-            normalized: stmt.normalized_text().to_string(),
-            fingerprint: stmt.fingerprint(),
-            live: 0,
-            targets: HashMap::new(),
-            subs: Vec::new(),
-        };
-        group.live = if group.query.is_boolean() {
-            self.epoch_plan(&group, at).output_count()
+    fn build_group(stmt: &Statement<'_>, at: &EpochState) -> Result<Group, ServiceError> {
+        let plans = Arc::clone(stmt.plans());
+        let live = if plans.query().is_boolean() {
+            plans.plan_at(at).0.output_count()
         } else {
-            group
-                .base
+            plans
+                .base()
                 .advance(&at.deleted, &at.deleted)
                 .map_err(|e| ServiceError::Solve(e.into()))?
                 .live_outputs
         };
-        Ok(group)
-    }
-
-    /// The group's plan at the epoch of `at`, through the shared plan
-    /// cache — the plan a pull solve of the statement would use.
-    fn epoch_plan(&self, group: &Group, at: &EpochState) -> Arc<PreparedQuery> {
-        let (prep, _hit, evicted) = self.plan_for(
-            group.fingerprint,
-            group.normalized.clone(),
-            &group.query,
-            at,
-        );
-        StatsInner::add(&self.stats.evicted, evicted);
-        prep
+        Ok(Group {
+            plans,
+            live,
+            targets: HashMap::new(),
+            subs: Vec::new(),
+        })
     }
 
     /// The options a group answers its targets with. Row groups force
@@ -549,7 +521,7 @@ impl Service {
         prev: &Arc<DeadSet>,
         next: &Arc<DeadSet>,
     ) -> (Vec<OutputRow>, Vec<OutputRow>) {
-        if group.query.is_boolean() {
+        if group.plans.query().is_boolean() {
             let was = group.live > 0;
             group.live = prep.output_count();
             let pseudo = || {
@@ -567,12 +539,12 @@ impl Service {
         // The group was built by a successful advance, and the plan
         // caches whether its scored state can be built, so this cannot
         // fail; were it to, the rows would be lost but not the seq.
-        let Ok(moved) = group.base.advance(prev, next) else {
+        let Ok(moved) = group.plans.base().advance(prev, next) else {
             return (Vec::new(), Vec::new());
         };
         StatsInner::bump(&self.stats.shared_delta_applications);
         group.live = moved.live_outputs;
-        let eval = group.base.eval();
+        let eval = group.plans.base().eval();
         let rows = |ids: &[u32]| -> Vec<OutputRow> {
             ids.iter()
                 .map(|&id| OutputRow {
@@ -601,7 +573,7 @@ impl Service {
         let current = self.current();
         let mut reaped = 0u64;
         for group in groups.values_mut() {
-            let prep = self.epoch_plan(group, &current);
+            let (prep, _) = group.plans.plan_at(&current);
             let (gained, lost) = self.advance_group(group, &prep, prev, next);
 
             // One solve per distinct resolved k, shared by every target
@@ -611,11 +583,11 @@ impl Service {
             // one": the update still delivers its gapless seq with zero
             // drift, and the next successful solve reports the
             // accumulated movement.
-            let opts = self.push_opts(&group.query);
+            let opts = self.push_opts(group.plans.query());
             let mut by_k: BTreeMap<u64, Option<(u64, Vec<TupleRef>)>> = BTreeMap::new();
             let mut answers: HashMap<TargetKey, (i64, DeletionChurn)> = HashMap::new();
             for (tkey, st) in group.targets.iter_mut() {
-                let k = resolve_k(st.target, group.live);
+                let k = st.target.resolve(group.live);
                 let solved = by_k
                     .entry(k)
                     .or_insert_with(|| answer(&prep, k, &opts).ok());
@@ -771,8 +743,8 @@ mod tests {
         assert_eq!(replay, ts.prev_deletions);
     }
 
-    /// A subscription group holds the statement's own base plan, takes
-    /// no cache slot for it, and answers through the same epoch plans a
+    /// A subscription group holds the statement's own plan record, adds
+    /// no plan of its own, and answers through the same epoch plans a
     /// pull solve uses.
     #[test]
     fn subscription_groups_share_the_statements_base_plan() {
@@ -784,7 +756,9 @@ mod tests {
         assert_eq!(svc.cached_plans(), 1, "the epoch-0 plan only");
         let group_plan = {
             let groups = svc.subscriptions.inner.lock().unwrap();
-            Arc::clone(&groups[stmt.normalized_text()].base)
+            let plans = &groups[stmt.normalized_text()].plans;
+            assert!(Arc::ptr_eq(plans, stmt.plans()), "one record per query");
+            Arc::clone(plans.base())
         };
         let solved = svc.solve(&SolveRequest::outputs(Q, 1)).unwrap();
         assert!(solved.stats.cache_hit);
@@ -800,13 +774,9 @@ mod tests {
             pulled.stats.cache_hit,
             "the pull solve shares the push's plan"
         );
-        let (prep, hit, _) = svc.cache.get_or_insert(
-            stmt.fingerprint(),
-            (stmt.normalized_text().to_string(), 1),
-            |_| unreachable!("epoch 1 is cached"),
-        );
-        assert!(hit);
-        assert!(Arc::ptr_eq(prep.anchor().unwrap(), &group_plan));
+        let (epoch, prep) = stmt.plans().bound();
+        assert_eq!(epoch, 1, "epoch 1 is bound");
+        assert!(Arc::ptr_eq(prep.unwrap().anchor().unwrap(), &group_plan));
     }
 
     /// A reader still holding the previous epoch's plan after a push
@@ -855,12 +825,9 @@ mod tests {
         for (batch, delete) in batches {
             stmt.solve(Target::Outputs(1)).unwrap();
             let (epoch, snap) = svc.snapshot();
-            let (old, hit, _) = svc.cache.get_or_insert(
-                stmt.fingerprint(),
-                (stmt.normalized_text().to_string(), epoch),
-                |_| unreachable!("the statement cached its epoch"),
-            );
-            assert!(hit);
+            let (bound_at, old) = stmt.plans().bound();
+            assert_eq!(bound_at, epoch, "the statement bound its epoch");
+            let old = old.unwrap();
             if delete {
                 svc.delete_tuples(batch).unwrap();
             } else {
@@ -981,13 +948,12 @@ mod tests {
 
     #[test]
     fn rows_stay_correct_after_cache_eviction() {
-        // 1-entry cache: any other traffic evicts the group's epoch
-        // plans, and the group's base plan is not in the cache at all.
+        // 1-record registry: other traffic adds records past capacity and
+        // evicts them, never the record the group and statement hold.
         let svc = Service::with_config(
             chain_db(),
             ServiceConfig {
-                cache_shards: 1,
-                cache_entries_per_shard: 1,
+                cache_entries: 1,
                 ..Default::default()
             },
         );
@@ -997,9 +963,11 @@ mod tests {
             .unwrap();
         svc.delete_tuples(&[("R2", 0)]).unwrap();
         assert_eq!(rx.try_recv().unwrap().outputs_lost.len(), 1);
-        // Unrelated traffic evicts the epoch-1 plan from the 1-slot cache…
-        svc.solve(&SolveRequest::outputs("Q(A) :- R1(A)", 1))
-            .unwrap();
+        // Unrelated traffic fills the 1-record registry past capacity…
+        for q in ["Q(A) :- R1(A)", "Q(B) :- R3(B)"] {
+            svc.solve(&SolveRequest::outputs(q, 1)).unwrap();
+        }
+        assert_eq!(svc.stats().evicted, 1, "the R1 record, not the held one");
         // …and the next transition still materializes correct rows.
         svc.restore_tuples(&[("R2", 0)]).unwrap();
         let u = rx.try_recv().unwrap();

@@ -20,10 +20,10 @@
 //! * [`runtime`] — std-only parallel execution runtime ([`ThreadPool`],
 //!   [`parallel_sweep`]); the solvers use its global pool automatically
 //!   and stay **byte-identical** to their sequential paths;
-//! * [`service`] — the concurrent serving layer ([`Service`]): a
-//!   sharded plan cache keyed by `(normalized query, db epoch)`, a
-//!   bounded-admission request API, prepared [`Statement`] handles, and
-//!   epoch management for streaming delete/restore batches.
+//! * [`service`] — the concurrent serving layer ([`Service`]): one
+//!   plan record per normalized query (its base plan and current epoch
+//!   plan), a bounded-admission request API, prepared [`Statement`]
+//!   handles, and epoch management for streaming delete/restore batches.
 //!
 //! ## The v2 API
 //!

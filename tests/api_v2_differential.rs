@@ -321,8 +321,10 @@ proptest! {
 
     /// `Statement::solve` ≡ `Service::solve` on the same snapshot:
     /// cold and hot, across epoch bumps (delete + restore), and with a
-    /// 1-entry cache under eviction churn from a second query. The
-    /// statement handle must never diverge from the text front door.
+    /// 1-record registry under eviction churn from two other queries.
+    /// Those evict each other; the statement's record, which it holds,
+    /// is never evicted. The statement handle must never diverge from
+    /// the text front door.
     #[test]
     fn statement_matches_text_path_across_epochs_and_evictions(
         (q, db, dels) in arb_query().prop_flat_map(|q| {
@@ -331,33 +333,39 @@ proptest! {
             (Just(q), db, dels)
         })
     ) {
-        // A deliberately tiny cache so the churn query evicts the
-        // statement's entry between solves.
+        // A deliberately tiny registry so the churn queries evict each
+        // other between solves.
         let svc = Service::with_config(
             db.clone(),
             ServiceConfig {
-                cache_shards: 1,
-                cache_entries_per_shard: 1,
+                cache_entries: 1,
                 ..Default::default()
             },
         );
         let text = format!("{q}");
         let stmt = svc.prepare(&text).unwrap();
-        // The churn query: always valid, always a different plan.
-        let churn = format!("Churn({}) :- {}", {
-            let a = q.atoms()[0].attrs();
-            a.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-        }, {
-            format!("{}", q.atoms()[0])
-        });
+        // The churn queries: always valid, and a full and a boolean
+        // plan over the same atom.
+        let head = q.atoms()[0].attrs().iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let churns = [
+            format!("Churn({}) :- {}", head.join(","), q.atoms()[0]),
+            format!("Churn() :- {}", q.atoms()[0]),
+        ];
+        let distinct = {
+            let keys: std::collections::BTreeSet<String> = [&text, &churns[0], &churns[1]]
+                .iter()
+                .map(|t| parse_query(t).unwrap().normalized_text())
+                .collect();
+            keys.len() == 3
+        };
 
         let check_epoch = |expect_epoch: u64| {
             let (epoch, snap) = svc.snapshot();
             assert_eq!(epoch, expect_epoch);
             let total = adp::PreparedQuery::new(q.clone(), Arc::clone(&snap)).output_count();
-            for k in [0, 1, total / 2, total, total + 3] {
-                // Evict the statement's cache entry first.
-                svc.solve(&SolveRequest::outputs(churn.clone(), 0)).unwrap();
+            for (i, k) in [0, 1, total / 2, total, total + 3].into_iter().enumerate() {
+                // Evict the other churn query's record first.
+                svc.solve(&SolveRequest::outputs(churns[i % 2].clone(), 0)).unwrap();
                 let a = stmt.solve(Target::Outputs(k)).unwrap();
                 let b = svc.solve(&SolveRequest::outputs(text.clone(), k)).unwrap();
                 assert_outcomes_identical(
@@ -394,6 +402,7 @@ proptest! {
         // Accounting invariant must hold on the mixed workload.
         let s = svc.stats();
         prop_assert_eq!(s.cache_hits + s.cache_misses, s.requests);
+        prop_assert!(!distinct || s.evicted > 0, "the churn queries evicted each other");
     }
 }
 
