@@ -11,6 +11,7 @@
 use adp_bench::fresh_plan;
 use adp_core::analysis::{find_hard_structures, is_ptime};
 use adp_core::solver::{verify, AdpOptions, CostProfile, PreparedQuery};
+use adp_core::wire::crc32;
 use adp_datagen::queries;
 use adp_datagen::zipf::ZipfConfig;
 use adp_engine::database::Database;
@@ -313,6 +314,31 @@ fn bench_singleton_solver(c: &mut Criterion) {
     });
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    let buf: Vec<u8> = (0..64 * 1024u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    c.bench_function("crc32_64k", |b| {
+        b.iter(|| black_box(crc32(black_box(&buf))))
+    });
+}
+
+/// A report-mode memo hit on the singleton solver at the paper's
+/// largest removal ratio: the per-hit cost of turning a memoized
+/// `Solved` into a sorted, deduplicated deletion set.
+fn bench_memo_hit_outcome(c: &mut Criterion) {
+    let db = Arc::new(adp_datagen::zipf_pair(&ZipfConfig::new(
+        50_000, 0.5, 1, true,
+    )));
+    let prepared = PreparedQuery::new(queries::q6(), db);
+    let opts = AdpOptions::default();
+    let k = (prepared.output_count() as f64 * 0.75).ceil() as u64;
+    prepared.solve(k, &opts).unwrap();
+    c.bench_function("memo_hit_outcome_q6_50k_rho075", |b| {
+        b.iter(|| black_box(prepared.solve(black_box(k), &opts).unwrap().cost))
+    });
+}
+
 fn bench_profile_ops(c: &mut Criterion) {
     let pairs: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i, i * 3 + (i % 7))).collect();
     c.bench_function("profile_from_pairs_10k", |b| {
@@ -367,6 +393,8 @@ criterion_group!(
     bench_semijoin,
     bench_mincut_resilience,
     bench_singleton_solver,
+    bench_crc32,
+    bench_memo_hit_outcome,
     bench_profile_ops,
     bench_analysis
 );

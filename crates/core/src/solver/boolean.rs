@@ -113,7 +113,7 @@ pub(crate) fn solve_boolean_with_policy(
     let exact = chosen_exact && all_exact;
     Ok(Solved::eager(
         CostProfile::single(cost, 1),
-        Extractor::Steps(vec![Step {
+        Extractor::steps(vec![Step {
             tuples,
             removed_cum: 1,
             cost_cum: cost,

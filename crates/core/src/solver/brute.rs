@@ -138,7 +138,7 @@ pub(crate) fn search(
             let removed = template.killed_by_set(&subset);
             return Ok(Solved::eager(
                 CostProfile::single(cost, removed),
-                Extractor::Steps(vec![Step {
+                Extractor::steps(vec![Step {
                     tuples: subset,
                     removed_cum: removed,
                     cost_cum: cost,

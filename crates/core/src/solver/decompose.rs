@@ -273,7 +273,7 @@ fn naive_full(children: Vec<Solved>, cap: u64, total: u64) -> Result<Solved, Sol
     }
     Ok(Solved::eager(
         CostProfile::single(cost, cap),
-        Extractor::Steps(vec![Step {
+        Extractor::steps(vec![Step {
             tuples,
             removed_cum: product_removed(totals.into_iter().zip(removed)),
             cost_cum: cost,

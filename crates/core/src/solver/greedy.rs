@@ -97,7 +97,7 @@ pub(crate) fn solve_greedy_filtered(
 /// The inexact [`Solved`] of a greedy run over `total` outputs.
 fn greedy_solved(steps: Vec<Step>, truncated: bool, total: u64) -> Solved {
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Solved::eager(profile, Extractor::Steps(steps), false, total).with_truncated(truncated)
+    Solved::eager(profile, Extractor::steps(steps), false, total).with_truncated(truncated)
 }
 
 /// True if `deadline` has passed and at least one round already ran.
@@ -252,7 +252,7 @@ pub(crate) fn solve_drastic(view: &View, eval: &EvalResult, cap: u64) -> Solved 
         }
     }
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Solved::eager(profile, Extractor::Steps(steps), false, total)
+    Solved::eager(profile, Extractor::steps(steps), false, total)
 }
 
 #[cfg(test)]

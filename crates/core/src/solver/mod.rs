@@ -243,9 +243,7 @@ pub(crate) fn outcome<S: Borrow<Solved>>(
     };
     let (solution, achieved) = match mode {
         Mode::Report => {
-            let (mut s, removed) = solved.extract(target)?;
-            s.sort_unstable();
-            s.dedup();
+            let (s, removed) = solved.extract_sorted(target)?;
             (Some(s), removed)
         }
         // The first profile point reaching the target is the one

@@ -31,7 +31,7 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Solved {
         }
         return Solved::eager(
             CostProfile::single(1, total),
-            Extractor::Steps(vec![Step {
+            Extractor::steps(vec![Step {
                 tuples: vec![view.to_original(ri, 0)],
                 removed_cum: total,
                 cost_cum: 1,
@@ -55,7 +55,7 @@ pub(crate) fn solve_singleton(view: &View, ri: usize, cap: u64) -> Solved {
         case2_steps(view, ri, &eval, cap)
     };
     let profile = CostProfile::from_pairs(steps.iter().map(|s| (s.cost_cum, s.removed_cum)));
-    Solved::eager(profile, Extractor::Steps(steps), true, total)
+    Solved::eager(profile, Extractor::steps(steps), true, total)
 }
 
 /// Case 1: sort `Ri` tuples by decreasing profit (outputs owned). An

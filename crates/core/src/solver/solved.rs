@@ -4,6 +4,7 @@
 use super::profile::CostProfile;
 use crate::error::SolveError;
 use adp_engine::provenance::TupleRef;
+use std::sync::OnceLock;
 
 /// Result of solving one (sub)instance.
 #[derive(Clone, Debug)]
@@ -40,9 +41,9 @@ pub(crate) enum Repr {
 pub(crate) enum Extractor {
     /// No tuples to delete (empty result).
     Empty,
-    /// Prefix extraction: take the shortest prefix of `steps` whose
+    /// Prefix extraction: take the shortest prefix of the steps whose
     /// cumulative removal reaches the target.
-    Steps(Vec<Step>),
+    Steps(Steps),
     /// Dynamic-program extraction (Universe / dense Decompose): walk the
     /// layered choice table backwards, delegating to child extractors.
     Dp(DpNode),
@@ -56,6 +57,102 @@ pub(crate) struct Step {
     pub tuples: Vec<TupleRef>,
     pub removed_cum: u64,
     pub cost_cum: u64,
+}
+
+/// The steps of a prefix extractor, with an index that answers sorted
+/// extractions without sorting.
+#[derive(Clone, Debug)]
+pub(crate) struct Steps {
+    steps: Vec<Step>,
+    /// Built on the first sorted extraction, so a memoized result pays
+    /// its sort once, not on every hit.
+    sorted: OnceLock<SortedPicks>,
+}
+
+/// The distinct tuples of a [`Steps`], sorted, each tagged with the
+/// first step that picks it.
+#[derive(Clone, Debug)]
+struct SortedPicks {
+    tuples: Vec<TupleRef>,
+    /// `first[j]`: the first step that picks `tuples[j]`.
+    first: Vec<usize>,
+    /// `upto[i]`: how many of `tuples` steps `0..=i` pick.
+    upto: Vec<usize>,
+}
+
+impl Steps {
+    /// The index of the first step whose cumulative removal reaches
+    /// `m > 0`, and that removal; `KTooLarge` past the last step.
+    fn prefix_end(&self, m: u64) -> Result<(usize, u64), SolveError> {
+        let end = self.steps.partition_point(|s| s.removed_cum < m);
+        match self.steps.get(end) {
+            Some(s) => Ok((end, s.removed_cum)),
+            None => Err(SolveError::KTooLarge {
+                k: m,
+                available: self.steps.last().map_or(0, |s| s.removed_cum),
+            }),
+        }
+    }
+
+    /// The tuples of the shortest prefix removing at least `m > 0`
+    /// outputs, in pick order, and the number removed.
+    fn extract(&self, m: u64) -> Result<(Vec<TupleRef>, u64), SolveError> {
+        let (end, removed) = self.prefix_end(m)?;
+        let tuples = self.steps[..=end]
+            .iter()
+            .flat_map(|s| s.tuples.iter().copied())
+            .collect();
+        Ok((tuples, removed))
+    }
+
+    /// [`extract`](Self::extract), sorted and deduplicated, read off the
+    /// index in one scan (one copy when every indexed tuple is in).
+    fn extract_sorted(&self, m: u64) -> Result<(Vec<TupleRef>, u64), SolveError> {
+        let (end, removed) = self.prefix_end(m)?;
+        let index = self.index();
+        let n = index.upto[end];
+        if n == index.tuples.len() {
+            return Ok((index.tuples.clone(), removed));
+        }
+        let mut tuples = Vec::with_capacity(n);
+        tuples.extend(
+            index
+                .tuples
+                .iter()
+                .zip(&index.first)
+                .filter(|&(_, &first)| first <= end)
+                .map(|(&t, _)| t),
+        );
+        Ok((tuples, removed))
+    }
+
+    fn index(&self) -> &SortedPicks {
+        self.sorted.get_or_init(|| {
+            let mut picks: Vec<(TupleRef, usize)> = self
+                .steps
+                .iter()
+                .enumerate()
+                .flat_map(|(i, s)| s.tuples.iter().map(move |&t| (t, i)))
+                .collect();
+            // Sorted by (tuple, step), so deduplication keeps each
+            // tuple's first step.
+            picks.sort_unstable();
+            picks.dedup_by_key(|p| p.0);
+            let (tuples, first): (Vec<_>, Vec<_>) = picks.into_iter().unzip();
+            let mut upto = vec![0; self.steps.len()];
+            for &step in &first {
+                upto[step] += 1;
+            }
+            for i in 1..upto.len() {
+                upto[i] += upto[i - 1];
+            }
+            SortedPicks {
+                tuples,
+                first,
+                upto,
+            }
+        })
+    }
 }
 
 /// How a DP's children's outputs combine.
@@ -83,6 +180,20 @@ pub(crate) struct DpNode {
 pub(crate) struct PairNode {
     pub left: Solved,
     pub right: Solved,
+}
+
+impl Extractor {
+    /// A prefix extractor over `steps`, whose cumulative removals must
+    /// not decrease.
+    pub(crate) fn steps(steps: Vec<Step>) -> Extractor {
+        debug_assert!(steps
+            .windows(2)
+            .all(|w| w[0].removed_cum <= w[1].removed_cum));
+        Extractor::Steps(Steps {
+            steps,
+            sorted: OnceLock::new(),
+        })
+    }
 }
 
 impl Solved {
@@ -181,19 +292,7 @@ impl Solved {
         match &self.repr {
             Repr::Eager { extract, .. } => match extract {
                 Extractor::Empty => Ok((Vec::new(), 0)),
-                Extractor::Steps(steps) => {
-                    let mut out = Vec::new();
-                    for s in steps {
-                        out.extend(s.tuples.iter().copied());
-                        if s.removed_cum >= m {
-                            return Ok((out, s.removed_cum));
-                        }
-                    }
-                    Err(SolveError::KTooLarge {
-                        k: m,
-                        available: steps.last().map(|s| s.removed_cum).unwrap_or(0),
-                    })
-                }
+                Extractor::Steps(steps) => steps.extract(m),
                 Extractor::Dp(dp) => {
                     if dp.choice.is_empty() {
                         return Err(SolveError::BudgetExceeded(
@@ -231,6 +330,24 @@ impl Solved {
                 out.extend(right);
                 let removed = cross_removed(a1, a2, p.left.total_outputs, p.right.total_outputs);
                 Ok((out, removed))
+            }
+        }
+    }
+
+    /// [`extract`](Self::extract), with the set sorted and deduplicated:
+    /// the report-mode answer. A prefix extractor reads it off its
+    /// sorted index, so a memoized result never re-sorts.
+    pub(crate) fn extract_sorted(&self, m: u64) -> Result<(Vec<TupleRef>, u64), SolveError> {
+        match &self.repr {
+            Repr::Eager {
+                extract: Extractor::Steps(steps),
+                ..
+            } if m > 0 => steps.extract_sorted(m),
+            _ => {
+                let (mut tuples, removed) = self.extract(m)?;
+                tuples.sort_unstable();
+                tuples.dedup();
+                Ok((tuples, removed))
             }
         }
     }
@@ -336,7 +453,7 @@ mod tests {
             })
             .collect();
         let profile = CostProfile::from_pairs(pairs.iter().copied());
-        Solved::eager(profile, Extractor::Steps(steps), true, total)
+        Solved::eager(profile, Extractor::steps(steps), true, total)
     }
 
     #[test]
@@ -424,6 +541,52 @@ mod tests {
             (vec![TupleRef::new(0, 0), TupleRef::new(0, 1)], 5)
         );
         assert!(s.extract(6).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// The indexed extraction equals the pick-order extraction,
+        /// sorted and deduplicated, at every target; tuples repeat
+        /// across steps, and some steps remove nothing new.
+        #[test]
+        fn sorted_extraction_matches_sort_and_dedup(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec((0usize..3, 0u32..12), 1..=4), 0u64..=3),
+                1..=50,
+            )
+        ) {
+            let (mut removed, mut cost) = (0, 0);
+            let steps: Vec<Step> = raw
+                .into_iter()
+                .map(|(picks, gain)| {
+                    removed += gain;
+                    cost += picks.len() as u64;
+                    Step {
+                        tuples: picks.into_iter().map(|(a, i)| TupleRef::new(a, i)).collect(),
+                        removed_cum: removed,
+                        cost_cum: cost,
+                    }
+                })
+                .collect();
+            let pairs: Vec<(u64, u64)> = steps.iter().map(|s| (s.cost_cum, s.removed_cum)).collect();
+            let solved = Solved::eager(
+                CostProfile::from_pairs(pairs),
+                Extractor::steps(steps),
+                false,
+                removed + 1,
+            );
+            for m in 1..=removed {
+                let (mut want, want_removed) = solved.extract(m).unwrap();
+                want.sort_unstable();
+                want.dedup();
+                proptest::prop_assert_eq!(solved.extract_sorted(m).unwrap(), (want, want_removed));
+            }
+            proptest::prop_assert!(matches!(
+                solved.extract_sorted(removed + 1),
+                Err(SolveError::KTooLarge { available, .. }) if available == removed
+            ));
+            proptest::prop_assert_eq!(solved.extract_sorted(0).unwrap(), (vec![], 0));
+        }
     }
 
     #[test]

@@ -210,16 +210,32 @@ pub struct Frame {
 
 /// Serializes one frame into a fresh buffer (header, payload, crc).
 pub fn encode_frame(opcode: u8, request_id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    let len = len_u32("frame payload", payload.len())?;
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+    build_frame(request_id, payload.len(), |buf| {
+        buf.extend_from_slice(payload);
+        Ok(opcode)
+    })
+}
+
+/// Builds one frame in a single buffer: the header, then the payload
+/// that `fill` appends in place (returning its opcode), then the crc.
+/// `capacity` is the expected payload size, reserved up front.
+fn build_frame(
+    request_id: u64,
+    capacity: usize,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<u8, WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + capacity + 4);
     buf.extend_from_slice(&MAGIC);
     wire::put_u16(&mut buf, VERSION);
-    put_u8(&mut buf, opcode);
+    put_u8(&mut buf, 0); // opcode, set once `fill` returns it
     put_u8(&mut buf, 0); // flags, reserved
     put_u64(&mut buf, request_id);
-    put_u32(&mut buf, len);
-    buf.extend_from_slice(payload);
-    put_u32(&mut buf, crc32(payload));
+    put_u32(&mut buf, 0); // payload len, set once the payload is in
+    buf[6] = fill(&mut buf)?;
+    let len = len_u32("frame payload", buf.len() - HEADER_LEN)?;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&buf[HEADER_LEN..]);
+    put_u32(&mut buf, crc);
     Ok(buf)
 }
 
@@ -640,15 +656,16 @@ pub struct WireSolve {
     pub outcome: AdpOutcome,
 }
 
-impl From<&SolveResponse> for WireSolve {
-    fn from(resp: &SolveResponse) -> Self {
+impl From<SolveResponse> for WireSolve {
+    /// Moves the answer over: the deletion set is not copied.
+    fn from(resp: SolveResponse) -> Self {
         WireSolve {
             epoch: resp.stats.epoch,
             cache_hit: resp.stats.cache_hit,
             plan_micros: resp.stats.plan_micros,
             solve_micros: resp.stats.solve_micros,
             solver: resp.stats.solver.to_string(),
-            outcome: resp.outcome.clone(),
+            outcome: resp.outcome,
         }
     }
 }
@@ -756,49 +773,70 @@ impl Response {
     /// Encodes to `(opcode, payload)`.
     pub fn encode(&self) -> Result<(u8, Vec<u8>), WireError> {
         let mut buf = Vec::new();
+        let opcode = self.encode_into(&mut buf)?;
+        Ok((opcode, buf))
+    }
+
+    /// Encodes the whole frame for `request_id` in one buffer: the same
+    /// bytes as [`encode_frame`] of [`encode`](Self::encode)'s output,
+    /// without copying the payload a second time.
+    pub fn to_frame(&self, request_id: u64) -> Result<Vec<u8>, WireError> {
+        // A solve's fixed fields take 60 bytes, its label and deletion
+        // set the rest; other responses are small.
+        let capacity = match self {
+            Response::Solve(s) => {
+                64 + s.solver.len() + 8 * s.outcome.solution.as_ref().map_or(0, Vec::len)
+            }
+            _ => 64,
+        };
+        build_frame(request_id, capacity, |buf| self.encode_into(buf))
+    }
+
+    /// Appends the payload to `buf` and returns the opcode.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> Result<u8, WireError> {
         let opcode = match self {
             Response::Pong => resp::PONG,
             Response::Solve(s) => {
-                put_u64(&mut buf, s.epoch);
-                put_bool(&mut buf, s.cache_hit);
-                put_u64(&mut buf, s.plan_micros);
-                put_u64(&mut buf, s.solve_micros);
-                put_str(&mut buf, &s.solver)?;
-                wire::put_outcome(&mut buf, &s.outcome)?;
+                put_u64(buf, s.epoch);
+                put_bool(buf, s.cache_hit);
+                put_u64(buf, s.plan_micros);
+                put_u64(buf, s.solve_micros);
+                put_str(buf, &s.solver)?;
+                wire::put_outcome(buf, &s.outcome)?;
                 resp::SOLVE
             }
             Response::Prepared { handle } => {
-                put_u64(&mut buf, *handle);
+                put_u64(buf, *handle);
                 resp::PREPARED
             }
             Response::Mutated { epoch } => {
-                put_u64(&mut buf, *epoch);
+                put_u64(buf, *epoch);
                 resp::MUTATED
             }
             Response::Subscribed { sub } => {
-                put_u64(&mut buf, *sub);
+                put_u64(buf, *sub);
                 resp::SUBSCRIBED
             }
             Response::Unsubscribed { found } => {
-                put_bool(&mut buf, *found);
+                put_bool(buf, *found);
                 resp::UNSUBSCRIBED
             }
             Response::Stats(s) => {
-                put_stats(&mut buf, s)?;
+                put_stats(buf, s)?;
                 resp::STATS
             }
             Response::ShutdownAck => resp::SHUTDOWN,
             Response::Error { code, message } => {
-                put_u8(&mut buf, code.tag());
-                put_str(&mut buf, message)?;
+                put_u8(buf, code.tag());
+                put_str(buf, message)?;
                 resp::ERROR
             }
             Response::Push(update) => {
-                put_update(&mut buf, update)?;
+                put_update(buf, update)?;
                 resp::PUSH
             }
         };
-        Ok((opcode, buf))
+        Ok(opcode)
     }
 
     /// Decodes a response payload for `opcode` (strict).
@@ -1008,6 +1046,42 @@ mod tests {
             read_frame(&mut &bytes[..], 4),
             Err(ProtoError::TooLarge(_))
         ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One `Solve` response frame, byte for byte: the header, the payload
+    /// layout and the crc trailer are all pinned.
+    #[test]
+    fn solve_frame_bytes_are_pinned() {
+        let resp = Response::Solve(WireSolve {
+            epoch: 3,
+            cache_hit: true,
+            plan_micros: 5,
+            solve_micros: 700,
+            solver: "greedy".into(),
+            outcome: AdpOutcome {
+                cost: 3,
+                achieved: 9,
+                exact: false,
+                truncated: false,
+                output_count: 40,
+                solution: Some(vec![
+                    TupleRef::new(0, 4),
+                    TupleRef::new(1, 0x0102_0304),
+                    TupleRef::new(2, u32::MAX),
+                ]),
+            },
+        });
+        let (opcode, payload) = resp.encode().unwrap();
+        let frame = encode_frame(opcode, 0x1122_3344_5566_7788, &payload).unwrap();
+        assert_eq!(resp.to_frame(0x1122_3344_5566_7788).unwrap(), frame);
+        assert_eq!(hex(&frame), "414450570100820088776655443322115a0000000300000000000000010500000000000000bc0200000000000006000000677265656479030000000000000009000000000000000000280000000000000001030000000000000004000000010000000403020102000000ffffffffd09282ec");
+        let got = read_frame(&mut &frame[..], MAX_PAYLOAD).unwrap().unwrap();
+        assert_eq!(got.request_id, 0x1122_3344_5566_7788);
+        assert_eq!(Response::decode(got.opcode, &got.payload).unwrap(), resp);
     }
 
     #[test]

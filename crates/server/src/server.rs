@@ -33,12 +33,11 @@
 
 use crate::persist::{PersistError, Store};
 use crate::protocol::{
-    is_timeout, read_frame, write_frame, ErrorCode, ProtoError, Request, Response, WireSolve,
-    MAX_PAYLOAD,
+    is_timeout, read_frame, ErrorCode, ProtoError, Request, Response, MAX_PAYLOAD,
 };
 use adp_service::{Service, ServiceError, SolveRequest, SubscribeOptions, SubscriptionId};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufReader, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -214,9 +213,9 @@ fn reject_overloaded(stream: &TcpStream, live: usize, config: &ServerConfig) -> 
             config.max_connections
         ),
     };
-    if let Ok((opcode, payload)) = response.encode() {
+    if let Ok(frame) = response.to_frame(0) {
         let mut w = stream;
-        let _ = write_frame(&mut w, opcode, 0, &payload);
+        let _ = w.write_all(&frame);
     }
     stream.shutdown(std::net::Shutdown::Both)
 }
@@ -328,7 +327,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) {
                 }
                 match svc.solve(&req) {
                     Ok(resp) => {
-                        send(&writer, id, &Response::Solve(WireSolve::from(&resp)));
+                        send(&writer, id, &Response::Solve(resp.into()));
                     }
                     Err(e) => send_service_error(&writer, id, &e),
                 }
@@ -352,7 +351,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) {
                     let budget = (budget_micros > 0).then(|| Duration::from_micros(budget_micros));
                     match stmt.solve_with(target, None, budget) {
                         Ok(resp) => {
-                            send(&writer, id, &Response::Solve(WireSolve::from(&resp)));
+                            send(&writer, id, &Response::Solve(resp.into()));
                         }
                         Err(e) => send_service_error(&writer, id, &e),
                     }
@@ -485,16 +484,16 @@ fn forward_updates(
     }
 }
 
-/// Encodes and writes one frame under the connection's writer lock.
-/// Returns false when the socket is gone (callers stop sending).
+/// Encodes one frame, then writes it under the connection's writer
+/// lock. Returns false when the socket is gone (callers stop sending).
 fn send(writer: &Mutex<TcpStream>, request_id: u64, response: &Response) -> bool {
-    let Ok((opcode, payload)) = response.encode() else {
+    let Ok(frame) = response.to_frame(request_id) else {
         return false;
     };
     let Ok(mut stream) = writer.lock() else {
         return false;
     };
-    write_frame(&mut *stream, opcode, request_id, &payload).is_ok()
+    stream.write_all(&frame).is_ok()
 }
 
 fn send_service_error(writer: &Mutex<TcpStream>, id: u64, e: &ServiceError) {

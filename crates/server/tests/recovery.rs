@@ -299,3 +299,48 @@ fn concurrent_mutators_log_in_apply_order() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The on-disk formats, byte for byte: a small snapshot and one WAL
+/// record must be written exactly as these bytes (so stores written by
+/// earlier builds keep recovering), and recovery must read them back.
+#[test]
+fn store_bytes_are_pinned() {
+    let dir = scratch_dir("golden");
+    let mut db = adp_engine::database::Database::new();
+    let a = || adp_engine::schema::Attr::new("A");
+    let b = || adp_engine::schema::Attr::new("B");
+    db.add_relation("R1", vec![a()], &[&[1], &[2], &[3]]);
+    db.add_relation(
+        "R2",
+        vec![a(), b()],
+        &[&[1, 10], &[2, 20], &[3, 30], &[3, 31]],
+    );
+    db.add_relation("R3", vec![b()], &[&[10], &[20], &[30], &[31]]);
+    let config = ServiceConfig {
+        segment_target_rows: 1 << 16,
+        compact_tombstone_pct: 50,
+        ..ServiceConfig::default()
+    };
+    let mut store = Store::init(&dir, &db, &config).expect("init");
+    store
+        .append_batch(true, &[(1, 3), (0, 0), (2, 1)])
+        .expect("append");
+    store.sync().expect("sync");
+    drop(store);
+
+    let snapshot = std::fs::read(dir.join(adp_server::persist::SNAPSHOT_FILE)).expect("read");
+    assert_eq!(hex(&snapshot), "414450530100d20000000000010000000000320000000300000002000000523101000000010000004103000000000000000100000000000000020000000000000003000000000000000200000052320200000001000000410100000042040000000000000001000000000000000a000000000000000200000000000000140000000000000003000000000000001e0000000000000003000000000000001f0000000000000002000000523301000000010000004204000000000000000a0000000000000014000000000000001e000000000000001f00000000000000c69441d8");
+    let wal = std::fs::read(dir.join(LOG_FILE)).expect("read");
+    assert_eq!(
+        hex(&wal),
+        "4144504c01001d000000d05398be0103000000010000000300000000000000000000000200000001000000"
+    );
+
+    let rec = Store::recover(&dir, config).expect("recover");
+    assert_eq!((rec.epoch, rec.replayed, rec.truncated_tail), (1, 1, false));
+    let _ = std::fs::remove_dir_all(&dir);
+}
